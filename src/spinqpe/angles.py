@@ -7,8 +7,8 @@ Grammar (no whitespace inside a token, surrounding whitespace ignored):
     decimal := '-'? INT ('.' INT?)? (('e'|'E') ('+'|'-')? INT)?
 
 Examples: "pi", "pi/3", "-pi/3", "3pi/4", "15/16pi", "2", "1.0471975512",
-"-2.5e-3". Malformed input raises AngleParseError carrying the offending
-position.
+"-2.5e-3". Malformed input, and a number too large for a float, raise
+AngleParseError carrying the offending position.
 """
 
 import math
@@ -41,7 +41,10 @@ def _read_int(text: str, i: int, what: str) -> tuple[int, int]:
         i += 1
     if i == start:
         raise AngleParseError(text, start, f"expected {what}")
-    return i, int(text[start:i])
+    try:
+        return i, int(text[start:i])
+    except ValueError:  # beyond the interpreter's integer string limit
+        raise AngleParseError(text, start, "integer has too many digits") from None
 
 
 def _expect_end(text: str, i: int) -> None:
@@ -82,6 +85,16 @@ def _decimal_end(text: str, i: int) -> int:
 
 def parse_angle(text: str) -> AngleExpr:
     """Parse an angle expression; see the module grammar."""
+    try:
+        value = _value(text)
+    except OverflowError:  # an integer too large for a float
+        value = math.inf
+    if not math.isfinite(value):
+        raise AngleParseError(text, _skip_ws(text, 0), "number too large for a float")
+    return AngleExpr(text, value)
+
+
+def _value(text: str) -> float:
     i = _skip_ws(text, 0)
     if i == len(text):
         raise AngleParseError(text, i, "expected a number or 'pi'")
@@ -90,15 +103,14 @@ def parse_angle(text: str) -> AngleExpr:
         sign = -1.0
         i += 1
     if text.startswith("pi", i):
-        value = _pi_tail(text, i + 2, sign * math.pi)
-        return AngleExpr(text, value)
+        return _pi_tail(text, i + 2, sign * math.pi)
     if i < len(text) and text[i].isdigit():
         num_start = i
         i, num = _read_int(text, i, "digits")
         if i < len(text) and text[i] in ".eE":
             end = _decimal_end(text, i)
             _expect_end(text, end)
-            return AngleExpr(text, sign * float(text[num_start:end]))
+            return sign * float(text[num_start:end])
         if i < len(text) and text[i] == "/":
             den_pos = i + 1
             i, den = _read_int(text, den_pos, "an integer denominator")
@@ -106,11 +118,9 @@ def parse_angle(text: str) -> AngleExpr:
                 raise AngleParseError(text, den_pos, "division by zero")
             if not text.startswith("pi", i):
                 raise AngleParseError(text, i, "expected 'pi' after a fraction")
-            value = _pi_tail(text, i + 2, sign * math.pi * num / den)
-            return AngleExpr(text, value)
+            return _pi_tail(text, i + 2, sign * math.pi * num / den)
         if text.startswith("pi", i):
-            value = _pi_tail(text, i + 2, sign * math.pi * num)
-            return AngleExpr(text, value)
+            return _pi_tail(text, i + 2, sign * math.pi * num)
         _expect_end(text, i)
-        return AngleExpr(text, sign * float(num))
+        return sign * float(num)
     raise AngleParseError(text, i, "expected a digit or 'pi'")

@@ -21,7 +21,7 @@ from .angles import parse_angle
 from .errors import AngleParseError, ConfigurationError
 from .extraction import full_pipeline, reconstruct_CS, reconstruct_absA
 from .gates import Axis, RotationSpec, rx, ry
-from .precession import PathParams, amplitudes_AB, amplitudes_CS, total_phase
+from .precession import PathParams, TotalPhase, amplitudes_AB, amplitudes_CS, total_phase
 from .qpe import QpeConfig, decode, expected_bins, run_qpe
 from .records import (
     decode_payload,
@@ -39,9 +39,11 @@ EXIT_CONFIG = 3
 EXIT_IO = 4
 
 DEFAULT_N = 10
-DEFAULT_SHOTS = 10000
 DEFAULT_AUX = "pi/4"
 DEFAULT_SEED = 0
+
+#: numpy draws a sample's shot count as a signed 64-bit integer
+_MAX_SHOTS = 2**63 - 1
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
@@ -128,12 +130,79 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_mode(args) -> tuple[str, int, int | None]:
-    if args.shots is not None:
-        if args.shots < 1:
-            raise ConfigurationError(f"--shots must be >= 1, got {args.shots}")
-        return "sampled", args.shots, args.seed
-    return "exact", DEFAULT_SHOTS, None
+def _sampling(n: int, shots: int | None = None, seed: int = DEFAULT_SEED) -> dict:
+    """Register width, mode, shots and seed as echoed in a record's config:
+    exact unless shots are given, and then seeded."""
+    if shots is None:
+        return {"n": n, "shots": None, "seed": None, "mode": "exact"}
+    if shots < 1:
+        raise ConfigurationError(f"--shots must be >= 1, got {shots}")
+    if shots > _MAX_SHOTS:
+        raise ConfigurationError(f"--shots must be <= {_MAX_SHOTS}, got {shots}")
+    if seed < 0:
+        raise ConfigurationError(f"--seed must be >= 0, got {seed}")
+    return {"n": n, "shots": shots, "seed": seed, "mode": "sampled"}
+
+
+def _qpe_config(run: dict, axis: Axis, aux: float, target_prep: tuple = ()) -> QpeConfig:
+    """The estimation circuit for a `_sampling` result and an auxiliary rotation."""
+    sampled = {"shots": run["shots"]} if run["mode"] == "sampled" else {}
+    return QpeConfig(counting_qubits=run["n"], aux=RotationSpec(axis, aux),
+                     target_prep=target_prep, seed=run["seed"], mode=run["mode"], **sampled)
+
+
+def _readout(run: dict, axis: Axis, aux: float, target_prep: tuple, allow_leakage: bool):
+    """Run one estimation circuit; (histogram, decode result)."""
+    config = _qpe_config(run, axis, aux, target_prep)
+    if not expected_bins(config).dyadic_exact and not allow_leakage:
+        raise ConfigurationError(
+            f"auxiliary angle {aux!r} is not an integer multiple of "
+            f"4*pi/{1 << config.counting_qubits}, so the readout leaks into "
+            "neighboring bins; rerun with --allow-leakage to accept that"
+        )
+    hist = run_qpe(config)
+    return hist, decode(hist, config)
+
+
+def _total_phase(params: PathParams) -> tuple[TotalPhase, list]:
+    """total_phase(params) and the text of the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        phase = total_phase(params)
+    return phase, [str(w.message) for w in caught]
+
+
+def _analytic_section(eta: float, delta: float | None = None,
+                      phase: TotalPhase | None = None) -> dict:
+    """Closed-form `analytic` section: C and S from eta alone, and the
+    two-segment amplitudes too once delta and its total_phase are given."""
+    cs = amplitudes_CS(eta)
+    section = {"C": cs.C, "S": cs.S, "C2": cs.C ** 2, "S2": cs.S ** 2}
+    if phase is None:
+        return section
+    ab = amplitudes_AB(PathParams(eta, delta))
+    return {
+        **section,
+        "absA": abs(ab.A),
+        "theta": phase.theta,
+        "A_re": ab.A.real,
+        "A_im": ab.A.imag,
+        "B_re": ab.B.real,
+        "B_im": ab.B.imag,
+        "gamma1": ab.gamma1,
+        "gamma2": ab.gamma2,
+        "half_absA2": abs(ab.A) ** 2 / 2.0,
+        "half_absB2": abs(ab.B) ** 2 / 2.0,
+        "magnitude": phase.magnitude,
+        # NaN where S + C vanishes; JSON has no NaN, so the record says null
+        "theta_arctan": None if math.isnan(phase.theta_arctan) else phase.theta_arctan,
+    }
+
+
+def _pipeline(run: dict, eta: float, delta: float, aux_v: float, aux_h: float,
+              branch: str = "principal"):
+    return full_pipeline(PathParams(eta, delta), _qpe_config(run, Axis.Y, aux_v),
+                         _qpe_config(run, Axis.X, aux_h), branch=branch)
 
 
 def _write(text: str, out: str | None) -> None:
@@ -143,172 +212,77 @@ def _write(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _emit_record(record: dict, args) -> None:
+def _emit(args, **sections) -> int:
+    """Write the record of this invocation in the requested format."""
+    record = make_record(command=args._argv, **sections)
     _write(to_csv(record) if args.format == "csv" else to_json(record), args.out)
-
-
-def _analytic_section(params: PathParams) -> tuple[dict, list]:
-    cs = amplitudes_CS(params.eta)
-    ab = amplitudes_AB(params)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        tp = total_phase(params)
-    notes = [str(w.message) for w in caught]
-    section = {
-        "C": cs.C,
-        "S": cs.S,
-        "absA": abs(ab.A),
-        "theta": tp.theta,
-        "C2": cs.C ** 2,
-        "S2": cs.S ** 2,
-        "A_re": ab.A.real,
-        "A_im": ab.A.imag,
-        "B_re": ab.B.real,
-        "B_im": ab.B.imag,
-        "gamma1": ab.gamma1,
-        "gamma2": ab.gamma2,
-        "half_absA2": abs(ab.A) ** 2 / 2.0,
-        "half_absB2": abs(ab.B) ** 2 / 2.0,
-        "magnitude": tp.magnitude,
-        "theta_arctan": tp.theta_arctan,
-    }
-    return section, notes
+    return EXIT_OK
 
 
 def cmd_analytic(args) -> int:
-    eta = parse_angle(args.eta)
-    delta = parse_angle(args.delta)
-    params = PathParams(eta.value, delta.value)
-    analytic, notes = _analytic_section(params)
-    record = make_record(
-        command=args._argv,
-        config={"eta": eta.value, "delta": delta.value},
-        analytic=analytic,
-        warnings=notes,
-    )
-    _emit_record(record, args)
-    return EXIT_OK
-
-
-def _check_dyadic(config: QpeConfig, allow_leakage: bool) -> None:
-    bins = expected_bins(config)
-    if not bins.dyadic_exact and not allow_leakage:
-        size = 1 << config.counting_qubits
-        raise ConfigurationError(
-            f"auxiliary angle {config.aux.angle!r} is not an integer multiple "
-            f"of 4*pi/{size}, so the readout leaks into neighboring bins; "
-            "rerun with --allow-leakage to accept that"
-        )
+    eta = parse_angle(args.eta).value
+    delta = parse_angle(args.delta).value
+    phase, notes = _total_phase(PathParams(eta, delta))
+    return _emit(args, config={"eta": eta, "delta": delta},
+                 analytic=_analytic_section(eta, delta, phase), warnings=notes)
 
 
 def cmd_qpev(args) -> int:
-    eta = parse_angle(args.eta)
-    aux = parse_angle(args.aux)
-    mode, shots, seed = _resolve_mode(args)
-    config = QpeConfig(
-        counting_qubits=args.n,
-        aux=RotationSpec(Axis.Y, aux.value),
-        target_prep=(rx(-eta.value),),
-        shots=shots,
-        seed=seed,
-        mode=mode,
-    )
-    _check_dyadic(config, args.allow_leakage)
-    hist = run_qpe(config)
-    decoded = decode(hist, config)
-    cs = reconstruct_CS(decoded.p_plus, decoded.p_minus)
-    reference = amplitudes_CS(eta.value)
-    record = make_record(
-        command=args._argv,
-        config={
-            "eta": eta.value, "aux_v": aux.value, "n": args.n,
-            "shots": shots if mode == "sampled" else None,
-            "seed": seed, "mode": mode,
-        },
-        histograms={"qpev": histogram_payload(hist)},
-        decoded={"qpev": decode_payload(decoded, args.n)},
-        estimates={"C": cs.C, "S": cs.S},
-        analytic={"C": reference.C, "S": reference.S,
-                  "C2": reference.C ** 2, "S2": reference.S ** 2},
-        warnings=decoded.warnings,
-    )
-    _emit_record(record, args)
-    return EXIT_OK
+    eta = parse_angle(args.eta).value
+    aux = parse_angle(args.aux).value
+    run = _sampling(args.n, args.shots, args.seed)
+    hist, result = _readout(run, Axis.Y, aux, (rx(-eta),), args.allow_leakage)
+    cs = reconstruct_CS(result.p_plus, result.p_minus)
+    return _emit(args, config={"eta": eta, "aux_v": aux, **run},
+                 histograms={"qpev": histogram_payload(hist)},
+                 decoded={"qpev": decode_payload(result, args.n)},
+                 estimates={"C": cs.C, "S": cs.S},
+                 analytic=_analytic_section(eta), warnings=result.warnings)
 
 
 def cmd_qpeh(args) -> int:
-    eta = parse_angle(args.eta)
-    delta = parse_angle(args.delta)
-    aux = parse_angle(args.aux)
-    mode, shots, seed = _resolve_mode(args)
-    config = QpeConfig(
-        counting_qubits=args.n,
-        aux=RotationSpec(Axis.X, aux.value),
-        target_prep=(rx(-eta.value), ry(delta.value)),
-        shots=shots,
-        seed=seed,
-        mode=mode,
-    )
-    _check_dyadic(config, args.allow_leakage)
-    hist = run_qpe(config)
-    decoded = decode(hist, config)
-    absA = reconstruct_absA(decoded.p_plus)
-    params = PathParams(eta.value, delta.value)
-    analytic, notes = _analytic_section(params)
-    record = make_record(
-        command=args._argv,
-        config={
-            "eta": eta.value, "delta": delta.value, "aux_h": aux.value,
-            "n": args.n, "shots": shots if mode == "sampled" else None,
-            "seed": seed, "mode": mode,
-        },
-        histograms={"qpeh": histogram_payload(hist)},
-        decoded={"qpeh": decode_payload(decoded, args.n)},
-        estimates={"absA": absA},
-        analytic=analytic,
-        warnings=decoded.warnings + notes,
-    )
-    _emit_record(record, args)
-    return EXIT_OK
-
-
-def _run_pipeline(eta: float, delta: float, aux_v: float, aux_h: float,
-                  n: int, mode: str, shots: int, seed: int | None, branch: str):
-    params = PathParams(eta, delta)
-    config_v = QpeConfig(counting_qubits=n, aux=RotationSpec(Axis.Y, aux_v),
-                         shots=shots, seed=seed, mode=mode)
-    config_h = QpeConfig(counting_qubits=n, aux=RotationSpec(Axis.X, aux_h),
-                         shots=shots, seed=seed, mode=mode)
-    return full_pipeline(params, config_v, config_h, branch=branch)
+    eta = parse_angle(args.eta).value
+    delta = parse_angle(args.delta).value
+    aux = parse_angle(args.aux).value
+    run = _sampling(args.n, args.shots, args.seed)
+    hist, result = _readout(run, Axis.X, aux, (rx(-eta), ry(delta)), args.allow_leakage)
+    absA = reconstruct_absA(result.p_plus)
+    phase, notes = _total_phase(PathParams(eta, delta))
+    return _emit(args, config={"eta": eta, "delta": delta, "aux_h": aux, **run},
+                 histograms={"qpeh": histogram_payload(hist)},
+                 decoded={"qpeh": decode_payload(result, args.n)},
+                 estimates={"absA": absA},
+                 analytic=_analytic_section(eta, delta, phase),
+                 warnings=result.warnings + notes)
 
 
 def cmd_pipeline(args) -> int:
-    eta = parse_angle(args.eta)
-    delta = parse_angle(args.delta)
-    aux_v = parse_angle(args.aux_v)
-    aux_h = parse_angle(args.aux_h)
-    mode, shots, seed = _resolve_mode(args)
-    result = _run_pipeline(eta.value, delta.value, aux_v.value, aux_h.value,
-                           args.n, mode, shots, seed, args.branch)
-    analytic, notes = _analytic_section(result.params)
-    histograms, decoded, estimates = extraction_payloads(result)
-    record = make_record(
-        command=args._argv,
-        config={
-            "eta": eta.value, "delta": delta.value,
-            "aux_v": aux_v.value, "aux_h": aux_h.value, "n": args.n,
-            "shots": shots if mode == "sampled" else None,
-            "seed": seed, "mode": mode, "branch": args.branch,
-        },
+    eta = parse_angle(args.eta).value
+    delta = parse_angle(args.delta).value
+    aux_v = parse_angle(args.aux_v).value
+    aux_h = parse_angle(args.aux_h).value
+    run = _sampling(args.n, args.shots, args.seed)
+    result = _pipeline(run, eta, delta, aux_v, aux_h, args.branch)
+    histograms, decoded = extraction_payloads(result)
+    return _emit(
+        args,
+        config={"eta": eta, "delta": delta, "aux_v": aux_v, "aux_h": aux_h,
+                **run, "branch": args.branch},
         histograms=histograms,
         decoded=decoded,
-        estimates=estimates,
-        analytic=analytic,
+        estimates={
+            "C": result.C_est,
+            "S": result.S_est,
+            "absA": result.absA_est,
+            "sin_delta": result.sin_delta_est,
+            "sin_delta_raw": result.sin_delta_raw,
+            "delta": result.delta_est,
+            "theta": result.theta_est,
+        },
+        analytic=_analytic_section(eta, delta, result.phase_analytic),
         residual_theta=result.residual_theta,
-        warnings=result.warnings + notes,
+        warnings=result.warnings,
     )
-    _emit_record(record, args)
-    return EXIT_OK
 
 
 def _parse_range(text: str, flag: str) -> tuple[float, float]:
@@ -340,19 +314,18 @@ def cmd_sweep(args) -> int:
     eta_lo, eta_hi = _parse_range(args.eta_range, "--eta-range")
     delta_lo, delta_hi = _parse_range(args.delta_range, "--delta-range")
     aux = parse_angle(DEFAULT_AUX).value
+    run = _sampling(args.n)
     rows = []
     for eta in _grid(eta_lo, eta_hi, args.steps):
         for delta in _grid(delta_lo, delta_hi, args.steps):
-            result = _run_pipeline(eta, delta, aux, aux, args.n,
-                                   "exact", DEFAULT_SHOTS, None, "principal")
-            cs = amplitudes_CS(eta)
-            ab = amplitudes_AB(result.params)
+            result = _pipeline(run, eta, delta, aux, aux)
+            analytic = _analytic_section(eta, delta, result.phase_analytic)
             rows.append({
                 "eta": eta,
                 "delta": delta,
-                "C2": cs.C ** 2,
-                "half_absA2": abs(ab.A) ** 2 / 2.0,
-                "theta_analytic": result.theta_analytic,
+                "C2": analytic["C2"],
+                "half_absA2": analytic["half_absA2"],
+                "theta_analytic": analytic["theta"],
                 "theta_est": result.theta_est,
                 "residual_theta": result.residual_theta,
             })

@@ -25,7 +25,7 @@ from .errors import (
     UndefinedPhaseError,
 )
 from .gates import Axis, rx, ry
-from .precession import AmplitudePair, PathParams, total_phase, wrap_angle
+from .precession import AmplitudePair, PathParams, TotalPhase, total_phase, wrap_angle
 from .qpe import DecodeResult, QpeConfig, decode, run_qpe, DEFAULT_COVERAGE_THRESHOLD
 from .statevector import Histogram
 
@@ -117,7 +117,7 @@ class ExtractionResult:
     sin_delta_est: float
     delta_est: float
     theta_est: float
-    theta_analytic: float
+    phase_analytic: TotalPhase  # closed-form total_phase(params)
     residual_theta: float
     coverage_v: float
     coverage_h: float
@@ -131,6 +131,10 @@ class ExtractionResult:
     config_v: QpeConfig
     config_h: QpeConfig
     warnings: list = field(default_factory=list)
+
+    @property
+    def theta_analytic(self) -> float:
+        return self.phase_analytic.theta
 
 
 def full_pipeline(
@@ -190,7 +194,7 @@ def full_pipeline(
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        theta_analytic = total_phase(params).theta
+        phase_analytic = total_phase(params)
     notes += [str(w.message) for w in caught]
 
     return ExtractionResult(
@@ -201,8 +205,8 @@ def full_pipeline(
         sin_delta_est=sin_delta_est,
         delta_est=delta_est,
         theta_est=theta_est,
-        theta_analytic=theta_analytic,
-        residual_theta=wrap_angle(theta_est - theta_analytic),
+        phase_analytic=phase_analytic,
+        residual_theta=wrap_angle(theta_est - phase_analytic.theta),
         coverage_v=decode_v.coverage,
         coverage_h=decode_h.coverage,
         cs_mass_raw=decode_v.p_plus + decode_v.p_minus,

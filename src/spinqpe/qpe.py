@@ -58,6 +58,10 @@ class QpeConfig:
             )
         if not isinstance(self.aux, RotationSpec):
             raise ConfigurationError(f"aux must be a RotationSpec, got {self.aux!r}")
+        if not math.isfinite((1 << self.counting_qubits) * self.aux.angle):
+            raise ConfigurationError(
+                f"auxiliary angle {self.aux.angle!r} overflows its controlled powers"
+            )
         if self.mode not in ("exact", "sampled"):
             raise ConfigurationError(f"mode must be 'exact' or 'sampled', got {self.mode!r}")
         if self.mode == "sampled":

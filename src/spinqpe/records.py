@@ -17,8 +17,70 @@ from .statevector import Histogram
 
 TOOL_VERSION = "0.1.0"
 
-_NUM_OR_NULL = {"type": ["number", "null"]}
 _INT_OR_NULL = {"type": ["integer", "null"]}
+
+#: The flat record sections, one row per key, in record order:
+#: (section, key, JSON type or enum of values, required, CSV column). Every
+#: value may also be null. Required keys default to null; an optional key
+#: appears only when a command supplies it, after the required ones.
+_FLAT_FIELDS = (
+    ("config", "eta", "number", True, "eta"),
+    ("config", "delta", "number", True, "delta"),
+    ("config", "aux_v", "number", True, "aux_v"),
+    ("config", "aux_h", "number", True, "aux_h"),
+    ("config", "n", "integer", True, "n"),
+    ("config", "shots", "integer", True, "shots"),
+    ("config", "seed", "integer", True, "seed"),
+    ("config", "mode", ("exact", "sampled"), True, "mode"),
+    ("config", "branch", ("principal", "reflected"), True, "branch"),
+    ("estimates", "C", "number", True, "C"),
+    ("estimates", "S", "number", True, "S"),
+    ("estimates", "absA", "number", True, "absA"),
+    ("estimates", "sin_delta", "number", True, "sin_delta"),
+    ("estimates", "sin_delta_raw", "number", False, None),
+    ("estimates", "delta", "number", True, "delta_est"),
+    ("estimates", "theta", "number", True, "theta"),
+    ("analytic", "C", "number", True, "C_analytic"),
+    ("analytic", "S", "number", True, "S_analytic"),
+    ("analytic", "absA", "number", True, "absA_analytic"),
+    ("analytic", "theta", "number", True, "theta_analytic"),
+    ("analytic", "C2", "number", False, None),
+    ("analytic", "S2", "number", False, None),
+    ("analytic", "A_re", "number", False, None),
+    ("analytic", "A_im", "number", False, None),
+    ("analytic", "B_re", "number", False, None),
+    ("analytic", "B_im", "number", False, None),
+    ("analytic", "gamma1", "number", False, None),
+    ("analytic", "gamma2", "number", False, None),
+    ("analytic", "half_absA2", "number", False, None),
+    ("analytic", "half_absB2", "number", False, None),
+    ("analytic", "magnitude", "number", False, None),
+    ("analytic", "theta_arctan", "number", False, None),
+    ("residuals", "theta", "number", True, "residual_theta"),
+)
+
+#: each flat section's required keys, all null
+_NULLS = {
+    section: {key: None for s, key, _, required, _ in _FLAT_FIELDS if s == section and required}
+    for section in dict.fromkeys(row[0] for row in _FLAT_FIELDS)
+}
+
+
+def _value_schema(kind) -> dict:
+    if isinstance(kind, str):
+        return {"type": [kind, "null"]}
+    return {"enum": [*kind, None]}
+
+
+def _section_schema(section: str) -> dict:
+    rows = [row for row in _FLAT_FIELDS if row[0] == section]
+    return {
+        "type": "object",
+        "additionalProperties": False,
+        "required": list(_NULLS[section]),
+        "properties": {key: _value_schema(kind) for _, key, kind, _, _ in rows},
+    }
+
 
 RUN_RECORD_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -31,25 +93,7 @@ RUN_RECORD_SCHEMA = {
     ],
     "properties": {
         "command": {"type": "array", "items": {"type": "string"}},
-        "config": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": [
-                "eta", "delta", "aux_v", "aux_h", "n", "shots", "seed",
-                "mode", "branch",
-            ],
-            "properties": {
-                "eta": _NUM_OR_NULL,
-                "delta": _NUM_OR_NULL,
-                "aux_v": _NUM_OR_NULL,
-                "aux_h": _NUM_OR_NULL,
-                "n": _INT_OR_NULL,
-                "shots": _INT_OR_NULL,
-                "seed": _INT_OR_NULL,
-                "mode": {"enum": ["exact", "sampled", None]},
-                "branch": {"enum": ["principal", "reflected", None]},
-            },
-        },
+        "config": _section_schema("config"),
         "histograms": {
             "type": "object",
             "additionalProperties": False,
@@ -68,49 +112,9 @@ RUN_RECORD_SCHEMA = {
                 "qpeh": {"oneOf": [{"type": "null"}, {"$ref": "#/$defs/decode"}]},
             },
         },
-        "estimates": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["C", "S", "absA", "sin_delta", "delta", "theta"],
-            "properties": {
-                "C": _NUM_OR_NULL,
-                "S": _NUM_OR_NULL,
-                "absA": _NUM_OR_NULL,
-                "sin_delta": _NUM_OR_NULL,
-                "sin_delta_raw": _NUM_OR_NULL,
-                "delta": _NUM_OR_NULL,
-                "theta": _NUM_OR_NULL,
-            },
-        },
-        "analytic": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["C", "S", "absA", "theta"],
-            "properties": {
-                "C": _NUM_OR_NULL,
-                "S": _NUM_OR_NULL,
-                "absA": _NUM_OR_NULL,
-                "theta": _NUM_OR_NULL,
-                "C2": _NUM_OR_NULL,
-                "S2": _NUM_OR_NULL,
-                "A_re": _NUM_OR_NULL,
-                "A_im": _NUM_OR_NULL,
-                "B_re": _NUM_OR_NULL,
-                "B_im": _NUM_OR_NULL,
-                "gamma1": _NUM_OR_NULL,
-                "gamma2": _NUM_OR_NULL,
-                "half_absA2": _NUM_OR_NULL,
-                "half_absB2": _NUM_OR_NULL,
-                "magnitude": _NUM_OR_NULL,
-                "theta_arctan": _NUM_OR_NULL,
-            },
-        },
-        "residuals": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["theta"],
-            "properties": {"theta": _NUM_OR_NULL},
-        },
+        "estimates": _section_schema("estimates"),
+        "analytic": _section_schema("analytic"),
+        "residuals": _section_schema("residuals"),
         "warnings": {"type": "array", "items": {"type": "string"}},
         "version": {"type": "string"},
     },
@@ -172,12 +176,7 @@ RUN_RECORD_SCHEMA = {
 }
 
 #: flat column set used when a record is emitted as CSV (one record per row)
-CSV_COLUMNS = [
-    "command", "eta", "delta", "aux_v", "aux_h", "n", "shots", "seed",
-    "mode", "branch", "C", "S", "absA", "sin_delta", "delta_est", "theta",
-    "C_analytic", "S_analytic", "absA_analytic", "theta_analytic",
-    "residual_theta", "warnings",
-]
+CSV_COLUMNS = ["command", *(column for *_, column in _FLAT_FIELDS if column), "warnings"]
 
 #: column set of sweep output files
 SWEEP_COLUMNS = [
@@ -244,33 +243,21 @@ def make_record(
     warnings: list | None = None,
 ) -> dict:
     """Assemble a schema-conforming record; absent sections become nulls."""
-    base_config = {
-        "eta": None, "delta": None, "aux_v": None, "aux_h": None,
-        "n": None, "shots": None, "seed": None, "mode": None, "branch": None,
-    }
-    base_config.update(config)
-    base_estimates = {
-        "C": None, "S": None, "absA": None, "sin_delta": None,
-        "delta": None, "theta": None,
-    }
-    base_estimates.update(estimates or {})
-    base_analytic = {"C": None, "S": None, "absA": None, "theta": None}
-    base_analytic.update(analytic or {})
     return {
         "command": list(command),
-        "config": base_config,
+        "config": {**_NULLS["config"], **config},
         "histograms": {"qpev": None, "qpeh": None, **(histograms or {})},
         "decoded": {"qpev": None, "qpeh": None, **(decoded or {})},
-        "estimates": base_estimates,
-        "analytic": base_analytic,
+        "estimates": {**_NULLS["estimates"], **(estimates or {})},
+        "analytic": {**_NULLS["analytic"], **(analytic or {})},
         "residuals": {"theta": residual_theta},
         "warnings": list(warnings or []),
         "version": TOOL_VERSION,
     }
 
 
-def extraction_payloads(result: ExtractionResult) -> tuple[dict, dict, dict]:
-    """(histograms, decoded, estimates) sections for a pipeline record."""
+def extraction_payloads(result: ExtractionResult) -> tuple[dict, dict]:
+    """(histograms, decoded) sections for a pipeline record."""
     n_v = result.hist_v.num_bits
     n_h = result.hist_h.num_bits
     histograms = {
@@ -281,16 +268,7 @@ def extraction_payloads(result: ExtractionResult) -> tuple[dict, dict, dict]:
         "qpev": decode_payload(result.decode_v, n_v),
         "qpeh": decode_payload(result.decode_h, n_h),
     }
-    estimates = {
-        "C": result.C_est,
-        "S": result.S_est,
-        "absA": result.absA_est,
-        "sin_delta": result.sin_delta_est,
-        "sin_delta_raw": result.sin_delta_raw,
-        "delta": result.delta_est,
-        "theta": result.theta_est,
-    }
-    return histograms, decoded, estimates
+    return histograms, decoded
 
 
 def to_json(record: dict) -> str:
@@ -298,33 +276,12 @@ def to_json(record: dict) -> str:
 
 
 def _flatten(record: dict) -> dict:
-    cfg = record["config"]
-    est = record["estimates"]
-    ana = record["analytic"]
-    return {
-        "command": " ".join(record["command"]),
-        "eta": cfg["eta"],
-        "delta": cfg["delta"],
-        "aux_v": cfg["aux_v"],
-        "aux_h": cfg["aux_h"],
-        "n": cfg["n"],
-        "shots": cfg["shots"],
-        "seed": cfg["seed"],
-        "mode": cfg["mode"],
-        "branch": cfg["branch"],
-        "C": est["C"],
-        "S": est["S"],
-        "absA": est["absA"],
-        "sin_delta": est["sin_delta"],
-        "delta_est": est["delta"],
-        "theta": est["theta"],
-        "C_analytic": ana["C"],
-        "S_analytic": ana["S"],
-        "absA_analytic": ana["absA"],
-        "theta_analytic": ana["theta"],
-        "residual_theta": record["residuals"]["theta"],
-        "warnings": "; ".join(record["warnings"]),
-    }
+    values = [
+        " ".join(record["command"]),
+        *(record[section][key] for section, key, *_, column in _FLAT_FIELDS if column),
+        "; ".join(record["warnings"]),
+    ]
+    return dict(zip(CSV_COLUMNS, values))
 
 
 def to_csv(record: dict) -> str:

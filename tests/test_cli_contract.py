@@ -1,0 +1,164 @@
+"""The command line contract on every input: exit codes are only 0, 2, 3
+or 4, every failure is one JSON line on stderr, and records are strict
+JSON (RFC 8259 has no NaN or Infinity)."""
+
+import contextlib
+import csv
+import io
+import json
+
+import jsonschema
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spinqpe import RUN_RECORD_SCHEMA
+from spinqpe.cli import main
+
+CONTRACT_CODES = {0, 2, 3, 4}
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def strict_json(text: str):
+    return json.loads(text, parse_constant=_reject_constant)
+
+
+def invoke(argv: list) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_one_error_line(code: int, out: str, err: str) -> None:
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    assert strict_json(lines[0])["error"]["exit_code"] == code
+
+
+def record_of(argv: list) -> dict:
+    code, out, err = invoke(argv)
+    assert code == 0, err
+    record = strict_json(out)
+    jsonschema.validate(record, RUN_RECORD_SCHEMA)
+    return record
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["analytic", "--eta", "1e400", "--delta", "0"], 2),
+    (["qpev", "--eta", "pi/3", "--aux", "1e400"], 2),
+    (["qpeh", "--eta", "pi/3", "--delta", "1e400"], 2),
+    (["pipeline", "--eta", "pi/3", "--delta=-1e400"], 2),
+    (["qpev", "--eta", "1" + "0" * 400 + "pi"], 2),
+    (["qpev", "--eta", "1" * 5000], 2),
+    (["qpev", "--eta", "pi/3", "--shots", "10", "--seed", "-1"], 3),
+    (["qpev", "--eta", "pi/3", "--shots", "9223372036854775808"], 3),
+    (["qpev", "--eta", "pi/3", "--aux", "1e305", "--n", "16", "--allow-leakage"], 3),
+])
+def test_boundary_inputs_exit_with_contract_code(argv, code):
+    got, out, err = invoke(argv)
+    assert got == code
+    assert_one_error_line(got, out, err)
+
+
+def test_largest_shot_count_is_sampled():
+    record = record_of(["qpev", "--eta", "pi/3", "--n", "4",
+                        "--shots", "9223372036854775807", "--seed", "0"])
+    assert record["histograms"]["qpev"]["total_shots"] == 2**63 - 1
+
+
+def test_exact_mode_ignores_seed():
+    record = record_of(["qpev", "--eta", "pi/3", "--n", "4", "--seed=-1"])
+    assert record["config"]["seed"] is None
+
+
+@pytest.mark.parametrize("argv", [
+    ["analytic", "--eta", "pi", "--delta", "pi"],
+    ["qpeh", "--eta", "pi", "--delta", "pi", "--n", "6"],
+    ["pipeline", "--eta", "pi", "--delta", "pi", "--n", "6"],
+])
+def test_vanishing_s_plus_c_is_reported_once(argv):
+    notes = record_of(argv)["warnings"]
+    assert sum("S + C vanishes" in note for note in notes) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["analytic", "--eta", "pi", "--delta", "0.5"],
+    ["pipeline", "--eta", "pi", "--delta", "pi", "--n", "6"],
+])
+def test_undefined_arctan_form_is_null(argv):
+    record = record_of(argv)
+    assert record["analytic"]["theta_arctan"] is None
+    assert record["analytic"]["theta"] is not None
+
+
+# -- property test over well-formed flags ---------------------------------
+
+_INT = st.integers(min_value=0, max_value=10**30).map(str)
+
+ANGLES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.builds("{}{}e{}".format, st.sampled_from(["", "-"]),
+              st.integers(0, 999), st.integers(-400, 400)),
+    st.builds("{}{}pi{}".format, st.sampled_from(["", "-"]),
+              st.one_of(st.just(""), _INT, st.builds("{}/{}".format, _INT, _INT)),
+              st.one_of(st.just(""), _INT.map("/{}".format))),
+)
+
+
+def _set(name, values):
+    """`--name=value` for each drawn value."""
+    return values.map(lambda v: [f"--{name}={v}"])
+
+
+def _maybe(name, values):
+    """`--name=value`, or nothing when the flag is left at its default."""
+    return st.one_of(st.just([]), _set(name, values))
+
+
+def _argv(*parts):
+    return st.tuples(*parts).map(lambda lists: sum(lists, []))
+
+
+_N = st.sampled_from([0, 1, 2, 3, 4, 5, 6, 17])
+_FORMAT = _maybe("format", st.sampled_from(["json", "csv"]))
+_RUN = _argv(
+    _maybe("n", _N),
+    st.one_of(st.just([]), st.just(["--exact"]), _set("shots", st.integers(-1, 10**30))),
+    _maybe("seed", st.integers(-1, 2**70)),
+    _FORMAT,
+)
+_LEAK = st.sampled_from([[], ["--allow-leakage"]])
+_RANGE = st.builds("{}:{}".format, ANGLES, ANGLES)
+
+COMMANDS = st.one_of(
+    _argv(st.just(["analytic"]), _set("eta", ANGLES), _set("delta", ANGLES), _FORMAT),
+    _argv(st.just(["qpev"]), _set("eta", ANGLES), _maybe("aux", ANGLES), _LEAK, _RUN),
+    _argv(st.just(["qpeh"]), _set("eta", ANGLES), _set("delta", ANGLES),
+          _maybe("aux", ANGLES), _LEAK, _RUN),
+    _argv(st.just(["pipeline"]), _set("eta", ANGLES), _set("delta", ANGLES),
+          _maybe("aux-v", ANGLES), _maybe("aux-h", ANGLES),
+          _maybe("branch", st.sampled_from(["principal", "reflected"])), _RUN),
+    _argv(st.just(["sweep"]), _set("eta-range", _RANGE), _set("delta-range", _RANGE),
+          _maybe("steps", st.integers(-1, 3)), _maybe("n", _N)),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(COMMANDS)
+def test_cli_keeps_its_contract(argv):
+    code, out, err = invoke(argv)
+    assert code in CONTRACT_CODES
+    if code:
+        assert_one_error_line(code, out, err)
+        return
+    assert err == ""
+    if argv[0] == "sweep" or "--format=csv" in argv:
+        rows = list(csv.reader(io.StringIO(out)))
+        assert len(rows) >= 2 and len({len(row) for row in rows}) == 1
+    else:
+        jsonschema.validate(strict_json(out), RUN_RECORD_SCHEMA)
