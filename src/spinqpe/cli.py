@@ -146,9 +146,8 @@ def _sampling(n: int, shots: int | None = None, seed: int = DEFAULT_SEED) -> dic
 
 def _qpe_config(run: dict, axis: Axis, aux: float, target_prep: tuple = ()) -> QpeConfig:
     """The estimation circuit for a `_sampling` result and an auxiliary rotation."""
-    sampled = {"shots": run["shots"]} if run["mode"] == "sampled" else {}
     return QpeConfig(counting_qubits=run["n"], aux=RotationSpec(axis, aux),
-                     target_prep=target_prep, seed=run["seed"], mode=run["mode"], **sampled)
+                     target_prep=target_prep, shots=run["shots"], seed=run["seed"])
 
 
 def _readout(run: dict, axis: Axis, aux: float, target_prep: tuple, allow_leakage: bool):

@@ -149,9 +149,9 @@ def full_pipeline(
 
     The target preparations are derived from `params` (rx(-eta) for the
     vertical run, then ry(delta) appended for the horizontal run); the
-    configs supply register width, auxiliary angles, shots, seeds and
-    mode. The vertical config must rotate about Y and the horizontal one
-    about X.
+    configs supply register width, auxiliary angles, shots and seeds (no
+    shots means exact probabilities). The vertical config must rotate
+    about Y and the horizontal one about X.
     """
     if branch not in BRANCHES:
         raise ConfigurationError(f"branch must be one of {BRANCHES}, got {branch!r}")

@@ -39,16 +39,15 @@ class QpeConfig:
     """One phase-estimation run.
 
     target_prep is the gate sequence applied to the target qubit starting
-    from |0>, first element first. In sampled mode a seed is mandatory so
-    every run is reproducible.
+    from |0>, first element first. The run is exact when shots is None and
+    sampled otherwise; a sampled run needs a seed so it is reproducible.
     """
 
     counting_qubits: int = 10
     aux: RotationSpec = RotationSpec(Axis.Y, math.pi / 4)
     target_prep: tuple = ()
-    shots: int = 10000
+    shots: int | None = None
     seed: int | None = None
-    mode: str = "exact"
 
     def __post_init__(self) -> None:
         if not 1 <= self.counting_qubits <= MAX_COUNTING_QUBITS:
@@ -62,14 +61,16 @@ class QpeConfig:
             raise ConfigurationError(
                 f"auxiliary angle {self.aux.angle!r} overflows its controlled powers"
             )
-        if self.mode not in ("exact", "sampled"):
-            raise ConfigurationError(f"mode must be 'exact' or 'sampled', got {self.mode!r}")
-        if self.mode == "sampled":
+        if self.shots is not None:
             if self.shots < 1:
                 raise ConfigurationError(f"sampled mode needs shots >= 1, got {self.shots}")
             if self.seed is None:
                 raise ConfigurationError("sampled mode needs an explicit seed")
         self.target_prep = tuple(self.target_prep)
+
+    @property
+    def mode(self) -> str:
+        return "exact" if self.shots is None else "sampled"
 
 
 @dataclass(frozen=True)
@@ -130,9 +131,9 @@ def run_qpe(config: QpeConfig) -> Histogram:
         state = apply_controlled(state, rotation_power(config.aux, 1 << j), j, target)
     counting = tuple(range(n - 1, -1, -1))  # MSB first
     state = apply_iqft(state, build_iqft(counting))
-    if config.mode == "sampled":
-        return sample(state, counting, config.shots, config.seed)
-    return exact_histogram(state, counting)
+    if config.shots is None:
+        return exact_histogram(state, counting)
+    return sample(state, counting, config.shots, config.seed)
 
 
 def _signed_angle(fraction: float) -> float:

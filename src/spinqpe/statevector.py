@@ -4,12 +4,14 @@ Indexing convention, fixed package-wide: qubit q is the bit of weight 2**q
 in the amplitude index, so qubit 0 is the least significant bit and the
 basis state |b_{n-1} ... b_1 b_0> sits at index sum(b_q * 2**q).
 
-Gate application is a pairwise bitmask kernel over the flat amplitude
-array, O(2**n) per gate; no 2**n x 2**n matrix is ever formed. All
-operations return fresh StateVector values and never mutate their input,
-so states can be handed between threads freely. The numpy kernels are
-vectorized but sequential-equivalent: results are bit-identical to a pair
-by pair loop.
+Gates act on a reshaped view of the amplitude array, O(2**n) per gate; no
+2**n x 2**n matrix and no index array is ever formed. With qubit q as axis
+1 of amps.reshape(-1, 2, 2**q), the two slices along that axis are the
+amplitude halves with bit q at 0 and at 1; a control qubit adds a second
+length-2 axis that is sliced at 1. All operations return fresh StateVector
+values and never mutate their input, so states can be handed between
+threads freely. The numpy kernel is vectorized but sequential-equivalent:
+results are bit-identical to a pair by pair loop.
 
 Sampling uses numpy's default_rng, i.e. the PCG64 generator. The generator
 identity is part of the reproducibility contract: the same
@@ -54,9 +56,6 @@ class StateVector:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.num_qubits, self.amplitudes.copy())
 
 
 @dataclass
@@ -135,11 +134,23 @@ def _check_qubit(state: StateVector, qubit: int, role: str = "target") -> None:
         )
 
 
-def _zero_bit_indices(num_qubits: int, bit: int) -> np.ndarray:
-    """Indices whose `bit` is 0, i.e. the lower member of every stride pair."""
-    mask = (1 << bit) - 1
-    g = np.arange(1 << (num_qubits - 1))
-    return ((g >> bit) << (bit + 1)) | (g & mask)
+def _apply_gate(state: StateVector, gate: np.ndarray, control: int | None,
+                target: int) -> StateVector:
+    """`gate` on `target`, restricted to where `control` reads 1 unless it
+    is None. The target-bit halves are views into the returned copy."""
+    out = state.amplitudes.copy()
+    if control is None:
+        view, axis = out.reshape(-1, 2, 1 << target), 1
+    else:
+        lo, hi = sorted((control, target))
+        view = out.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
+        view = view[:, 1] if control == hi else view[:, :, :, 1]
+        axis = 1 if target == hi else 2
+    b0, b1 = np.moveaxis(view, axis, 0)
+    # both new halves are computed before either is written back
+    b0[...], b1[...] = (gate[0, 0] * b0 + gate[0, 1] * b1,
+                        gate[1, 0] * b0 + gate[1, 1] * b1)
+    return StateVector(state.num_qubits, out)
 
 
 def apply_single(state: StateVector, gate, target: int) -> StateVector:
@@ -150,15 +161,7 @@ def apply_single(state: StateVector, gate, target: int) -> StateVector:
     """
     gate = _require_gate(gate)
     _check_qubit(state, target)
-    i0 = _zero_bit_indices(state.num_qubits, target)
-    i1 = i0 | (1 << target)
-    amps = state.amplitudes
-    a0 = amps[i0]
-    a1 = amps[i1]
-    out = np.empty_like(amps)
-    out[i0] = gate[0, 0] * a0 + gate[0, 1] * a1
-    out[i1] = gate[1, 0] * a0 + gate[1, 1] * a1
-    return StateVector(state.num_qubits, out)
+    return _apply_gate(state, gate, None, target)
 
 
 def apply_controlled(state: StateVector, gate, control: int, target: int) -> StateVector:
@@ -168,19 +171,7 @@ def apply_controlled(state: StateVector, gate, control: int, target: int) -> Sta
     _check_qubit(state, target)
     if control == target:
         raise ConfigurationError("control and target must be distinct qubits")
-    lo, hi = sorted((control, target))
-    g = np.arange(1 << (state.num_qubits - 2))
-    x = ((g >> lo) << (lo + 1)) | (g & ((1 << lo) - 1))
-    x = ((x >> hi) << (hi + 1)) | (x & ((1 << hi) - 1))
-    i0 = x | (1 << control)
-    i1 = i0 | (1 << target)
-    amps = state.amplitudes
-    a0 = amps[i0]
-    a1 = amps[i1]
-    out = amps.copy()
-    out[i0] = gate[0, 0] * a0 + gate[0, 1] * a1
-    out[i1] = gate[1, 0] * a0 + gate[1, 1] * a1
-    return StateVector(state.num_qubits, out)
+    return _apply_gate(state, gate, control, target)
 
 
 def probabilities(state: StateVector, qubits) -> np.ndarray:

@@ -93,7 +93,7 @@ def test_criterion_3_qpeh_exact_and_sampled(capsys):
     sigma = math.sqrt(HALF_A2 * (1 - HALF_A2) / shots)
     hist = sq.run_qpe(horizontal_config(
         target_prep=(sq.rx(-PI / 3), sq.ry(PI / 3)),
-        mode="sampled", shots=shots, seed=7))
+        shots=shots, seed=7))
     sampled_ok = abs(hist.probability(960) - HALF_A2) <= 3 * sigma
     reference_ok = abs(0.7146 - HALF_A2) <= 3 * sigma and abs(0.2854 - HALF_B2) <= 3 * sigma
     ok = exact_ok and sampled_ok and reference_ok
@@ -208,7 +208,7 @@ def test_criterion_8_invariant_suites():
               and abs(a.p_minus - b.p_minus) <= 1e-10)
 
     # sampling determinism under a fixed seed
-    config = vertical_config(target_prep=prep, mode="sampled", shots=4000, seed=5)
+    config = vertical_config(target_prep=prep, shots=4000, seed=5)
     det_ok = sq.run_qpe(config).entries == sq.run_qpe(config).entries
 
     # eigenvalue conventions for both axes

@@ -201,8 +201,8 @@ class TestFullPipeline:
     def test_sampled_fixed_seed_residual_bound(self):
         result = full_pipeline(
             PathParams(PI / 3, PI / 3),
-            vertical_config(mode="sampled", shots=10000, seed=1),
-            horizontal_config(mode="sampled", shots=10000, seed=1),
+            vertical_config(shots=10000, seed=1),
+            horizontal_config(shots=10000, seed=1),
         )
         assert abs(result.residual_theta) <= 0.03
 
@@ -213,8 +213,8 @@ class TestFullPipeline:
                 try:
                     result = full_pipeline(
                         PathParams(PI / 3, PI / 3),
-                        vertical_config(mode="sampled", shots=shots, seed=seed),
-                        horizontal_config(mode="sampled", shots=shots, seed=seed),
+                        vertical_config(shots=shots, seed=seed),
+                        horizontal_config(shots=shots, seed=seed),
                     )
                 except InconsistentAmplitudesError:
                     # noise pushed sin(delta) past the clamp band; count the
@@ -230,13 +230,13 @@ class TestFullPipeline:
     def test_pipeline_determinism(self):
         a = full_pipeline(
             PathParams(PI / 3, PI / 3),
-            vertical_config(mode="sampled", shots=5000, seed=11),
-            horizontal_config(mode="sampled", shots=5000, seed=12),
+            vertical_config(shots=5000, seed=11),
+            horizontal_config(shots=5000, seed=12),
         )
         b = full_pipeline(
             PathParams(PI / 3, PI / 3),
-            vertical_config(mode="sampled", shots=5000, seed=11),
-            horizontal_config(mode="sampled", shots=5000, seed=12),
+            vertical_config(shots=5000, seed=11),
+            horizontal_config(shots=5000, seed=12),
         )
         assert a.theta_est == b.theta_est
         assert a.hist_v.entries == b.hist_v.entries

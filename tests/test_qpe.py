@@ -101,7 +101,7 @@ class TestRunQpe:
 
     def test_vertical_sampled_within_three_sigma(self):
         shots = 10000
-        hist = run_qpe(qpev_config(shots=shots, seed=7, mode="sampled"))
+        hist = run_qpe(qpev_config(shots=shots, seed=7))
         sigma = math.sqrt(C2 * (1 - C2) / shots)
         assert abs(hist.probability(960) - C2) <= 3 * sigma
         assert abs(hist.probability(64) - S2) <= 3 * sigma
@@ -111,7 +111,7 @@ class TestRunQpe:
 
     def test_horizontal_sampled_within_three_sigma(self):
         shots = 10000
-        hist = run_qpe(qpeh_config(shots=shots, seed=7, mode="sampled"))
+        hist = run_qpe(qpeh_config(shots=shots, seed=7))
         sigma = math.sqrt(HALF_A2 * (1 - HALF_A2) / shots)
         assert abs(hist.probability(960) - HALF_A2) <= 3 * sigma
         assert abs(0.7146 - HALF_A2) <= 3 * sigma
@@ -154,7 +154,7 @@ class TestRunQpe:
 
     def test_shot_convergence_rates(self):
         for shots, seed in ((10 ** 3, 5), (10 ** 4, 6), (10 ** 5, 7)):
-            hist = run_qpe(qpev_config(shots=shots, seed=seed, mode="sampled"))
+            hist = run_qpe(qpev_config(shots=shots, seed=seed))
             sigma = math.sqrt(C2 * (1 - C2) / shots)
             assert abs(hist.probability(960) - C2) <= 5 * sigma
 
@@ -277,16 +277,16 @@ class TestQpeConfig:
 
     def test_sampled_needs_seed(self):
         with pytest.raises(ConfigurationError):
-            QpeConfig(mode="sampled", seed=None)
+            QpeConfig(shots=100, seed=None)
 
     def test_sampled_needs_positive_shots(self):
         with pytest.raises(ConfigurationError):
-            QpeConfig(mode="sampled", seed=1, shots=0)
+            QpeConfig(seed=1, shots=0)
 
-    def test_mode_validated(self):
-        with pytest.raises(ConfigurationError):
-            QpeConfig(mode="approximate")
+    def test_mode_follows_shots(self):
+        assert QpeConfig().mode == "exact"
+        assert QpeConfig(shots=5, seed=1).mode == "sampled"
 
     def test_sampling_determinism(self):
-        config = qpev_config(shots=2000, seed=99, mode="sampled")
+        config = qpev_config(shots=2000, seed=99)
         assert run_qpe(config).entries == run_qpe(config).entries

@@ -1,7 +1,10 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinqpe import (
     ConfigurationError,
@@ -147,6 +150,42 @@ class TestApplyControlled:
             np.testing.assert_allclose(
                 controlled.amplitudes, direct.amplitudes, atol=1e-12
             )
+
+
+def dense_operator(n: int, ops: dict) -> np.ndarray:
+    """np.kron of `ops` over the register, identity on the other qubits;
+    qubit n-1 is the leftmost factor since qubit q has weight 2**q."""
+    return reduce(np.kron, [ops.get(q, np.eye(2)) for q in reversed(range(n))])
+
+
+_ANGLE = st.floats(-2 * math.pi, 2 * math.pi)
+
+
+@st.composite
+def gate_cases(draw):
+    n = draw(st.integers(2, 6))
+    control = draw(st.integers(0, n - 1))
+    target = draw(st.integers(0, n - 1).filter(lambda q: q != control))
+    gate = rx(draw(_ANGLE)) @ ry(draw(_ANGLE)) @ phase(draw(_ANGLE))
+    state = random_state(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
+    return n, control, target, gate, state
+
+
+class TestKernelAgainstDenseOperator:
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(gate_cases())
+    def test_single_and_controlled_match_kron(self, case):
+        n, control, target, gate, state = case
+        before = state.amplitudes.copy()
+        p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        single = dense_operator(n, {target: gate})
+        controlled = (dense_operator(n, {control: p0})
+                      + dense_operator(n, {control: p1, target: gate}))
+        np.testing.assert_allclose(apply_single(state, gate, target).amplitudes,
+                                   single @ before, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(apply_controlled(state, gate, control, target).amplitudes,
+                                   controlled @ before, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(state.amplitudes, before)
 
 
 class TestProbabilities:
