@@ -14,12 +14,12 @@ import argparse
 import json
 import math
 import sys
-import warnings
+from dataclasses import replace
 from pathlib import Path
 
 from .angles import parse_angle
 from .errors import AngleParseError, ConfigurationError
-from .extraction import full_pipeline, reconstruct_CS, reconstruct_absA
+from .extraction import capture_warnings, full_pipeline, reconstruct_CS, reconstruct_absA
 from .gates import Axis, RotationSpec, rx, ry
 from .precession import PathParams, TotalPhase, amplitudes_AB, amplitudes_CS, total_phase
 from .qpe import QpeConfig, decode, expected_bins, run_qpe
@@ -41,9 +41,6 @@ EXIT_IO = 4
 DEFAULT_N = 10
 DEFAULT_AUX = "pi/4"
 DEFAULT_SEED = 0
-
-#: numpy draws a sample's shot count as a signed 64-bit integer
-_MAX_SHOTS = 2**63 - 1
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
@@ -130,29 +127,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _sampling(n: int, shots: int | None = None, seed: int = DEFAULT_SEED) -> dict:
-    """Register width, mode, shots and seed as echoed in a record's config:
-    exact unless shots are given, and then seeded."""
-    if shots is None:
-        return {"n": n, "shots": None, "seed": None, "mode": "exact"}
-    if shots < 1:
-        raise ConfigurationError(f"--shots must be >= 1, got {shots}")
-    if shots > _MAX_SHOTS:
-        raise ConfigurationError(f"--shots must be <= {_MAX_SHOTS}, got {shots}")
-    if seed < 0:
-        raise ConfigurationError(f"--seed must be >= 0, got {seed}")
-    return {"n": n, "shots": shots, "seed": seed, "mode": "sampled"}
+def _echo(run: QpeConfig) -> dict:
+    """A run's register width and sampling settings as a record's config echoes them."""
+    return {"n": run.counting_qubits, "shots": run.shots, "seed": run.seed, "mode": run.mode}
 
 
-def _qpe_config(run: dict, axis: Axis, aux: float, target_prep: tuple = ()) -> QpeConfig:
-    """The estimation circuit for a `_sampling` result and an auxiliary rotation."""
-    return QpeConfig(counting_qubits=run["n"], aux=RotationSpec(axis, aux),
-                     target_prep=target_prep, shots=run["shots"], seed=run["seed"])
-
-
-def _readout(run: dict, axis: Axis, aux: float, target_prep: tuple, allow_leakage: bool):
-    """Run one estimation circuit; (histogram, decode result)."""
-    config = _qpe_config(run, axis, aux, target_prep)
+def _readout(run: QpeConfig, axis: Axis, aux: float, target_prep: tuple,
+             allow_leakage: bool):
+    """Run one estimation circuit, `run` with this auxiliary rotation and
+    target preparation; (histogram, decode result)."""
+    config = replace(run, aux=RotationSpec(axis, aux), target_prep=target_prep)
     if not expected_bins(config).dyadic_exact and not allow_leakage:
         raise ConfigurationError(
             f"auxiliary angle {aux!r} is not an integer multiple of "
@@ -161,14 +145,6 @@ def _readout(run: dict, axis: Axis, aux: float, target_prep: tuple, allow_leakag
         )
     hist = run_qpe(config)
     return hist, decode(hist, config)
-
-
-def _total_phase(params: PathParams) -> tuple[TotalPhase, list]:
-    """total_phase(params) and the text of the warnings it raised."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        phase = total_phase(params)
-    return phase, [str(w.message) for w in caught]
 
 
 def _analytic_section(eta: float, delta: float | None = None,
@@ -198,10 +174,11 @@ def _analytic_section(eta: float, delta: float | None = None,
     }
 
 
-def _pipeline(run: dict, eta: float, delta: float, aux_v: float, aux_h: float,
+def _pipeline(run: QpeConfig, eta: float, delta: float, aux_v: float, aux_h: float,
               branch: str = "principal"):
-    return full_pipeline(PathParams(eta, delta), _qpe_config(run, Axis.Y, aux_v),
-                         _qpe_config(run, Axis.X, aux_h), branch=branch)
+    return full_pipeline(PathParams(eta, delta),
+                         replace(run, aux=RotationSpec(Axis.Y, aux_v)),
+                         replace(run, aux=RotationSpec(Axis.X, aux_h)), branch=branch)
 
 
 def _write(text: str, out: str | None) -> None:
@@ -221,7 +198,7 @@ def _emit(args, **sections) -> int:
 def cmd_analytic(args) -> int:
     eta = parse_angle(args.eta).value
     delta = parse_angle(args.delta).value
-    phase, notes = _total_phase(PathParams(eta, delta))
+    phase, notes = capture_warnings(total_phase, PathParams(eta, delta))
     return _emit(args, config={"eta": eta, "delta": delta},
                  analytic=_analytic_section(eta, delta, phase), warnings=notes)
 
@@ -229,10 +206,10 @@ def cmd_analytic(args) -> int:
 def cmd_qpev(args) -> int:
     eta = parse_angle(args.eta).value
     aux = parse_angle(args.aux).value
-    run = _sampling(args.n, args.shots, args.seed)
+    run = QpeConfig(counting_qubits=args.n, shots=args.shots, seed=args.seed)
     hist, result = _readout(run, Axis.Y, aux, (rx(-eta),), args.allow_leakage)
     cs = reconstruct_CS(result.p_plus, result.p_minus)
-    return _emit(args, config={"eta": eta, "aux_v": aux, **run},
+    return _emit(args, config={"eta": eta, "aux_v": aux, **_echo(run)},
                  histograms={"qpev": histogram_payload(hist)},
                  decoded={"qpev": decode_payload(result, args.n)},
                  estimates={"C": cs.C, "S": cs.S},
@@ -243,11 +220,11 @@ def cmd_qpeh(args) -> int:
     eta = parse_angle(args.eta).value
     delta = parse_angle(args.delta).value
     aux = parse_angle(args.aux).value
-    run = _sampling(args.n, args.shots, args.seed)
+    run = QpeConfig(counting_qubits=args.n, shots=args.shots, seed=args.seed)
     hist, result = _readout(run, Axis.X, aux, (rx(-eta), ry(delta)), args.allow_leakage)
     absA = reconstruct_absA(result.p_plus)
-    phase, notes = _total_phase(PathParams(eta, delta))
-    return _emit(args, config={"eta": eta, "delta": delta, "aux_h": aux, **run},
+    phase, notes = capture_warnings(total_phase, PathParams(eta, delta))
+    return _emit(args, config={"eta": eta, "delta": delta, "aux_h": aux, **_echo(run)},
                  histograms={"qpeh": histogram_payload(hist)},
                  decoded={"qpeh": decode_payload(result, args.n)},
                  estimates={"absA": absA},
@@ -260,13 +237,13 @@ def cmd_pipeline(args) -> int:
     delta = parse_angle(args.delta).value
     aux_v = parse_angle(args.aux_v).value
     aux_h = parse_angle(args.aux_h).value
-    run = _sampling(args.n, args.shots, args.seed)
+    run = QpeConfig(counting_qubits=args.n, shots=args.shots, seed=args.seed)
     result = _pipeline(run, eta, delta, aux_v, aux_h, args.branch)
     histograms, decoded = extraction_payloads(result)
     return _emit(
         args,
         config={"eta": eta, "delta": delta, "aux_v": aux_v, "aux_h": aux_h,
-                **run, "branch": args.branch},
+                **_echo(run), "branch": args.branch},
         histograms=histograms,
         decoded=decoded,
         estimates={
@@ -313,7 +290,7 @@ def cmd_sweep(args) -> int:
     eta_lo, eta_hi = _parse_range(args.eta_range, "--eta-range")
     delta_lo, delta_hi = _parse_range(args.delta_range, "--delta-range")
     aux = parse_angle(DEFAULT_AUX).value
-    run = _sampling(args.n)
+    run = QpeConfig(counting_qubits=args.n)
     rows = []
     for eta in _grid(eta_lo, eta_hi, args.steps):
         for delta in _grid(delta_lo, delta_hi, args.steps):

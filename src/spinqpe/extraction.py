@@ -26,7 +26,7 @@ from .errors import (
 )
 from .gates import Axis, rx, ry
 from .precession import AmplitudePair, PathParams, TotalPhase, total_phase, wrap_angle
-from .qpe import DecodeResult, QpeConfig, decode, run_qpe, DEFAULT_COVERAGE_THRESHOLD
+from .qpe import DecodeResult, QpeConfig, decode, run_qpe
 from .statevector import Histogram
 
 BRANCHES = ("principal", "reflected")
@@ -60,30 +60,25 @@ def reconstruct_absA(p_plus: float) -> float:
     return math.sqrt(2.0 * p_plus)
 
 
-def infer_sin_delta(
-    absA: float,
-    cs: AmplitudePair,
-    sc_min: float = SC_MIN,
-    tol_clamp: float = TOL_CLAMP,
-) -> float:
+def infer_sin_delta(absA: float, cs: AmplitudePair) -> float:
     """sin(delta) = (|A|^2 - 1) / (2 S C).
 
-    Values within `tol_clamp` outside [-1, 1] are clamped with a warning
+    Values within TOL_CLAMP outside [-1, 1] are clamped with a warning
     (sampling noise); anything further out is an inconsistency error. A
-    vanishing S*C (eta near pi/2, where the first segment lands on an
+    2*S*C below SC_MIN (eta near pi/2, where the first segment lands on an
     eigenvector) makes the inversion uninformative and is an error.
     """
     twice_sc = 2.0 * cs.S * cs.C
-    if abs(twice_sc) < sc_min:
+    if abs(twice_sc) < SC_MIN:
         raise SingularConfigurationError(
-            f"2*S*C = {twice_sc:.3e} below {sc_min}; sin(delta) cannot be "
+            f"2*S*C = {twice_sc:.3e} below {SC_MIN}; sin(delta) cannot be "
             "inferred near eta = +-pi/2"
         )
     raw = (absA * absA - 1.0) / twice_sc
-    if abs(raw) > 1.0 + tol_clamp:
+    if abs(raw) > 1.0 + TOL_CLAMP:
         raise InconsistentAmplitudesError(
             f"sin(delta) = {raw!r} exceeds [-1, 1] by more than "
-            f"{tol_clamp}; the readouts are mutually inconsistent"
+            f"{TOL_CLAMP}; the readouts are mutually inconsistent"
         )
     if abs(raw) > 1.0:
         clamped = math.copysign(1.0, raw)
@@ -93,6 +88,14 @@ def infer_sin_delta(
         )
         return clamped
     return raw
+
+
+def capture_warnings(fn, *args):
+    """(fn(*args), the text of each warning it raised, in order)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = fn(*args)
+    return value, [str(w.message) for w in caught]
 
 
 def theta_from_estimates(cs: AmplitudePair, delta: float) -> float:
@@ -142,16 +145,17 @@ def full_pipeline(
     qpev_config: QpeConfig,
     qpeh_config: QpeConfig,
     branch: str = "principal",
-    window: int | None = None,
-    coverage_threshold: float = DEFAULT_COVERAGE_THRESHOLD,
 ) -> ExtractionResult:
     """Run both estimation circuits and reconstruct delta and theta.
 
     The target preparations are derived from `params` (rx(-eta) for the
     vertical run, then ry(delta) appended for the horizontal run); the
     configs supply register width, auxiliary angles, shots and seeds (no
-    shots means exact probabilities). The vertical config must rotate
-    about Y and the horizontal one about X.
+    shots means exact probabilities), already checked by QpeConfig. The
+    vertical config must rotate about Y and the horizontal one about X.
+    Both readouts are decoded with decode's default window and coverage
+    threshold; the warnings of decoding, clamping and the closed form are
+    collected into the result's `warnings`.
     """
     if branch not in BRANCHES:
         raise ConfigurationError(f"branch must be one of {BRANCHES}, got {branch!r}")
@@ -165,8 +169,8 @@ def full_pipeline(
 
     hist_v = run_qpe(config_v)
     hist_h = run_qpe(config_h)
-    decode_v = decode(hist_v, config_v, window=window, coverage_threshold=coverage_threshold)
-    decode_h = decode(hist_h, config_h, window=window, coverage_threshold=coverage_threshold)
+    decode_v = decode(hist_v, config_v)
+    decode_h = decode(hist_h, config_h)
 
     notes = [f"qpev: {w}" for w in decode_v.warnings]
     notes += [f"qpeh: {w}" for w in decode_h.warnings]
@@ -180,10 +184,8 @@ def full_pipeline(
 
     cs = reconstruct_CS(decode_v.p_plus, decode_v.p_minus)
     absA_est = reconstruct_absA(decode_h.p_plus)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        sin_delta_est = infer_sin_delta(absA_est, cs)
-    notes += [str(w.message) for w in caught]
+    sin_delta_est, clamped = capture_warnings(infer_sin_delta, absA_est, cs)
+    notes += clamped
     sin_delta_raw = (absA_est * absA_est - 1.0) / (2.0 * cs.S * cs.C)
 
     if branch == "principal":
@@ -192,10 +194,8 @@ def full_pipeline(
         delta_est = math.pi - math.asin(sin_delta_est)
     theta_est = theta_from_estimates(cs, delta_est)
 
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        phase_analytic = total_phase(params)
-    notes += [str(w.message) for w in caught]
+    phase_analytic, phase_notes = capture_warnings(total_phase, params)
+    notes += phase_notes
 
     return ExtractionResult(
         C_est=cs.C,

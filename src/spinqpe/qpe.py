@@ -17,6 +17,7 @@ prepared target state with the axis eigenvectors.
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 from .errors import ConfigurationError
 from .gates import Axis, RotationSpec, hadamard, rotation_power
@@ -24,6 +25,9 @@ from .iqft import build_iqft, apply_iqft
 from .statevector import Histogram, apply_controlled, apply_single, exact_histogram, new_state, sample
 
 MAX_COUNTING_QUBITS = 16
+
+#: numpy draws a sample's shot count as a signed 64-bit integer
+MAX_SHOTS = 2**63 - 1
 
 #: decode window half-width used when the configuration is not dyadic-exact
 DEFAULT_LEAKY_WINDOW = 2
@@ -40,7 +44,10 @@ class QpeConfig:
 
     target_prep is the gate sequence applied to the target qubit starting
     from |0>, first element first. The run is exact when shots is None and
-    sampled otherwise; a sampled run needs a seed so it is reproducible.
+    sampled otherwise. A sampled run needs integral shots in
+    [1, MAX_SHOTS] and an integral seed >= 0, so it is reproducible; an
+    exact run drops its seed (seed becomes None). Every setting is checked
+    here, at construction, and a bad one raises ConfigurationError.
     """
 
     counting_qubits: int = 10
@@ -61,11 +68,16 @@ class QpeConfig:
             raise ConfigurationError(
                 f"auxiliary angle {self.aux.angle!r} overflows its controlled powers"
             )
-        if self.shots is not None:
-            if self.shots < 1:
-                raise ConfigurationError(f"sampled mode needs shots >= 1, got {self.shots}")
-            if self.seed is None:
-                raise ConfigurationError("sampled mode needs an explicit seed")
+        if self.shots is None:
+            self.seed = None
+        elif not (isinstance(self.shots, Integral) and 1 <= self.shots <= MAX_SHOTS):
+            raise ConfigurationError(
+                f"sampled mode needs integral shots in [1, {MAX_SHOTS}], got {self.shots!r}"
+            )
+        elif not (isinstance(self.seed, Integral) and self.seed >= 0):
+            raise ConfigurationError(
+                f"sampled mode needs an integral seed >= 0, got {self.seed!r}"
+            )
         self.target_prep = tuple(self.target_prep)
 
     @property

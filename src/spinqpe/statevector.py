@@ -198,11 +198,12 @@ def probabilities(state: StateVector, qubits) -> np.ndarray:
     return tensor.transpose(order).reshape(-1)
 
 
-def exact_histogram(state: StateVector, qubits, floor: float = PROBABILITY_FLOOR) -> Histogram:
-    """Exact-mode histogram of the marginal distribution over `qubits`."""
+def exact_histogram(state: StateVector, qubits) -> Histogram:
+    """Exact-mode histogram of the marginal distribution over `qubits`;
+    probabilities at or below PROBABILITY_FLOOR are left out."""
     qubits = list(qubits)
     probs = probabilities(state, qubits)
-    entries = {int(m): float(p) for m, p in enumerate(probs) if p > floor}
+    entries = {int(m): float(p) for m, p in enumerate(probs) if p > PROBABILITY_FLOOR}
     return Histogram(num_bits=len(qubits), entries=entries)
 
 

@@ -9,10 +9,10 @@ import json
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinqpe import RUN_RECORD_SCHEMA
+from spinqpe import RUN_RECORD_SCHEMA, ConfigurationError, QpeConfig
 from spinqpe.cli import main
 
 CONTRACT_CODES = {0, 2, 3, 4}
@@ -74,6 +74,32 @@ def test_largest_shot_count_is_sampled():
 def test_exact_mode_ignores_seed():
     record = record_of(["qpev", "--eta", "pi/3", "--n", "4", "--seed=-1"])
     assert record["config"]["seed"] is None
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.none(), st.integers(-1, 2**64)), st.integers(-1, 2**70))
+@example(shots=2**63 - 1, seed=0)
+@example(shots=2**63, seed=0)
+@example(shots=0, seed=0)
+@example(shots=5, seed=-1)
+@example(shots=None, seed=-1)
+def test_cli_sampling_follows_qpe_config(shots, seed):
+    """`qpev` refuses exactly the shots and seed QpeConfig refuses, and
+    echoes the settings of the config it accepts."""
+    try:
+        config = QpeConfig(counting_qubits=2, shots=shots, seed=seed)
+    except ConfigurationError:
+        config = None
+    # aux pi puts the two readout bins at 1 and 3 of a 2-qubit register
+    argv = ["qpev", "--eta", "pi/3", "--aux", "pi", "--n", "2", f"--seed={seed}"]
+    code, out, err = invoke(argv if shots is None else [*argv, f"--shots={shots}"])
+    if config is None:
+        assert code == 3
+        assert_one_error_line(code, out, err)
+        return
+    assert code == 0, err
+    echo = strict_json(out)["config"]
+    assert (echo["shots"], echo["seed"], echo["mode"]) == (config.shots, config.seed, config.mode)
 
 
 @pytest.mark.parametrize("argv", [

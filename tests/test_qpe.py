@@ -6,12 +6,14 @@ import pytest
 from spinqpe import (
     Axis,
     ConfigurationError,
+    PathParams,
     QpeConfig,
     RotationSpec,
     axis_eigenvectors,
     decode,
     expected_bins,
     format_binary,
+    full_pipeline,
     run_qpe,
     rx,
     ry,
@@ -22,6 +24,9 @@ C2 = math.cos(PI / 12) ** 2  # 0.9330127...
 S2 = math.sin(PI / 12) ** 2  # 0.0669872...
 HALF_A2 = 0.7165063509461096  # (1 + sqrt(3)/4) / 2
 HALF_B2 = 1.0 - HALF_A2
+
+#: (shots, seed) pairs no sampled run accepts
+BAD_SAMPLING = [(5, -1), (2**63, 1), (5, 1.5), (5.0, 1)]
 
 
 def qpev_config(eta=PI / 3, aux=PI / 4, n=10, **kw):
@@ -286,6 +291,26 @@ class TestQpeConfig:
     def test_mode_follows_shots(self):
         assert QpeConfig().mode == "exact"
         assert QpeConfig(shots=5, seed=1).mode == "sampled"
+
+    @pytest.mark.parametrize("shots, seed", BAD_SAMPLING)
+    def test_bad_sampling_refused_at_construction(self, shots, seed):
+        with pytest.raises(ConfigurationError):
+            QpeConfig(shots=shots, seed=seed)
+
+    @pytest.mark.parametrize("shots, seed", BAD_SAMPLING)
+    def test_full_pipeline_refuses_bad_sampling(self, shots, seed):
+        with pytest.raises(ConfigurationError):
+            full_pipeline(PathParams(PI / 3, PI / 3),
+                          qpev_config(n=4, shots=shots, seed=seed), qpeh_config(n=4))
+
+    def test_full_pipeline_rechecks_an_altered_config(self):
+        config = qpev_config(n=4, shots=5, seed=1)
+        config.seed = -1
+        with pytest.raises(ConfigurationError):
+            full_pipeline(PathParams(PI / 3, PI / 3), config, qpeh_config(n=4))
+
+    def test_exact_config_drops_seed(self):
+        assert QpeConfig(seed=3).seed is None
 
     def test_sampling_determinism(self):
         config = qpev_config(shots=2000, seed=99)
