@@ -7,7 +7,7 @@ phase a spin accumulates along two non-commuting precession segments from
 the resulting histograms.
 """
 
-from .angles import AngleExpr, parse_angle
+from .angles import parse_angle
 from .errors import (
     AngleParseError,
     BranchWarning,
@@ -81,7 +81,6 @@ from .statevector import (
 __version__ = TOOL_VERSION
 
 __all__ = [
-    "AngleExpr",
     "AngleParseError",
     "AmplitudePair",
     "Axis",

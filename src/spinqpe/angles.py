@@ -7,26 +7,15 @@ Grammar (no whitespace inside a token, surrounding whitespace ignored):
     decimal := '-'? INT ('.' INT?)? (('e'|'E') ('+'|'-')? INT)?
 
 Examples: "pi", "pi/3", "-pi/3", "3pi/4", "15/16pi", "2", "1.0471975512",
-"-2.5e-3". Malformed input, and a number too large for a float, raise
-AngleParseError carrying the offending position.
+"-2.5e-3". parse_angle returns the value in radians as a float; records
+echo the raw text through the command line they store. Malformed input,
+and a number too large for a float, raise AngleParseError carrying the
+offending position.
 """
 
 import math
-from dataclasses import dataclass
 
 from .errors import AngleParseError
-
-
-@dataclass(frozen=True)
-class AngleExpr:
-    """A raw angle string and its value in radians; str() gives back the raw
-    text, so parse(str(expr)) reproduces the same value."""
-
-    raw: str
-    value: float
-
-    def __str__(self) -> str:
-        return self.raw
 
 
 def _skip_ws(text: str, i: int) -> int:
@@ -83,15 +72,15 @@ def _decimal_end(text: str, i: int) -> int:
     return i
 
 
-def parse_angle(text: str) -> AngleExpr:
-    """Parse an angle expression; see the module grammar."""
+def parse_angle(text: str) -> float:
+    """The value in radians of an angle expression; see the module grammar."""
     try:
         value = _value(text)
     except OverflowError:  # an integer too large for a float
         value = math.inf
     if not math.isfinite(value):
         raise AngleParseError(text, _skip_ws(text, 0), "number too large for a float")
-    return AngleExpr(text, value)
+    return value
 
 
 def _value(text: str) -> float:

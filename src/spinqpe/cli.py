@@ -62,8 +62,17 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
                         help=f"sampling seed (default {DEFAULT_SEED}, sampled mode only)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as the one JSON line on stderr that every
+    error gets, then exits 2 as argparse does; subparsers inherit this."""
+
+    def error(self, message: str):
+        _emit_error(EXIT_USAGE, argparse.ArgumentError(None, message))
+        sys.exit(EXIT_USAGE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spinqpe",
         description="Phase estimation readout of two-segment spin precession",
     )
@@ -196,16 +205,16 @@ def _emit(args, **sections) -> int:
 
 
 def cmd_analytic(args) -> int:
-    eta = parse_angle(args.eta).value
-    delta = parse_angle(args.delta).value
+    eta = parse_angle(args.eta)
+    delta = parse_angle(args.delta)
     phase, notes = capture_warnings(total_phase, PathParams(eta, delta))
     return _emit(args, config={"eta": eta, "delta": delta},
                  analytic=_analytic_section(eta, delta, phase), warnings=notes)
 
 
 def cmd_qpev(args) -> int:
-    eta = parse_angle(args.eta).value
-    aux = parse_angle(args.aux).value
+    eta = parse_angle(args.eta)
+    aux = parse_angle(args.aux)
     run = QpeConfig(counting_qubits=args.n, shots=args.shots, seed=args.seed)
     hist, result = _readout(run, Axis.Y, aux, (rx(-eta),), args.allow_leakage)
     cs = reconstruct_CS(result.p_plus, result.p_minus)
@@ -217,9 +226,9 @@ def cmd_qpev(args) -> int:
 
 
 def cmd_qpeh(args) -> int:
-    eta = parse_angle(args.eta).value
-    delta = parse_angle(args.delta).value
-    aux = parse_angle(args.aux).value
+    eta = parse_angle(args.eta)
+    delta = parse_angle(args.delta)
+    aux = parse_angle(args.aux)
     run = QpeConfig(counting_qubits=args.n, shots=args.shots, seed=args.seed)
     hist, result = _readout(run, Axis.X, aux, (rx(-eta), ry(delta)), args.allow_leakage)
     absA = reconstruct_absA(result.p_plus)
@@ -233,10 +242,10 @@ def cmd_qpeh(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    eta = parse_angle(args.eta).value
-    delta = parse_angle(args.delta).value
-    aux_v = parse_angle(args.aux_v).value
-    aux_h = parse_angle(args.aux_h).value
+    eta = parse_angle(args.eta)
+    delta = parse_angle(args.delta)
+    aux_v = parse_angle(args.aux_v)
+    aux_h = parse_angle(args.aux_h)
     run = QpeConfig(counting_qubits=args.n, shots=args.shots, seed=args.seed)
     result = _pipeline(run, eta, delta, aux_v, aux_h, args.branch)
     histograms, decoded = extraction_payloads(result)
@@ -265,8 +274,8 @@ def _parse_range(text: str, flag: str) -> tuple[float, float]:
     lo_text, sep, hi_text = text.partition(":")
     if not sep:
         raise ConfigurationError(f"{flag} must look like LO:HI, got {text!r}")
-    lo = parse_angle(lo_text).value
-    hi = parse_angle(hi_text).value
+    lo = parse_angle(lo_text)
+    hi = parse_angle(hi_text)
     limit = math.pi / 2.0
     for value in (lo, hi):
         if not -limit < value < limit:
@@ -289,7 +298,7 @@ def _grid(lo: float, hi: float, steps: int) -> list:
 def cmd_sweep(args) -> int:
     eta_lo, eta_hi = _parse_range(args.eta_range, "--eta-range")
     delta_lo, delta_hi = _parse_range(args.delta_range, "--delta-range")
-    aux = parse_angle(DEFAULT_AUX).value
+    aux = parse_angle(DEFAULT_AUX)
     run = QpeConfig(counting_qubits=args.n)
     rows = []
     for eta in _grid(eta_lo, eta_hi, args.steps):

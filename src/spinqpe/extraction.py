@@ -111,7 +111,9 @@ def theta_from_estimates(cs: AmplitudePair, delta: float) -> float:
 
 @dataclass
 class ExtractionResult:
-    """Everything one pipeline run produced, configs echoed for provenance."""
+    """The estimates of one pipeline run, with the histograms and decode
+    results they came from. The decode results hold each readout's window
+    masses and coverage; phase_analytic.theta is the closed-form phase."""
 
     C_est: float
     S_est: float
@@ -122,22 +124,11 @@ class ExtractionResult:
     theta_est: float
     phase_analytic: TotalPhase  # closed-form total_phase(params)
     residual_theta: float
-    coverage_v: float
-    coverage_h: float
-    cs_mass_raw: float  # p_plus + p_minus before renormalization
-    branch: str
-    params: PathParams
     decode_v: DecodeResult
     decode_h: DecodeResult
     hist_v: Histogram
     hist_h: Histogram
-    config_v: QpeConfig
-    config_h: QpeConfig
     warnings: list = field(default_factory=list)
-
-    @property
-    def theta_analytic(self) -> float:
-        return self.phase_analytic.theta
 
 
 def full_pipeline(
@@ -153,9 +144,9 @@ def full_pipeline(
     configs supply register width, auxiliary angles, shots and seeds (no
     shots means exact probabilities), already checked by QpeConfig. The
     vertical config must rotate about Y and the horizontal one about X.
-    Both readouts are decoded with decode's default window and coverage
-    threshold; the warnings of decoding, clamping and the closed form are
-    collected into the result's `warnings`.
+    Both readouts are decoded with decode's window and coverage threshold;
+    the warnings of decoding, clamping and the closed form are collected
+    into the result's `warnings`.
     """
     if branch not in BRANCHES:
         raise ConfigurationError(f"branch must be one of {BRANCHES}, got {branch!r}")
@@ -207,16 +198,9 @@ def full_pipeline(
         theta_est=theta_est,
         phase_analytic=phase_analytic,
         residual_theta=wrap_angle(theta_est - phase_analytic.theta),
-        coverage_v=decode_v.coverage,
-        coverage_h=decode_h.coverage,
-        cs_mass_raw=decode_v.p_plus + decode_v.p_minus,
-        branch=branch,
-        params=params,
         decode_v=decode_v,
         decode_h=decode_h,
         hist_v=hist_v,
         hist_h=hist_h,
-        config_v=config_v,
-        config_h=config_h,
         warnings=notes,
     )

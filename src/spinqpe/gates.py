@@ -18,8 +18,6 @@ from enum import Enum
 
 import numpy as np
 
-_TWO_PI = 2.0 * math.pi
-
 
 class Axis(Enum):
     X = "x"
@@ -60,11 +58,8 @@ def phase(lam: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RotationSpec:
-    """An axis and a raw angle in radians.
-
-    The matrix is always built from the raw angle; `display_angle` folds it
-    into (-2 pi, 2 pi] for reporting only.
-    """
+    """An axis and a raw angle in radians; the matrix is built from the raw
+    angle, never a folded one."""
 
     axis: Axis
     angle: float
@@ -74,13 +69,6 @@ class RotationSpec:
             raise ValueError(f"axis must be an Axis, got {self.axis!r}")
         if not math.isfinite(self.angle):
             raise ValueError(f"angle must be finite, got {self.angle!r}")
-
-    @property
-    def display_angle(self) -> float:
-        w = self.angle % (2.0 * _TWO_PI)
-        if w > _TWO_PI:
-            w -= 2.0 * _TWO_PI
-        return w
 
 
 def rotation(spec: RotationSpec) -> np.ndarray:

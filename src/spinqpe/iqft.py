@@ -29,7 +29,6 @@ class PlanStep:
 
 @dataclass(frozen=True)
 class IqftPlan:
-    qubits: tuple[int, ...]  # most significant fraction bit first
     ops: tuple[PlanStep, ...]
 
 
@@ -58,7 +57,7 @@ def build_iqft(qubits) -> IqftPlan:
         ops.append(PlanStep(kind="hadamard", qubits=(qubits[i],)))
     for i in range(n // 2):
         ops.append(PlanStep(kind="swap", qubits=(qubits[i], qubits[n - 1 - i])))
-    return IqftPlan(qubits=qubits, ops=tuple(ops))
+    return IqftPlan(ops=tuple(ops))
 
 
 def apply_iqft(state: StateVector, plan: IqftPlan) -> StateVector:

@@ -48,8 +48,8 @@ def wrap_angle(x: float) -> float:
 
 @dataclass(frozen=True)
 class PathParams:
-    """Precession angles of the two segments, radians. Raw values are
-    accepted; canonical() folds both into (-pi, pi] for reporting."""
+    """Precession angles of the two segments, radians. Any finite values
+    are accepted; wrap_angle folds one into (-pi, pi]."""
 
     eta: float
     delta: float
@@ -57,9 +57,6 @@ class PathParams:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.eta) and math.isfinite(self.delta)):
             raise ValueError(f"angles must be finite, got ({self.eta!r}, {self.delta!r})")
-
-    def canonical(self) -> "PathParams":
-        return PathParams(wrap_angle(self.eta), wrap_angle(self.delta))
 
 
 @dataclass(frozen=True)

@@ -30,12 +30,17 @@ MAX_COUNTING_QUBITS = 16
 MAX_SHOTS = 2**63 - 1
 
 #: decode window half-width used when the configuration is not dyadic-exact
-DEFAULT_LEAKY_WINDOW = 2
+LEAKY_WINDOW = 2
 
 #: decoded windows covering less total mass than this raise a leakage warning
-DEFAULT_COVERAGE_THRESHOLD = 0.98
+COVERAGE_THRESHOLD = 0.98
 
 _DYADIC_ATOL = 1e-9
+
+
+def _is_int(value) -> bool:
+    """An integral number other than a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 @dataclass(eq=False)
@@ -46,8 +51,9 @@ class QpeConfig:
     from |0>, first element first. The run is exact when shots is None and
     sampled otherwise. A sampled run needs integral shots in
     [1, MAX_SHOTS] and an integral seed >= 0, so it is reproducible; an
-    exact run drops its seed (seed becomes None). Every setting is checked
-    here, at construction, and a bad one raises ConfigurationError.
+    exact run drops its seed (seed becomes None). A bool counts as no
+    integer. Every setting is checked here, at construction, and a bad one
+    raises ConfigurationError.
     """
 
     counting_qubits: int = 10
@@ -57,10 +63,11 @@ class QpeConfig:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        if not 1 <= self.counting_qubits <= MAX_COUNTING_QUBITS:
+        if not (_is_int(self.counting_qubits)
+                and 1 <= self.counting_qubits <= MAX_COUNTING_QUBITS):
             raise ConfigurationError(
-                f"counting_qubits must be in [1, {MAX_COUNTING_QUBITS}], "
-                f"got {self.counting_qubits}"
+                f"counting_qubits must be an integer in [1, {MAX_COUNTING_QUBITS}], "
+                f"got {self.counting_qubits!r}"
             )
         if not isinstance(self.aux, RotationSpec):
             raise ConfigurationError(f"aux must be a RotationSpec, got {self.aux!r}")
@@ -70,11 +77,11 @@ class QpeConfig:
             )
         if self.shots is None:
             self.seed = None
-        elif not (isinstance(self.shots, Integral) and 1 <= self.shots <= MAX_SHOTS):
+        elif not (_is_int(self.shots) and 1 <= self.shots <= MAX_SHOTS):
             raise ConfigurationError(
                 f"sampled mode needs integral shots in [1, {MAX_SHOTS}], got {self.shots!r}"
             )
-        elif not (isinstance(self.seed, Integral) and self.seed >= 0):
+        elif not (_is_int(self.seed) and self.seed >= 0):
             raise ConfigurationError(
                 f"sampled mode needs an integral seed >= 0, got {self.seed!r}"
             )
@@ -163,18 +170,13 @@ def _peak(hist: Histogram, outcome: int, mass: float) -> DecodedPeak:
     )
 
 
-def decode(
-    hist: Histogram,
-    config: QpeConfig,
-    window: int | None = None,
-    coverage_threshold: float = DEFAULT_COVERAGE_THRESHOLD,
-) -> DecodeResult:
+def decode(hist: Histogram, config: QpeConfig) -> DecodeResult:
     """Total mass around the two expected bins.
 
-    `window` is the half-width in bins, cyclic; None selects 0 for
-    dyadic-exact configurations and 2 otherwise. The two windows must not
-    overlap. Coverage below `coverage_threshold` is reported as a leakage
-    warning, not an error.
+    Each window reaches `window` bins to either side of its bin, cyclic:
+    0 for dyadic-exact configurations and LEAKY_WINDOW otherwise. The two
+    windows must not overlap. Coverage below COVERAGE_THRESHOLD is reported
+    as a leakage warning, not an error.
     """
     if hist.num_bits != config.counting_qubits:
         raise ConfigurationError(
@@ -182,10 +184,7 @@ def decode(
             f"counts {config.counting_qubits}"
         )
     bins = expected_bins(config)
-    if window is None:
-        window = 0 if bins.dyadic_exact else DEFAULT_LEAKY_WINDOW
-    if window < 0:
-        raise ValueError(f"window must be >= 0, got {window}")
+    window = 0 if bins.dyadic_exact else LEAKY_WINDOW
     size = 1 << hist.num_bits
     window_plus = {(bins.m_plus + d) % size for d in range(-window, window + 1)}
     window_minus = {(bins.m_minus + d) % size for d in range(-window, window + 1)}
@@ -199,10 +198,10 @@ def decode(
     p_minus = hist.mass(window_minus)
     coverage = p_plus + p_minus
     notes = []
-    if coverage < coverage_threshold:
+    if coverage < COVERAGE_THRESHOLD:
         notes.append(
             f"leakage: decoded windows cover {coverage:.6f} "
-            f"< threshold {coverage_threshold}"
+            f"< threshold {COVERAGE_THRESHOLD}"
         )
     return DecodeResult(
         m_plus=bins.m_plus,

@@ -82,6 +82,17 @@ def _section_schema(section: str) -> dict:
     }
 
 
+def _run_pair_schema(definition: str) -> dict:
+    """A section with one `definition` object, or null, per estimation run."""
+    value = {"oneOf": [{"type": "null"}, {"$ref": f"#/$defs/{definition}"}]}
+    return {
+        "type": "object",
+        "additionalProperties": False,
+        "required": ["qpev", "qpeh"],
+        "properties": {"qpev": value, "qpeh": value},
+    }
+
+
 RUN_RECORD_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "title": "spinqpe run record",
@@ -94,24 +105,8 @@ RUN_RECORD_SCHEMA = {
     "properties": {
         "command": {"type": "array", "items": {"type": "string"}},
         "config": _section_schema("config"),
-        "histograms": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["qpev", "qpeh"],
-            "properties": {
-                "qpev": {"oneOf": [{"type": "null"}, {"$ref": "#/$defs/histogram"}]},
-                "qpeh": {"oneOf": [{"type": "null"}, {"$ref": "#/$defs/histogram"}]},
-            },
-        },
-        "decoded": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["qpev", "qpeh"],
-            "properties": {
-                "qpev": {"oneOf": [{"type": "null"}, {"$ref": "#/$defs/decode"}]},
-                "qpeh": {"oneOf": [{"type": "null"}, {"$ref": "#/$defs/decode"}]},
-            },
-        },
+        "histograms": _run_pair_schema("histogram"),
+        "decoded": _run_pair_schema("decode"),
         "estimates": _section_schema("estimates"),
         "analytic": _section_schema("analytic"),
         "residuals": _section_schema("residuals"),
@@ -284,21 +279,21 @@ def _flatten(record: dict) -> dict:
     return dict(zip(CSV_COLUMNS, values))
 
 
-def to_csv(record: dict) -> str:
-    """One record as an RFC 4180 CSV document (header plus one row)."""
+def _csv(columns: list, rows: list) -> str:
+    """An RFC 4180 CSV document: a header, then one line per row dict;
+    None is written as an empty field."""
     buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=CSV_COLUMNS, lineterminator="\r\n")
+    writer = csv.DictWriter(buffer, fieldnames=columns, lineterminator="\r\n")
     writer.writeheader()
-    row = _flatten(record)
-    writer.writerow({k: ("" if v is None else v) for k, v in row.items()})
+    writer.writerows(rows)
     return buffer.getvalue()
+
+
+def to_csv(record: dict) -> str:
+    """One record as a CSV document (header plus one row)."""
+    return _csv(CSV_COLUMNS, [_flatten(record)])
 
 
 def sweep_csv(rows: list) -> str:
     """Sweep rows (dicts keyed by SWEEP_COLUMNS) as a CSV document."""
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=SWEEP_COLUMNS, lineterminator="\r\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-    return buffer.getvalue()
+    return _csv(SWEEP_COLUMNS, rows)

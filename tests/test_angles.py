@@ -18,10 +18,10 @@ class TestGrammar:
         ("0pi", 0.0),
     ])
     def test_pi_fractions_exact(self, text, expected):
-        assert parse_angle(text).value == expected
+        assert parse_angle(text) == expected
 
     def test_nested_divisor(self):
-        assert parse_angle("15/16pi/2").value == 15 * math.pi / 16 / 2
+        assert parse_angle("15/16pi/2") == 15 * math.pi / 16 / 2
 
     @pytest.mark.parametrize("text,expected", [
         ("1.0471975512", 1.0471975512),
@@ -34,20 +34,10 @@ class TestGrammar:
         ("3.", 3.0),
     ])
     def test_decimal_radians(self, text, expected):
-        assert parse_angle(text).value == expected
+        assert parse_angle(text) == expected
 
     def test_surrounding_whitespace_ignored(self):
-        assert parse_angle("  pi/4  ").value == math.pi / 4
-
-    def test_raw_preserved(self):
-        expr = parse_angle("pi/3")
-        assert expr.raw == "pi/3"
-        assert str(expr) == "pi/3"
-
-    def test_parse_format_round_trip(self):
-        for text in ("pi", "pi/3", "-pi/3", "3pi/4", "15/16pi", "1.0471975512", "2"):
-            expr = parse_angle(text)
-            assert parse_angle(str(expr)).value == expr.value
+        assert parse_angle("  pi/4  ") == math.pi / 4
 
 
 class TestErrors:

@@ -65,6 +65,39 @@ def test_boundary_inputs_exit_with_contract_code(argv, code):
     assert_one_error_line(got, out, err)
 
 
+def invoke_parser(argv: list) -> tuple[int, str, str]:
+    """(SystemExit code, stdout, stderr) of an invocation argparse ends."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as excinfo:
+            main(list(argv))
+    return excinfo.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["nosuch"],
+    ["qpev"],
+    ["qpev", "--eta"],
+    ["qpev", "--eta", "pi/3", "--n", "x"],
+    ["qpev", "--eta", "pi/3", "--bogus"],
+    ["qpev", "--eta", "pi/3", "--shots", "1", "--exact"],
+    ["pipeline", "--eta", "pi/3", "--delta", "pi/3", "--branch", "other"],
+    ["sweep", "--eta-range", "0:1", "--delta-range", "0:1", "--steps", "1.5"],
+])
+def test_usage_error_is_one_json_line(argv):
+    code, out, err = invoke_parser(argv)
+    assert code == 2
+    assert_one_error_line(code, out, err)
+    assert strict_json(err)["error"]["type"] == "ArgumentError"
+
+
+def test_help_still_exits_zero():
+    code, out, err = invoke_parser(["qpev", "--help"])
+    assert code == 0
+    assert out.startswith("usage:") and err == ""
+
+
 def test_largest_shot_count_is_sampled():
     record = record_of(["qpev", "--eta", "pi/3", "--n", "4",
                         "--shots", "9223372036854775807", "--seed", "0"])

@@ -152,9 +152,9 @@ class TestFullPipeline:
         assert result.S_est == pytest.approx(math.sin(PI / 12), abs=1e-10)
         assert result.sin_delta_est == pytest.approx(math.sin(PI / 3), abs=1e-9)
         assert result.delta_est == pytest.approx(PI / 3, abs=1e-9)
-        assert result.coverage_v == pytest.approx(1.0, abs=1e-10)
-        assert result.coverage_h == pytest.approx(1.0, abs=1e-10)
-        assert result.theta_analytic == pytest.approx(THETA_PI_THIRD, abs=1e-12)
+        assert result.decode_v.coverage == pytest.approx(1.0, abs=1e-10)
+        assert result.decode_h.coverage == pytest.approx(1.0, abs=1e-10)
+        assert result.phase_analytic.theta == pytest.approx(THETA_PI_THIRD, abs=1e-12)
 
     def test_zero_eta_gives_zero_theta(self):
         result = exact_pipeline(0.0, 0.9)
@@ -245,12 +245,13 @@ class TestFullPipeline:
 
     def test_analytic_reference_uses_overlap_argument(self):
         result = exact_pipeline(0.8, 1.1)
-        assert result.theta_analytic == pytest.approx(
+        assert result.phase_analytic.theta == pytest.approx(
             total_phase(PathParams(0.8, 1.1)).theta, abs=0)
 
     def test_cs_mass_recorded_before_renormalization(self):
         result = exact_pipeline(PI / 3, PI / 3)
-        assert result.cs_mass_raw == pytest.approx(1.0, abs=1e-10)
+        assert result.decode_v.p_plus + result.decode_v.p_minus == pytest.approx(
+            1.0, abs=1e-10)
         cs = amplitudes_CS(PI / 3)
         assert result.C_est ** 2 + result.S_est ** 2 == pytest.approx(1.0, abs=1e-12)
         assert result.C_est == pytest.approx(cs.C, abs=1e-10)

@@ -134,9 +134,5 @@ class TestRotationSpec:
         with pytest.raises(ValueError):
             RotationSpec("x", 0.1)
 
-    def test_display_angle_folds_into_range(self):
-        assert RotationSpec(Axis.X, 5 * math.pi).display_angle == pytest.approx(math.pi)
-        assert RotationSpec(Axis.X, -3 * math.pi).display_angle == pytest.approx(math.pi)
-        assert RotationSpec(Axis.X, 2 * math.pi).display_angle == pytest.approx(2 * math.pi)
-        # raw angle is preserved
+    def test_raw_angle_preserved(self):
         assert RotationSpec(Axis.X, 5 * math.pi).angle == 5 * math.pi

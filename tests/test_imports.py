@@ -41,3 +41,12 @@ def test_checker_counts_attribute_and_annotation_use():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_all_lists_exactly_the_reexported_names():
+    """`spinqpe.__all__` names every name `__init__.py` imports, and no other."""
+    tree = ast.parse(Path(spinqpe.__file__).read_text(encoding="utf-8"))
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert sorted(spinqpe.__all__) == sorted(imported)
+    assert len(set(spinqpe.__all__)) == len(spinqpe.__all__)

@@ -261,11 +261,6 @@ class TestPhysicalConversion:
 
 
 class TestPathParams:
-    def test_canonical_wraps(self):
-        params = PathParams(3 * PI, -3 * PI).canonical()
-        assert params.eta == pytest.approx(PI, abs=1e-12)
-        assert params.delta == pytest.approx(PI, abs=1e-12)
-
     def test_wrap_angle_range(self):
         for x in np.linspace(-10, 10, 101):
             w = wrap_angle(x)

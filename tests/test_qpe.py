@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spinqpe import (
     Axis,
@@ -26,7 +28,7 @@ HALF_A2 = 0.7165063509461096  # (1 + sqrt(3)/4) / 2
 HALF_B2 = 1.0 - HALF_A2
 
 #: (shots, seed) pairs no sampled run accepts
-BAD_SAMPLING = [(5, -1), (2**63, 1), (5, 1.5), (5.0, 1)]
+BAD_SAMPLING = [(5, -1), (2**63, 1), (5, 1.5), (5.0, 1), (True, 1), (5, True)]
 
 
 def qpev_config(eta=PI / 3, aux=PI / 4, n=10, **kw):
@@ -187,8 +189,18 @@ class TestRunQpe:
             assert dressed.probability(m) == pytest.approx(
                 base.probability(m), abs=1e-12)
 
-    def test_full_histogram_matches_closed_form(self):
-        config = qpev_config(aux=1.0, n=6)
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        axis=st.sampled_from(Axis),
+        prep_x=st.floats(-2 * PI, 2 * PI),
+        prep_y=st.floats(-2 * PI, 2 * PI),
+        aux=st.floats(-4 * PI, 4 * PI, exclude_min=True, exclude_max=True),
+        n=st.integers(1, 8),
+    )
+    @example(axis=Axis.Y, prep_x=-PI / 3, prep_y=0.0, aux=1.0, n=6)
+    def test_full_histogram_matches_closed_form(self, axis, prep_x, prep_y, aux, n):
+        config = QpeConfig(counting_qubits=n, aux=RotationSpec(axis, aux),
+                           target_prep=(rx(prep_x), ry(prep_y)))
         hist = run_qpe(config)
         oracle = estimation_distribution(config)
         for m, p in enumerate(oracle):
@@ -198,7 +210,7 @@ class TestRunQpe:
 class TestDecode:
     def test_exact_vertical_window_zero(self):
         config = qpev_config()
-        result = decode(run_qpe(config), config, window=0)
+        result = decode(run_qpe(config), config)
         assert result.p_plus == pytest.approx(C2, abs=1e-10)
         assert result.p_minus == pytest.approx(S2, abs=1e-10)
         assert result.coverage == pytest.approx(1.0, abs=1e-10)
@@ -221,15 +233,11 @@ class TestDecode:
             decode(hist, config)
 
     def test_overlapping_windows_rejected(self):
-        config = qpev_config(n=4)  # bins 15 and 1 collide at window >= 7
+        # leaky, so window 2: bins 5 and 3 of 8 share bins 3, 4 and 5
+        config = qpev_config(n=3, aux=1.6 * PI)
         hist = run_qpe(config)
         with pytest.raises(ConfigurationError):
-            decode(hist, config, window=7)
-
-    def test_negative_window_rejected(self):
-        config = qpev_config()
-        with pytest.raises(ValueError):
-            decode(run_qpe(config), config, window=-1)
+            decode(hist, config)
 
     def test_histogram_width_must_match_config(self):
         with pytest.raises(ConfigurationError):
@@ -238,7 +246,7 @@ class TestDecode:
     def test_leaky_configuration_against_window_oracle(self):
         config = qpev_config(aux=1.0, n=6)
         hist = run_qpe(config)
-        result = decode(hist, config, window=2)
+        result = decode(hist, config)
         oracle = estimation_distribution(config)
         size = 1 << 6
         bins = expected_bins(config)
@@ -250,8 +258,10 @@ class TestDecode:
         assert result.window == 2
 
     def test_leakage_warning_below_threshold(self):
-        config = qpev_config(aux=1.0, n=6)
-        result = decode(run_qpe(config), config, coverage_threshold=0.999)
+        # eigenphases half a bin off center: coverage 0.923 < 0.98
+        config = qpev_config(aux=11 * PI / 32, n=6)
+        result = decode(run_qpe(config), config)
+        assert result.coverage < 0.98
         assert any("leakage" in w for w in result.warnings)
 
     def test_auto_window_defaults(self):
@@ -275,7 +285,7 @@ class TestFormatBinary:
 
 
 class TestQpeConfig:
-    @pytest.mark.parametrize("n", [0, 17])
+    @pytest.mark.parametrize("n", [0, 17, True])
     def test_counting_width_bounds(self, n):
         with pytest.raises(ConfigurationError):
             QpeConfig(counting_qubits=n)
