@@ -60,13 +60,14 @@ def reconstruct_absA(p_plus: float) -> float:
     return math.sqrt(2.0 * p_plus)
 
 
-def infer_sin_delta(absA: float, cs: AmplitudePair) -> float:
-    """sin(delta) = (|A|^2 - 1) / (2 S C).
+def infer_sin_delta(absA: float, cs: AmplitudePair) -> tuple[float, float]:
+    """(sin(delta), raw) with raw = (|A|^2 - 1) / (2 S C).
 
-    Values within TOL_CLAMP outside [-1, 1] are clamped with a warning
-    (sampling noise); anything further out is an inconsistency error. A
-    2*S*C below SC_MIN (eta near pi/2, where the first segment lands on an
-    eigenvector) makes the inversion uninformative and is an error.
+    sin(delta) is raw, except that a raw value within TOL_CLAMP outside
+    [-1, 1] is clamped with a warning (sampling noise); anything further
+    out is an inconsistency error. A 2*S*C below SC_MIN (eta near pi/2,
+    where the first segment lands on an eigenvector) makes the inversion
+    uninformative and is an error.
     """
     twice_sc = 2.0 * cs.S * cs.C
     if abs(twice_sc) < SC_MIN:
@@ -86,8 +87,8 @@ def infer_sin_delta(absA: float, cs: AmplitudePair) -> float:
             f"sin(delta) = {raw!r} clamped to {clamped}",
             EstimateClampedWarning,
         )
-        return clamped
-    return raw
+        return clamped, raw
+    return raw, raw
 
 
 def capture_warnings(fn, *args):
@@ -175,9 +176,8 @@ def full_pipeline(
 
     cs = reconstruct_CS(decode_v.p_plus, decode_v.p_minus)
     absA_est = reconstruct_absA(decode_h.p_plus)
-    sin_delta_est, clamped = capture_warnings(infer_sin_delta, absA_est, cs)
+    (sin_delta_est, sin_delta_raw), clamped = capture_warnings(infer_sin_delta, absA_est, cs)
     notes += clamped
-    sin_delta_raw = (absA_est * absA_est - 1.0) / (2.0 * cs.S * cs.C)
 
     if branch == "principal":
         delta_est = math.asin(sin_delta_est)

@@ -1,11 +1,17 @@
-"""Phase-estimation circuits for single-qubit axis rotations, plus readout
-decoding.
+"""Phase estimation of single-qubit axis rotations, plus readout decoding.
 
 Register layout: counting qubits 0..n-1 (qubit j carries weight 2^j in the
-measured outcome), target qubit n. A run applies the target preparation,
-a Hadamard on every counting qubit, a controlled rotation by 2^j times the
-auxiliary angle from each counting qubit j, and the inverse Fourier
-transform on the counting register.
+measured outcome), target qubit n. The circuit applies the target
+preparation, a Hadamard on every counting qubit, a controlled rotation by
+2^j times the auxiliary angle from each counting qubit j, and the inverse
+Fourier transform on the counting register.
+
+run_qpe is the spectral engine: with one target and controlled powers of
+one rotation, the readout is the target's two squared eigen-overlaps,
+each spread by the textbook QPE kernel (readout_kernel; Cleve, Ekert,
+Macchiavello & Mosca 1998; Nielsen & Chuang sec. 5.2), so it costs O(2^n)
+and never forms the (n+1)-qubit state. run_circuit is the reference
+engine: it simulates that circuit gate by gate on the full statevector.
 
 Bin map: with R(a)|-> = exp(+i a/2)|->, the estimated phase of the |-axis>
 eigencomponent is a/(4 pi) mod 1, so it lands in bin
@@ -16,13 +22,25 @@ prepared target state with the axis eigenvectors.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from numbers import Integral
 
+import numpy as np
+
 from .errors import ConfigurationError
-from .gates import Axis, RotationSpec, hadamard, rotation_power
+from .gates import Axis, RotationSpec, axis_eigenvectors, hadamard, rotation_power
 from .iqft import build_iqft, apply_iqft
-from .statevector import Histogram, apply_controlled, apply_single, exact_histogram, new_state, sample
+from .statevector import (
+    Histogram,
+    apply_controlled,
+    apply_single,
+    exact_histogram,
+    histogram_from_probabilities,
+    new_state,
+    require_gate,
+    sample,
+    sample_probabilities,
+)
 
 MAX_COUNTING_QUBITS = 16
 
@@ -135,9 +153,66 @@ def expected_bins(config: QpeConfig) -> ExpectedBins:
     return ExpectedBins(m_plus=m_plus, m_minus=m_minus, dyadic_exact=dyadic)
 
 
+def readout_kernel(n: int, angle: float) -> np.ndarray:
+    """Counting-register distribution of the |-axis> eigencomponent of an
+    `angle` rotation, K(m) for m in [0, 2^n).
+
+    Summing the register's geometric series bit by bit gives
+    K(m) = prod_l cos^2(phi_l - pi m / 2^(n-l)) over l = 0..n-1, with
+    phi_l = 2^(l-2) angle reduced into (-pi, pi]; the |+axis> component
+    reads K(-m mod 2^n). Factor l depends only on m mod 2^(n-l), so K is
+    grown from the top bit down, one broadcast product per bit, with
+    about 2 * 2^n cosines.
+    """
+    ramp = np.arange(1 << n, dtype=np.float64)
+    kernel = np.ones(1)
+    for l in range(n - 1, -1, -1):
+        c = math.ldexp(angle, l - 2)
+        span = 1 << (n - l)
+        factor = ramp[:span] * (-math.pi / span)
+        factor += math.atan2(math.sin(c), math.cos(c))
+        np.cos(factor, out=factor)
+        factor *= factor
+        kernel = (factor.reshape(2, -1) * kernel).reshape(-1)
+    return kernel
+
+
+def _target_overlaps(config: QpeConfig) -> tuple[float, float]:
+    """(|<+axis|t>|^2, |<-axis|t>|^2) for the target t = prep applied to |0>."""
+    t0, t1 = 1.0 + 0j, 0j
+    for gate in config.target_prep:
+        (g00, g01), (g10, g11) = require_gate(gate).tolist()
+        t0, t1 = g00 * t0 + g01 * t1, g10 * t0 + g11 * t1
+    bras = (v.conj().tolist() for v in axis_eigenvectors(config.aux.axis))
+    return tuple(abs(b0 * t0 + b1 * t1) ** 2 for b0, b1 in bras)
+
+
 def run_qpe(config: QpeConfig) -> Histogram:
-    """Assemble and run the estimation circuit, returning the counting
-    register readout (exact probabilities or a seeded sample)."""
+    """The counting-register readout (exact probabilities or a seeded
+    sample) of the estimation circuit, computed in O(2^n) from the
+    target's two eigen-overlaps and readout_kernel:
+    P(m) = w_minus K(m) + w_plus K(-m mod 2^n).
+
+    Like run_circuit and decode, it re-checks the config through
+    dataclasses.replace, so a field altered after construction is refused
+    with ConfigurationError as at construction.
+    """
+    config = replace(config)
+    w_plus, w_minus = _target_overlaps(config)
+    kernel = readout_kernel(config.counting_qubits, config.aux.angle)
+    probs = w_minus * kernel
+    # K(-m mod 2^n) is kernel[0] at m = 0 and kernel[2^n - m] after it
+    probs[0] += w_plus * kernel[0]
+    probs[1:] += w_plus * kernel[:0:-1]
+    if config.shots is None:
+        return histogram_from_probabilities(probs)
+    return sample_probabilities(probs, config.shots, config.seed)
+
+
+def run_circuit(config: QpeConfig) -> Histogram:
+    """Reference engine: simulate the estimation circuit gate by gate on
+    the full n+1 qubit register and read out the counting register."""
+    config = replace(config)
     n = config.counting_qubits
     target = n
     state = new_state(n + 1)
@@ -178,6 +253,7 @@ def decode(hist: Histogram, config: QpeConfig) -> DecodeResult:
     windows must not overlap. Coverage below COVERAGE_THRESHOLD is reported
     as a leakage warning, not an error.
     """
+    config = replace(config)
     if hist.num_bits != config.counting_qubits:
         raise ConfigurationError(
             f"histogram has {hist.num_bits} bits but the configuration "

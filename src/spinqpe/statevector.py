@@ -1,4 +1,5 @@
-"""Dense statevector simulation for small qubit registers.
+"""Dense statevector simulation for small qubit registers, and the
+histogram readouts of an outcome distribution.
 
 Indexing convention, fixed package-wide: qubit q is the bit of weight 2**q
 in the amplitude index, so qubit 0 is the least significant bit and the
@@ -13,9 +14,13 @@ values and never mutate their input, so states can be handed between
 threads freely. The numpy kernel is vectorized but sequential-equivalent:
 results are bit-identical to a pair by pair loop.
 
-Sampling uses numpy's default_rng, i.e. the PCG64 generator. The generator
-identity is part of the reproducibility contract: the same
-(state, qubits, shots, seed) always yields the same histogram.
+Readouts start from an outcome probability vector, whichever engine made
+it: histogram_from_probabilities builds the exact histogram and
+sample_probabilities the seeded draw; exact_histogram and sample apply
+them to a state's marginal. Sampling uses numpy's default_rng, i.e. the
+PCG64 generator. The generator identity is part of the reproducibility
+contract: the same (probabilities, shots, seed) always yields the same
+histogram.
 """
 
 from dataclasses import dataclass
@@ -112,7 +117,9 @@ def new_state(num_qubits: int) -> StateVector:
     return StateVector(num_qubits, amps)
 
 
-def _require_gate(gate) -> np.ndarray:
+def require_gate(gate) -> np.ndarray:
+    """`gate` as a complex128 2x2 array; ValueError unless it is finite and
+    unitary within UNITARY_ATOL."""
     gate = np.asarray(gate, dtype=np.complex128)
     if gate.shape != (2, 2):
         raise ValueError(f"gate must be 2x2, got shape {gate.shape}")
@@ -159,14 +166,14 @@ def apply_single(state: StateVector, gate, target: int) -> StateVector:
     Amplitudes are updated pairwise over index pairs differing only in bit
     `target`; the norm is preserved to the gate's unitarity precision.
     """
-    gate = _require_gate(gate)
+    gate = require_gate(gate)
     _check_qubit(state, target)
     return _apply_gate(state, gate, None, target)
 
 
 def apply_controlled(state: StateVector, gate, control: int, target: int) -> StateVector:
     """Apply `gate` to `target` on the subspace where `control` reads 1."""
-    gate = _require_gate(gate)
+    gate = require_gate(gate)
     _check_qubit(state, control, "control")
     _check_qubit(state, target)
     if control == target:
@@ -198,27 +205,36 @@ def probabilities(state: StateVector, qubits) -> np.ndarray:
     return tensor.transpose(order).reshape(-1)
 
 
-def exact_histogram(state: StateVector, qubits) -> Histogram:
-    """Exact-mode histogram of the marginal distribution over `qubits`;
+def histogram_from_probabilities(probs: np.ndarray) -> Histogram:
+    """Exact-mode histogram of a length-2**k outcome distribution;
     probabilities at or below PROBABILITY_FLOOR are left out."""
-    qubits = list(qubits)
-    probs = probabilities(state, qubits)
-    entries = {int(m): float(p) for m, p in enumerate(probs) if p > PROBABILITY_FLOOR}
-    return Histogram(num_bits=len(qubits), entries=entries)
+    kept = np.flatnonzero(probs > PROBABILITY_FLOOR)
+    return Histogram(num_bits=len(probs).bit_length() - 1,
+                     entries=dict(zip(kept.tolist(), probs[kept].tolist())))
 
 
-def sample(state: StateVector, qubits, shots: int, seed: int) -> Histogram:
-    """Draw `shots` outcomes multinomially from probabilities(state, qubits).
+def sample_probabilities(probs: np.ndarray, shots: int, seed: int) -> Histogram:
+    """Draw `shots` outcomes multinomially from a length-2**k distribution.
 
     The draw is a single multinomial from numpy's default_rng (PCG64)
     seeded with `seed`; identical inputs give identical histograms. Kept
     single-threaded so the draw sequence stays deterministic.
     """
-    qubits = list(qubits)
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    probs = probabilities(state, qubits)
     probs = probs / probs.sum()  # remove float drift before drawing
     counts = np.random.default_rng(seed).multinomial(shots, probs)
-    entries = {int(m): int(c) for m, c in enumerate(counts) if c}
-    return Histogram(num_bits=len(qubits), entries=entries, total_shots=shots, seed=seed)
+    drawn = np.flatnonzero(counts)
+    return Histogram(num_bits=len(probs).bit_length() - 1,
+                     entries=dict(zip(drawn.tolist(), counts[drawn].tolist())),
+                     total_shots=shots, seed=seed)
+
+
+def exact_histogram(state: StateVector, qubits) -> Histogram:
+    """histogram_from_probabilities of the marginal over `qubits`."""
+    return histogram_from_probabilities(probabilities(state, qubits))
+
+
+def sample(state: StateVector, qubits, shots: int, seed: int) -> Histogram:
+    """sample_probabilities of the marginal over `qubits`."""
+    return sample_probabilities(probabilities(state, qubits), shots, seed)

@@ -232,7 +232,7 @@ def test_criterion_9_singular_handling(capsys):
 
     cs = sq.AmplitudePair(math.cos(PI / 12), math.sin(PI / 12))  # 2*S*C = 1/2
     with pytest.warns(sq.EstimateClampedWarning):
-        clamped = sq.infer_sin_delta(math.sqrt(1.0 + 0.5 * 1.01), cs)
+        clamped, _ = sq.infer_sin_delta(math.sqrt(1.0 + 0.5 * 1.01), cs)
     clamp_ok = clamped == 1.0
     try:
         sq.infer_sin_delta(math.sqrt(1.0 + 0.5 * 1.05), cs)

@@ -98,12 +98,14 @@ class TestReconstructAbsA:
 class TestInferSinDelta:
     def test_worked_example(self):
         cs = AmplitudePair(math.cos(PI / 12), math.sin(PI / 12))  # S*C = 1/4
-        value = infer_sin_delta(math.sqrt(1.4330), cs)
+        value, raw = infer_sin_delta(math.sqrt(1.4330), cs)
         assert value == pytest.approx(0.8660, abs=1e-12)
+        assert raw == value
 
     def test_unit_modulus_means_zero(self):
         cs = AmplitudePair(math.cos(0.4), math.sin(0.4))
-        assert infer_sin_delta(1.0, cs) == pytest.approx(0.0, abs=1e-15)
+        value, _ = infer_sin_delta(1.0, cs)
+        assert value == pytest.approx(0.0, abs=1e-15)
 
     def test_singular_product(self):
         with pytest.raises(SingularConfigurationError):
@@ -113,8 +115,9 @@ class TestInferSinDelta:
         cs = AmplitudePair(math.cos(PI / 12), math.sin(PI / 12))
         absA = math.sqrt(1.0 + 0.5 * 1.01)  # sin(delta) would be 1.01
         with pytest.warns(EstimateClampedWarning):
-            value = infer_sin_delta(absA, cs)
+            value, raw = infer_sin_delta(absA, cs)
         assert value == 1.0
+        assert raw == pytest.approx(1.01, abs=1e-12)
 
     def test_large_excess_is_an_error(self):
         cs = AmplitudePair(math.cos(PI / 12), math.sin(PI / 12))

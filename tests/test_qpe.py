@@ -20,6 +20,7 @@ from spinqpe import (
     rx,
     ry,
 )
+from spinqpe.qpe import run_circuit
 
 PI = math.pi
 C2 = math.cos(PI / 12) ** 2  # 0.9330127...
@@ -46,6 +47,13 @@ def prep_vector(gates) -> np.ndarray:
     for g in gates:
         v = g @ v
     return v
+
+
+def dense(hist) -> np.ndarray:
+    """An exact-mode histogram as its full probability vector."""
+    probs = np.zeros(1 << hist.num_bits)
+    probs[list(hist.entries)] = list(hist.entries.values())
+    return probs
 
 
 def estimation_distribution(config: QpeConfig) -> np.ndarray:
@@ -195,16 +203,45 @@ class TestRunQpe:
         prep_x=st.floats(-2 * PI, 2 * PI),
         prep_y=st.floats(-2 * PI, 2 * PI),
         aux=st.floats(-4 * PI, 4 * PI, exclude_min=True, exclude_max=True),
-        n=st.integers(1, 8),
+        n=st.integers(1, 10),
     )
     @example(axis=Axis.Y, prep_x=-PI / 3, prep_y=0.0, aux=1.0, n=6)
+    @example(axis=Axis.X, prep_x=0.7, prep_y=-2.1, aux=100.1, n=16)
+    @example(axis=Axis.Y, prep_x=0.7, prep_y=-2.1, aux=1000.3, n=16)
     def test_full_histogram_matches_closed_form(self, axis, prep_x, prep_y, aux, n):
+        """run_qpe agrees per bin with the gate-by-gate circuit and with
+        the closed-form oracle, also at the large auxiliary angles where an
+        FFT of the kickback phases drifts."""
         config = QpeConfig(counting_qubits=n, aux=RotationSpec(axis, aux),
                            target_prep=(rx(prep_x), ry(prep_y)))
-        hist = run_qpe(config)
-        oracle = estimation_distribution(config)
-        for m, p in enumerate(oracle):
-            assert hist.probability(m) == pytest.approx(p, abs=1e-10)
+        probs = dense(run_qpe(config))
+        np.testing.assert_allclose(probs, dense(run_circuit(config)), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(probs, estimation_distribution(config), rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("n", [4, 10])
+    @pytest.mark.parametrize("aux", [PI / 4, 1.0], ids=["dyadic", "leaky"])
+    def test_sampled_readout_equals_circuit_per_seed(self, n, aux):
+        for seed in range(50):
+            config = qpev_config(n=n, aux=aux, shots=10_000, seed=seed)
+            assert run_qpe(config).entries == run_circuit(config).entries
+
+    @pytest.mark.parametrize("engine", [run_qpe, run_circuit])
+    @pytest.mark.parametrize("gate", [2 * rx(0.3), np.full((2, 2), np.nan), np.eye(3)],
+                             ids=["non-unitary", "non-finite", "not-2x2"])
+    def test_bad_prep_gate_refused(self, engine, gate):
+        with pytest.raises(ValueError, match="^gate "):
+            engine(QpeConfig(counting_qubits=3, target_prep=(ry(0.2), gate)))
+
+    @pytest.mark.parametrize("step", [
+        run_qpe,
+        run_circuit,
+        lambda config: decode(run_qpe(qpev_config(n=3, aux=PI)), config),
+    ], ids=["run_qpe", "run_circuit", "decode"])
+    def test_altered_config_rechecked(self, step):
+        config = qpev_config(n=3, aux=PI, shots=5, seed=1)
+        config.shots = 2**64
+        with pytest.raises(ConfigurationError):
+            step(config)
 
 
 class TestDecode:
