@@ -57,7 +57,6 @@ from .precession import (
     wrap_angle,
 )
 from .qpe import (
-    DecodedPeak,
     DecodeResult,
     ExpectedBins,
     QpeConfig,
@@ -87,7 +86,6 @@ __all__ = [
     "BranchWarning",
     "ComplexPair",
     "ConfigurationError",
-    "DecodedPeak",
     "DecodeResult",
     "EstimateClampedWarning",
     "ExpectedBins",

@@ -11,6 +11,7 @@ as one-line JSON objects on stderr.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -71,7 +72,9 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(
         prog="spinqpe",
         description="Phase estimation readout of two-segment spin precession",

@@ -117,14 +117,6 @@ class ExpectedBins:
     dyadic_exact: bool
 
 
-@dataclass(frozen=True)
-class DecodedPeak:
-    outcome: int
-    fraction: float
-    signed_angle: float  # 2 pi fraction, folded into (-pi, pi]
-    probability: float
-
-
 @dataclass
 class DecodeResult:
     m_plus: int
@@ -134,8 +126,6 @@ class DecodeResult:
     p_plus: float
     p_minus: float
     coverage: float
-    peak_plus: DecodedPeak
-    peak_minus: DecodedPeak
     warnings: list = field(default_factory=list)
 
 
@@ -230,21 +220,6 @@ def run_circuit(config: QpeConfig) -> Histogram:
     return sample(state, counting, config.shots, config.seed)
 
 
-def _signed_angle(fraction: float) -> float:
-    turn = 2.0 * math.pi * fraction
-    return turn if fraction <= 0.5 else turn - 2.0 * math.pi
-
-
-def _peak(hist: Histogram, outcome: int, mass: float) -> DecodedPeak:
-    fraction = outcome / (1 << hist.num_bits)
-    return DecodedPeak(
-        outcome=outcome,
-        fraction=fraction,
-        signed_angle=_signed_angle(fraction),
-        probability=mass,
-    )
-
-
 def decode(hist: Histogram, config: QpeConfig) -> DecodeResult:
     """Total mass around the two expected bins.
 
@@ -270,8 +245,9 @@ def decode(hist: Histogram, config: QpeConfig) -> DecodeResult:
             f"overlap (window={window}); the two eigencomponents are not "
             "separable in this configuration"
         )
-    p_plus = hist.mass(window_plus)
-    p_minus = hist.mass(window_minus)
+    # summed in set order: under 8 terms np.sum adds left to right
+    p_plus = float(np.sum(hist.probabilities(list(window_plus))))
+    p_minus = float(np.sum(hist.probabilities(list(window_minus))))
     coverage = p_plus + p_minus
     notes = []
     if coverage < COVERAGE_THRESHOLD:
@@ -287,8 +263,6 @@ def decode(hist: Histogram, config: QpeConfig) -> DecodeResult:
         p_plus=p_plus,
         p_minus=p_minus,
         coverage=coverage,
-        peak_plus=_peak(hist, bins.m_plus, p_plus),
-        peak_minus=_peak(hist, bins.m_minus, p_minus),
         warnings=notes,
     )
 

@@ -11,8 +11,10 @@ import csv
 import io
 import json
 
+import numpy as np
+
 from .extraction import ExtractionResult
-from .qpe import DecodedPeak, DecodeResult, format_binary
+from .qpe import DecodeResult, format_binary
 from .statevector import Histogram
 
 TOOL_VERSION = "0.1.0"
@@ -182,32 +184,39 @@ SWEEP_COLUMNS = [
 
 def histogram_payload(hist: Histogram) -> dict:
     """Histogram entries sorted by outcome, zero bins omitted."""
+    num_bits, sampled = hist.num_bits, hist.is_sampled
+    kept = np.flatnonzero(hist.values > 0)
     entries = []
-    for m in sorted(hist.entries):
-        entry = {
-            "m": m,
-            "bits": format_binary(m, hist.num_bits),
-        }
-        if hist.is_sampled:
-            entry["count"] = hist.entries[m]
-        entry["probability"] = hist.probability(m)
+    for m, value, probability in zip(kept.tolist(), hist.values[kept].tolist(),
+                                     hist.probabilities(kept)):
+        entry = {"m": m, "bits": format_binary(m, num_bits)}
+        if sampled:
+            entry["count"] = value
+        entry["probability"] = probability
         entries.append(entry)
     return {
-        "num_bits": hist.num_bits,
-        "mode": "sampled" if hist.is_sampled else "exact",
+        "num_bits": num_bits,
+        "mode": "sampled" if sampled else "exact",
         "total_shots": hist.total_shots,
         "seed": hist.seed,
         "entries": entries,
     }
 
 
-def _peak_payload(peak: DecodedPeak, num_bits: int) -> dict:
+def _signed_angle(fraction: float) -> float:
+    """2 pi fraction, folded into (-pi, pi]."""
+    turn = 2.0 * np.pi * fraction
+    return turn if fraction <= 0.5 else turn - 2.0 * np.pi
+
+
+def _peak_payload(m: int, probability: float, num_bits: int) -> dict:
+    fraction = m / (1 << num_bits)
     return {
-        "m": peak.outcome,
-        "bits": format_binary(peak.outcome, num_bits),
-        "fraction": peak.fraction,
-        "signed_angle": peak.signed_angle,
-        "probability": peak.probability,
+        "m": m,
+        "bits": format_binary(m, num_bits),
+        "fraction": fraction,
+        "signed_angle": _signed_angle(fraction),
+        "probability": probability,
     }
 
 
@@ -221,8 +230,8 @@ def decode_payload(result: DecodeResult, num_bits: int) -> dict:
         "p_minus": result.p_minus,
         "coverage": result.coverage,
         "peaks": [
-            _peak_payload(result.peak_plus, num_bits),
-            _peak_payload(result.peak_minus, num_bits),
+            _peak_payload(result.m_plus, result.p_plus, num_bits),
+            _peak_payload(result.m_minus, result.p_minus, num_bits),
         ],
     }
 

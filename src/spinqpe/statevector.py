@@ -17,10 +17,11 @@ results are bit-identical to a pair by pair loop.
 Readouts start from an outcome probability vector, whichever engine made
 it: histogram_from_probabilities builds the exact histogram and
 sample_probabilities the seeded draw; exact_histogram and sample apply
-them to a state's marginal. Sampling uses numpy's default_rng, i.e. the
-PCG64 generator. The generator identity is part of the reproducibility
-contract: the same (probabilities, shots, seed) always yields the same
-histogram.
+them to a state's marginal. A Histogram holds one array: that length-2**k
+vector with its dust set to 0, or the drawn counts. Sampling uses numpy's
+default_rng, i.e. the PCG64 generator. The generator identity is part of
+the reproducibility contract: the same (probabilities, shots, seed)
+always yields the same histogram.
 """
 
 from dataclasses import dataclass
@@ -65,47 +66,53 @@ class StateVector:
 
 @dataclass
 class Histogram:
-    """Readout over a measured qubit subset.
+    """Readout over a measured qubit subset, one value per outcome.
 
-    In sampled mode `entries` maps outcome -> count and `total_shots` is
-    the number of draws. In exact mode (total_shots == 0) it maps
-    outcome -> probability. Zero entries are omitted in both modes.
+    `values` has length 2**num_bits. In exact mode (total_shots == 0) it
+    holds the outcome probabilities, with dust at or below
+    PROBABILITY_FLOOR set to 0. In sampled mode it holds the int64 counts
+    of `total_shots` draws made with `seed`.
     """
 
-    num_bits: int
-    entries: dict
+    values: np.ndarray
     total_shots: int = 0
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        size = 1 << self.num_bits
-        for m in self.entries:
-            if not 0 <= m < size:
-                raise ValueError(f"outcome {m} out of range for {self.num_bits} bits")
-        total = sum(self.entries.values())
+        self.values = np.asarray(self.values)
+        size = self.values.size
+        if self.values.ndim != 1 or size == 0 or size & (size - 1):
+            raise ValueError(
+                f"expected one value per outcome of a 2**k register, "
+                f"got shape {self.values.shape}"
+            )
+        total = self.values.sum().item()
         if self.total_shots:
             if total != self.total_shots:
                 raise ValueError(
                     f"counts sum to {total}, expected total_shots={self.total_shots}"
                 )
-        elif abs(total - 1.0) > 1e-10:
+        elif not abs(total - 1.0) <= 1e-10:  # a NaN sum fails as well
             raise ValueError(
                 f"exact-mode probabilities sum to {total!r}, expected 1 within 1e-10"
             )
 
     @property
+    def num_bits(self) -> int:
+        return len(self.values).bit_length() - 1
+
+    @property
     def is_sampled(self) -> bool:
         return self.total_shots > 0
 
-    def probability(self, outcome: int) -> float:
-        value = self.entries.get(outcome, 0)
+    def probabilities(self, outcomes) -> list:
+        """The probability of each listed outcome, as Python floats; a
+        sampled one is count / total_shots, rounded once from the exact
+        integer ratio."""
+        picked = self.values[outcomes].tolist()
         if self.is_sampled:
-            return value / self.total_shots
-        return float(value)
-
-    def mass(self, outcomes) -> float:
-        """Total probability of a collection of distinct outcomes."""
-        return sum(self.probability(m) for m in outcomes)
+            return [count / self.total_shots for count in picked]
+        return picked
 
 
 def new_state(num_qubits: int) -> StateVector:
@@ -207,10 +214,8 @@ def probabilities(state: StateVector, qubits) -> np.ndarray:
 
 def histogram_from_probabilities(probs: np.ndarray) -> Histogram:
     """Exact-mode histogram of a length-2**k outcome distribution;
-    probabilities at or below PROBABILITY_FLOOR are left out."""
-    kept = np.flatnonzero(probs > PROBABILITY_FLOOR)
-    return Histogram(num_bits=len(probs).bit_length() - 1,
-                     entries=dict(zip(kept.tolist(), probs[kept].tolist())))
+    probabilities at or below PROBABILITY_FLOOR become 0."""
+    return Histogram(probs * (probs > PROBABILITY_FLOOR))
 
 
 def sample_probabilities(probs: np.ndarray, shots: int, seed: int) -> Histogram:
@@ -224,10 +229,7 @@ def sample_probabilities(probs: np.ndarray, shots: int, seed: int) -> Histogram:
         raise ValueError(f"shots must be >= 1, got {shots}")
     probs = probs / probs.sum()  # remove float drift before drawing
     counts = np.random.default_rng(seed).multinomial(shots, probs)
-    drawn = np.flatnonzero(counts)
-    return Histogram(num_bits=len(probs).bit_length() - 1,
-                     entries=dict(zip(drawn.tolist(), counts[drawn].tolist())),
-                     total_shots=shots, seed=seed)
+    return Histogram(counts, total_shots=shots, seed=seed)
 
 
 def exact_histogram(state: StateVector, qubits) -> Histogram:

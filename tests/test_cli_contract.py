@@ -102,6 +102,23 @@ def test_largest_shot_count_is_sampled():
     record = record_of(["qpev", "--eta", "pi/3", "--n", "4",
                         "--shots", "9223372036854775807", "--seed", "0"])
     assert record["histograms"]["qpev"]["total_shots"] == 2**63 - 1
+    # probabilities are count / shots rounded once from the integer ratio;
+    # bin 60, inside the m_plus window, is one where dividing the two
+    # float64-rounded operands gives a different last bit
+    shots = 2**63 - 1
+    record = record_of(["qpev", "--eta", "pi/3", "--n", "6", "--aux", "1.0",
+                        "--allow-leakage", "--shots", str(shots), "--seed", "0"])
+    entries = record["histograms"]["qpev"]["entries"]
+    for entry in entries:
+        assert entry["probability"] == entry["count"] / shots
+    ratio = {entry["m"]: entry["count"] / shots for entry in entries}
+    decoded = record["decoded"]["qpev"]
+    window = {(decoded["m_plus"] + d) % 64 for d in range(-2, 3)}
+    assert 60 in window
+    total = 0  # added left to right in set order, as decode adds them
+    for m in window:
+        total += ratio.get(m, 0.0)
+    assert decoded["p_plus"] == total
 
 
 def test_exact_mode_ignores_seed():

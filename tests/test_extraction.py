@@ -242,8 +242,8 @@ class TestFullPipeline:
             horizontal_config(shots=5000, seed=12),
         )
         assert a.theta_est == b.theta_est
-        assert a.hist_v.entries == b.hist_v.entries
-        assert a.hist_h.entries == b.hist_h.entries
+        assert np.array_equal(a.hist_v.values, b.hist_v.values)
+        assert np.array_equal(a.hist_h.values, b.hist_h.values)
         assert a.warnings == b.warnings
 
     def test_analytic_reference_uses_overlap_argument(self):

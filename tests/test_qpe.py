@@ -21,6 +21,7 @@ from spinqpe import (
     ry,
 )
 from spinqpe.qpe import run_circuit
+from spinqpe.records import decode_payload
 
 PI = math.pi
 C2 = math.cos(PI / 12) ** 2  # 0.9330127...
@@ -47,13 +48,6 @@ def prep_vector(gates) -> np.ndarray:
     for g in gates:
         v = g @ v
     return v
-
-
-def dense(hist) -> np.ndarray:
-    """An exact-mode histogram as its full probability vector."""
-    probs = np.zeros(1 << hist.num_bits)
-    probs[list(hist.entries)] = list(hist.entries.values())
-    return probs
 
 
 def estimation_distribution(config: QpeConfig) -> np.ndarray:
@@ -104,22 +98,22 @@ class TestExpectedBins:
 class TestRunQpe:
     def test_vertical_exact_two_bins(self):
         hist = run_qpe(qpev_config())
-        assert hist.probability(960) == pytest.approx(C2, abs=1e-10)
-        assert hist.probability(64) == pytest.approx(S2, abs=1e-10)
-        stray = sum(p for m, p in hist.entries.items() if m not in (960, 64))
-        assert stray <= 1e-12
+        assert hist.values[960] == pytest.approx(C2, abs=1e-10)
+        assert hist.values[64] == pytest.approx(S2, abs=1e-10)
+        assert np.delete(hist.values, [960, 64]).sum() <= 1e-12
 
     def test_horizontal_exact_two_bins(self):
         hist = run_qpe(qpeh_config())
-        assert hist.probability(960) == pytest.approx(HALF_A2, abs=1e-10)
-        assert hist.probability(64) == pytest.approx(HALF_B2, abs=1e-10)
+        assert hist.values[960] == pytest.approx(HALF_A2, abs=1e-10)
+        assert hist.values[64] == pytest.approx(HALF_B2, abs=1e-10)
 
     def test_vertical_sampled_within_three_sigma(self):
         shots = 10000
         hist = run_qpe(qpev_config(shots=shots, seed=7))
         sigma = math.sqrt(C2 * (1 - C2) / shots)
-        assert abs(hist.probability(960) - C2) <= 3 * sigma
-        assert abs(hist.probability(64) - S2) <= 3 * sigma
+        p960, p64 = hist.probabilities([960, 64])
+        assert abs(p960 - C2) <= 3 * sigma
+        assert abs(p64 - S2) <= 3 * sigma
         # frequencies reported by other seeded runs sit inside the same band
         assert abs(0.9319 - C2) <= 3 * sigma
         assert abs(0.0681 - S2) <= 3 * sigma
@@ -128,7 +122,7 @@ class TestRunQpe:
         shots = 10000
         hist = run_qpe(qpeh_config(shots=shots, seed=7))
         sigma = math.sqrt(HALF_A2 * (1 - HALF_A2) / shots)
-        assert abs(hist.probability(960) - HALF_A2) <= 3 * sigma
+        assert abs(hist.probabilities([960])[0] - HALF_A2) <= 3 * sigma
         assert abs(0.7146 - HALF_A2) <= 3 * sigma
         assert abs(0.2854 - HALF_B2) <= 3 * sigma
 
@@ -141,9 +135,7 @@ class TestRunQpe:
                                target_prep=prep)
             hist = run_qpe(config)
             bins = expected_bins(config)
-            stray = sum(p for m, p in hist.entries.items()
-                        if m not in (bins.m_plus, bins.m_minus))
-            assert stray <= 1e-12
+            assert np.delete(hist.values, [bins.m_plus, bins.m_minus]).sum() <= 1e-12
 
     def test_decoded_masses_equal_eigenbasis_overlaps(self):
         rng = np.random.default_rng(37)
@@ -171,7 +163,7 @@ class TestRunQpe:
         for shots, seed in ((10 ** 3, 5), (10 ** 4, 6), (10 ** 5, 7)):
             hist = run_qpe(qpev_config(shots=shots, seed=seed))
             sigma = math.sqrt(C2 * (1 - C2) / shots)
-            assert abs(hist.probability(960) - C2) <= 5 * sigma
+            assert abs(hist.probabilities([960])[0] - C2) <= 5 * sigma
 
     def test_global_phase_transparency(self):
         base = run_qpe(qpev_config())
@@ -180,9 +172,7 @@ class TestRunQpe:
             aux=RotationSpec(Axis.Y, PI / 4),
             target_prep=(np.exp(0.7j) * rx(-PI / 3),),
         ))
-        for m in set(base.entries) | set(phased.entries):
-            assert phased.probability(m) == pytest.approx(
-                base.probability(m), abs=1e-12)
+        np.testing.assert_allclose(phased.values, base.values, rtol=0, atol=1e-12)
 
     def test_eigencomponent_phase_transparency(self):
         # an extra rotation about the auxiliary axis only multiplies the
@@ -193,9 +183,7 @@ class TestRunQpe:
             aux=RotationSpec(Axis.X, PI / 4),
             target_prep=(rx(-PI / 3), ry(PI / 3), rx(0.913)),
         ))
-        for m in set(base.entries) | set(dressed.entries):
-            assert dressed.probability(m) == pytest.approx(
-                base.probability(m), abs=1e-12)
+        np.testing.assert_allclose(dressed.values, base.values, rtol=0, atol=1e-12)
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(
@@ -214,8 +202,8 @@ class TestRunQpe:
         FFT of the kickback phases drifts."""
         config = QpeConfig(counting_qubits=n, aux=RotationSpec(axis, aux),
                            target_prep=(rx(prep_x), ry(prep_y)))
-        probs = dense(run_qpe(config))
-        np.testing.assert_allclose(probs, dense(run_circuit(config)), rtol=0, atol=1e-12)
+        probs = run_qpe(config).values
+        np.testing.assert_allclose(probs, run_circuit(config).values, rtol=0, atol=1e-12)
         np.testing.assert_allclose(probs, estimation_distribution(config), rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("n", [4, 10])
@@ -223,7 +211,7 @@ class TestRunQpe:
     def test_sampled_readout_equals_circuit_per_seed(self, n, aux):
         for seed in range(50):
             config = qpev_config(n=n, aux=aux, shots=10_000, seed=seed)
-            assert run_qpe(config).entries == run_circuit(config).entries
+            assert np.array_equal(run_qpe(config).values, run_circuit(config).values)
 
     @pytest.mark.parametrize("engine", [run_qpe, run_circuit])
     @pytest.mark.parametrize("gate", [2 * rx(0.3), np.full((2, 2), np.nan), np.eye(3)],
@@ -257,11 +245,25 @@ class TestDecode:
     def test_peaks_carry_table_notation(self):
         config = qpev_config()
         result = decode(run_qpe(config), config)
-        assert result.peak_plus.outcome == 960
-        assert result.peak_plus.fraction == 15 / 16
-        assert result.peak_plus.signed_angle == pytest.approx(-PI / 8, abs=1e-12)
-        assert result.peak_minus.signed_angle == pytest.approx(+PI / 8, abs=1e-12)
-        assert -PI < result.peak_plus.signed_angle <= PI
+        peak_plus, peak_minus = decode_payload(result, 10)["peaks"]
+        assert peak_plus["m"] == 960
+        assert peak_plus["bits"] == "0.1111000000"
+        assert peak_plus["fraction"] == 15 / 16
+        assert peak_plus["probability"] == result.p_plus
+        assert peak_plus["signed_angle"] == pytest.approx(-PI / 8, abs=1e-12)
+        assert peak_minus["signed_angle"] == pytest.approx(+PI / 8, abs=1e-12)
+        assert peak_minus["probability"] == result.p_minus
+        assert -PI < peak_plus["signed_angle"] <= PI
+
+    def test_window_sums_keep_set_order(self):
+        # both windows straddle a multiple of 32 (bins 32 and 992), where a
+        # set iterates out of ascending order; summing in ascending order
+        # changes the last bit of each mass
+        config = qpev_config(eta=0.5, aux=0.392, n=10)
+        result = decode(run_qpe(config), config)
+        assert (result.m_plus, result.m_minus, result.window) == (992, 32, 2)
+        assert result.p_plus == 0.7378370152070765
+        assert result.p_minus == 0.25962977903025597
 
     def test_degenerate_bins_rejected(self):
         config = qpev_config(aux=0.0)
@@ -361,4 +363,4 @@ class TestQpeConfig:
 
     def test_sampling_determinism(self):
         config = qpev_config(shots=2000, seed=99)
-        assert run_qpe(config).entries == run_qpe(config).entries
+        assert np.array_equal(run_qpe(config).values, run_qpe(config).values)

@@ -23,6 +23,7 @@ from spinqpe import (
     ry,
     sample,
 )
+from spinqpe.statevector import histogram_from_probabilities
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -222,7 +223,7 @@ class TestProbabilities:
 class TestSample:
     def test_deterministic_state(self):
         hist = sample(new_state(1), [0], 100, seed=42)
-        assert hist.entries == {0: 100}
+        assert np.array_equal(hist.values, [100, 0])
         assert hist.total_shots == 100
         assert hist.seed == 42
 
@@ -230,13 +231,13 @@ class TestSample:
         s = apply_single(new_state(1), rx(-math.pi / 3), 0)
         a = sample(s, [0], 5000, seed=9)
         b = sample(s, [0], 5000, seed=9)
-        assert a.entries == b.entries
+        assert np.array_equal(a.values, b.values)
 
     def test_different_seed_differs(self):
         s = apply_single(new_state(1), rx(-math.pi / 3), 0)
         a = sample(s, [0], 5000, seed=9)
         b = sample(s, [0], 5000, seed=10)
-        assert a.entries != b.entries
+        assert not np.array_equal(a.values, b.values)
 
     def test_counts_within_three_sigma_of_skewed_split(self):
         # a state carrying the 0.933/0.067 split on one qubit
@@ -245,8 +246,8 @@ class TestSample:
         shots = 10000
         hist = sample(s, [0], shots, seed=12345)
         sigma = math.sqrt(p0 * (1 - p0) * shots)
-        assert abs(hist.entries[0] - p0 * shots) <= 3 * sigma
-        assert abs(hist.entries[1] - (1 - p0) * shots) <= 3 * sigma
+        assert abs(hist.values[0] - p0 * shots) <= 3 * sigma
+        assert abs(hist.values[1] - (1 - p0) * shots) <= 3 * sigma
 
     def test_large_shot_convergence_five_sigma(self):
         rng = np.random.default_rng(77)
@@ -254,9 +255,9 @@ class TestSample:
         p = probabilities(s, [1, 0])
         shots = 10 ** 6
         hist = sample(s, [1, 0], shots, seed=2024)
-        for m, pm in enumerate(p):
+        for pm, freq in zip(p, hist.probabilities([0, 1, 2, 3])):
             sigma = math.sqrt(pm * (1 - pm) / shots)
-            assert abs(hist.probability(m) - pm) <= 5 * sigma
+            assert abs(freq - pm) <= 5 * sigma
 
     def test_shots_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -266,27 +267,40 @@ class TestSample:
 class TestHistogram:
     def test_sampled_counts_must_match_shots(self):
         with pytest.raises(ValueError):
-            Histogram(num_bits=1, entries={0: 3}, total_shots=4)
+            Histogram(np.array([3, 0]), total_shots=4)
 
     def test_exact_probabilities_must_sum_to_one(self):
         with pytest.raises(ValueError):
-            Histogram(num_bits=1, entries={0: 0.7})
+            Histogram(np.array([0.7, 0.0]))
 
     def test_outcome_range_checked(self):
-        with pytest.raises(ValueError):
-            Histogram(num_bits=1, entries={2: 1.0})
+        # one value per outcome of a 2**k register: a length check
+        for values in ([], [0.5, 0.25, 0.25], [[1.0, 0.0]]):
+            with pytest.raises(ValueError):
+                Histogram(np.array(values))
+
+    def test_num_bits_follows_length(self):
+        assert Histogram(np.array([0.0, 0.0, 0.0, 1.0])).num_bits == 2
 
     def test_probability_lookup(self):
-        hist = Histogram(num_bits=2, entries={1: 25, 3: 75}, total_shots=100, seed=0)
-        assert hist.probability(1) == 0.25
-        assert hist.probability(0) == 0.0
-        assert hist.mass({1, 3}) == 1.0
+        hist = Histogram(np.array([0, 25, 0, 75]), total_shots=100, seed=0)
+        assert hist.probabilities([1, 0]) == [0.25, 0.0]
+        assert sum(hist.probabilities([1, 3])) == 1.0
+
+    def test_sampled_probability_is_exact_integer_ratio(self):
+        # float64(count) / float64(shots) rounds the first ratio differently
+        shots = 2**63 - 1
+        counts = np.array([2**62 + 10752, shots - (2**62 + 10752)])
+        hist = Histogram(counts, total_shots=shots, seed=0)
+        assert hist.probabilities([0, 1]) == [int(c) / shots for c in counts]
 
     def test_exact_histogram_drops_dust(self):
         s = apply_single(new_state(2), hadamard(), 0)
         hist = exact_histogram(s, [1, 0])
-        assert set(hist.entries) == {0, 1}
+        assert np.flatnonzero(hist.values).tolist() == [0, 1]
         assert not hist.is_sampled
+        dusty = histogram_from_probabilities(np.array([1.0 - 1e-16, 1e-16]))
+        assert dusty.values.tolist() == [1.0 - 1e-16, 0.0]
 
 
 class TestInvariants:
