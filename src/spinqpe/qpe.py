@@ -220,6 +220,17 @@ def run_circuit(config: QpeConfig) -> Histogram:
     return sample(state, counting, config.shots, config.seed)
 
 
+def _window_mass(hist: Histogram, window: set) -> float:
+    """The window's probabilities added left to right in set iteration
+    order. Records pin the decoded masses to the last bit, and adding in
+    ascending order, or compensated as `math.fsum` and the float `sum()`
+    of Python 3.12+ do, can change it."""
+    total = 0.0
+    for probability in hist.probabilities(list(window)):
+        total += probability
+    return total
+
+
 def decode(hist: Histogram, config: QpeConfig) -> DecodeResult:
     """Total mass around the two expected bins.
 
@@ -245,9 +256,8 @@ def decode(hist: Histogram, config: QpeConfig) -> DecodeResult:
             f"overlap (window={window}); the two eigencomponents are not "
             "separable in this configuration"
         )
-    # summed in set order: under 8 terms np.sum adds left to right
-    p_plus = float(np.sum(hist.probabilities(list(window_plus))))
-    p_minus = float(np.sum(hist.probabilities(list(window_minus))))
+    p_plus = _window_mass(hist, window_plus)
+    p_minus = _window_mass(hist, window_minus)
     coverage = p_plus + p_minus
     notes = []
     if coverage < COVERAGE_THRESHOLD:

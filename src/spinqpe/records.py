@@ -183,23 +183,15 @@ SWEEP_COLUMNS = [
 
 
 def histogram_payload(hist: Histogram) -> dict:
-    """Histogram entries sorted by outcome, zero bins omitted."""
-    num_bits, sampled = hist.num_bits, hist.is_sampled
-    kept = np.flatnonzero(hist.values > 0)
-    entries = []
-    for m, value, probability in zip(kept.tolist(), hist.values[kept].tolist(),
-                                     hist.probabilities(kept)):
-        entry = {"m": m, "bits": format_binary(m, num_bits)}
-        if sampled:
-            entry["count"] = value
-        entry["probability"] = probability
-        entries.append(entry)
+    """The histogram section of a record. Its `entries` value is the
+    Histogram itself; `to_json` writes it as the nonzero bins sorted by
+    outcome."""
     return {
-        "num_bits": num_bits,
-        "mode": "sampled" if sampled else "exact",
+        "num_bits": hist.num_bits,
+        "mode": "sampled" if hist.is_sampled else "exact",
         "total_shots": hist.total_shots,
         "seed": hist.seed,
-        "entries": entries,
+        "entries": hist,
     }
 
 
@@ -275,8 +267,56 @@ def extraction_payloads(result: ExtractionResult) -> tuple[dict, dict]:
     return histograms, decoded
 
 
+#: where `json.dumps(indent=2)` writes an empty `histograms.<run>.entries`;
+#: no JSON string holds a raw newline, so only that key can match
+_ENTRIES_SLOT = '\n      "entries": []'
+
+#: one bin of `histograms.<run>.entries` at the indent `json.dumps(indent=2)`
+#: gives it; bits are `format_binary(m, num_bits)`, and %r is float.__repr__,
+#: which is what json writes for a float
+_EXACT_ENTRY = (
+    '        {\n          "m": %d,\n          "bits": "0.%s",\n'
+    '          "probability": %r\n        }'
+)
+_SAMPLED_ENTRY = (
+    '        {\n          "m": %d,\n          "bits": "0.%s",\n'
+    '          "count": %d,\n          "probability": %r\n        }'
+)
+
+
+def _entries_json(hist: Histogram) -> str:
+    """`_ENTRIES_SLOT` filled with the nonzero bins of `hist`, sorted by
+    outcome, written as `json.dumps(indent=2)` writes a list of bin dicts."""
+    kept = np.flatnonzero(hist.values > 0)
+    outcomes = kept.tolist()
+    spec = f"0{hist.num_bits}b"
+    probabilities = hist.probabilities(kept)
+    if hist.is_sampled:
+        entries = [_SAMPLED_ENTRY % (m, format(m, spec), count, p) for m, count, p
+                   in zip(outcomes, hist.values[kept].tolist(), probabilities)]
+    else:
+        entries = [_EXACT_ENTRY % (m, format(m, spec), p)
+                   for m, p in zip(outcomes, probabilities)]
+    return '\n      "entries": [\n' + ",\n".join(entries) + "\n      ]"
+
+
 def to_json(record: dict) -> str:
-    return json.dumps(record, indent=2) + "\n"
+    """The record as `json.dumps(record, indent=2)` plus a newline, with
+    each histogram's entries written straight from its outcome array."""
+    sections = record["histograms"]
+    hists = [section["entries"] for section in sections.values() if section is not None]
+    shell = {**record, "histograms": {
+        run: None if section is None else {**section, "entries": []}
+        for run, section in sections.items()
+    }}
+    pieces = json.dumps(shell, indent=2).split(_ENTRIES_SLOT)
+    if len(pieces) != len(hists) + 1:
+        raise ValueError(
+            f"found {len(pieces) - 1} histogram entry slots for {len(hists)} histograms"
+        )
+    return pieces[0] + "".join(
+        _entries_json(hist) + piece for hist, piece in zip(hists, pieces[1:])
+    ) + "\n"
 
 
 def _flatten(record: dict) -> dict:
