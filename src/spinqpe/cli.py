@@ -186,13 +186,6 @@ def _analytic_section(eta: float, delta: float | None = None,
     }
 
 
-def _pipeline(run: QpeConfig, eta: float, delta: float, aux_v: float, aux_h: float,
-              branch: str = "principal"):
-    return full_pipeline(PathParams(eta, delta),
-                         replace(run, aux=RotationSpec(Axis.Y, aux_v)),
-                         replace(run, aux=RotationSpec(Axis.X, aux_h)), branch=branch)
-
-
 def _write(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -250,7 +243,7 @@ def cmd_pipeline(args) -> int:
     aux_v = parse_angle(args.aux_v)
     aux_h = parse_angle(args.aux_h)
     run = QpeConfig(counting_qubits=args.n, shots=args.shots, seed=args.seed)
-    result = _pipeline(run, eta, delta, aux_v, aux_h, args.branch)
+    result = full_pipeline(PathParams(eta, delta), run, aux_v, aux_h, args.branch)
     histograms, decoded = extraction_payloads(result)
     return _emit(
         args,
@@ -306,7 +299,7 @@ def cmd_sweep(args) -> int:
     rows = []
     for eta in _grid(eta_lo, eta_hi, args.steps):
         for delta in _grid(delta_lo, delta_hi, args.steps):
-            result = _pipeline(run, eta, delta, aux, aux)
+            result = full_pipeline(PathParams(eta, delta), run, aux, aux)
             analytic = _analytic_section(eta, delta, result.phase_analytic)
             rows.append({
                 "eta": eta,

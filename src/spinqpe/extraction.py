@@ -24,7 +24,7 @@ from .errors import (
     SingularConfigurationError,
     UndefinedPhaseError,
 )
-from .gates import Axis, rx, ry
+from .gates import Axis, RotationSpec, rx, ry
 from .precession import AmplitudePair, PathParams, TotalPhase, total_phase, wrap_angle
 from .qpe import DecodeResult, QpeConfig, decode, run_qpe
 from .statevector import Histogram
@@ -134,30 +134,27 @@ class ExtractionResult:
 
 def full_pipeline(
     params: PathParams,
-    qpev_config: QpeConfig,
-    qpeh_config: QpeConfig,
+    run: QpeConfig,
+    aux_v: float,
+    aux_h: float,
     branch: str = "principal",
 ) -> ExtractionResult:
     """Run both estimation circuits and reconstruct delta and theta.
 
-    The target preparations are derived from `params` (rx(-eta) for the
-    vertical run, then ry(delta) appended for the horizontal run); the
-    configs supply register width, auxiliary angles, shots and seeds (no
-    shots means exact probabilities), already checked by QpeConfig. The
-    vertical config must rotate about Y and the horizontal one about X.
-    Both readouts are decoded with decode's window and coverage threshold;
-    the warnings of decoding, clamping and the closed form are collected
-    into the result's `warnings`.
+    `run` supplies the register width, shots and seed of both runs (no
+    shots means exact probabilities). The vertical run rotates the
+    auxiliary about Y by aux_v on the target rx(-eta)|0>, the horizontal
+    run about X by aux_h on ry(delta) rx(-eta)|0>; both configs are
+    checked by QpeConfig. Both readouts are decoded with decode's window
+    and coverage threshold; the warnings of decoding, clamping and the
+    closed form are collected into the result's `warnings`.
     """
     if branch not in BRANCHES:
         raise ConfigurationError(f"branch must be one of {BRANCHES}, got {branch!r}")
-    if qpev_config.aux.axis is not Axis.Y:
-        raise ConfigurationError("the vertical run must use a Y-axis auxiliary rotation")
-    if qpeh_config.aux.axis is not Axis.X:
-        raise ConfigurationError("the horizontal run must use an X-axis auxiliary rotation")
 
-    config_v = replace(qpev_config, target_prep=(rx(-params.eta),))
-    config_h = replace(qpeh_config, target_prep=(rx(-params.eta), ry(params.delta)))
+    config_v = replace(run, aux=RotationSpec(Axis.Y, aux_v), target_prep=(rx(-params.eta),))
+    config_h = replace(run, aux=RotationSpec(Axis.X, aux_h),
+                       target_prep=(rx(-params.eta), ry(params.delta)))
 
     hist_v = run_qpe(config_v)
     hist_h = run_qpe(config_h)

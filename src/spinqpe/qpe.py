@@ -22,7 +22,7 @@ prepared target state with the axis eigenvectors.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from numbers import Integral
 
 import numpy as np
@@ -61,7 +61,7 @@ def _is_int(value) -> bool:
     return isinstance(value, Integral) and not isinstance(value, bool)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class QpeConfig:
     """One phase-estimation run.
 
@@ -71,7 +71,8 @@ class QpeConfig:
     [1, MAX_SHOTS] and an integral seed >= 0, so it is reproducible; an
     exact run drops its seed (seed becomes None). A bool counts as no
     integer. Every setting is checked here, at construction, and a bad one
-    raises ConfigurationError.
+    raises ConfigurationError. The config is frozen: dataclasses.replace
+    builds a changed copy, checked the same way.
     """
 
     counting_qubits: int = 10
@@ -94,7 +95,7 @@ class QpeConfig:
                 f"auxiliary angle {self.aux.angle!r} overflows its controlled powers"
             )
         if self.shots is None:
-            self.seed = None
+            object.__setattr__(self, "seed", None)
         elif not (_is_int(self.shots) and 1 <= self.shots <= MAX_SHOTS):
             raise ConfigurationError(
                 f"sampled mode needs integral shots in [1, {MAX_SHOTS}], got {self.shots!r}"
@@ -103,7 +104,7 @@ class QpeConfig:
             raise ConfigurationError(
                 f"sampled mode needs an integral seed >= 0, got {self.seed!r}"
             )
-        self.target_prep = tuple(self.target_prep)
+        object.__setattr__(self, "target_prep", tuple(self.target_prep))
 
     @property
     def mode(self) -> str:
@@ -135,8 +136,13 @@ def expected_bins(config: QpeConfig) -> ExpectedBins:
     Also reports whether 2^n * a / (4 pi) is an integer ("dyadic-exact"),
     i.e. whether the run is free of spectral leakage.
     """
-    size = 1 << config.counting_qubits
-    x = size * config.aux.angle / (4.0 * math.pi)
+    n, a = config.counting_qubits, config.aux.angle
+    size = 1 << n
+    x = size * a / (4.0 * math.pi)
+    if math.ulp(x) > _DYADIC_ATOL:
+        # x has lost the fraction that places the bin; reduce a/2 exactly,
+        # as readout_kernel reduces its phases
+        x = math.ldexp(math.atan2(math.sin(a / 2), math.cos(a / 2)) / math.pi, n - 1)
     m_minus = round(x) % size
     m_plus = (size - m_minus) % size
     dyadic = math.isclose(x, round(x), rel_tol=0.0, abs_tol=_DYADIC_ATOL)
@@ -182,12 +188,7 @@ def run_qpe(config: QpeConfig) -> Histogram:
     sample) of the estimation circuit, computed in O(2^n) from the
     target's two eigen-overlaps and readout_kernel:
     P(m) = w_minus K(m) + w_plus K(-m mod 2^n).
-
-    Like run_circuit and decode, it re-checks the config through
-    dataclasses.replace, so a field altered after construction is refused
-    with ConfigurationError as at construction.
     """
-    config = replace(config)
     w_plus, w_minus = _target_overlaps(config)
     kernel = readout_kernel(config.counting_qubits, config.aux.angle)
     probs = w_minus * kernel
@@ -202,7 +203,6 @@ def run_qpe(config: QpeConfig) -> Histogram:
 def run_circuit(config: QpeConfig) -> Histogram:
     """Reference engine: simulate the estimation circuit gate by gate on
     the full n+1 qubit register and read out the counting register."""
-    config = replace(config)
     n = config.counting_qubits
     target = n
     state = new_state(n + 1)
@@ -239,7 +239,6 @@ def decode(hist: Histogram, config: QpeConfig) -> DecodeResult:
     windows must not overlap. Coverage below COVERAGE_THRESHOLD is reported
     as a leakage warning, not an error.
     """
-    config = replace(config)
     if hist.num_bits != config.counting_qubits:
         raise ConfigurationError(
             f"histogram has {hist.num_bits} bits but the configuration "

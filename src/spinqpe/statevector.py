@@ -86,8 +86,14 @@ class Histogram:
                 f"expected one value per outcome of a 2**k register, "
                 f"got shape {self.values.shape}"
             )
+        if self.values.min() < 0:
+            raise ValueError("a histogram value is negative")
         total = self.values.sum().item()
         if self.total_shots:
+            if not np.issubdtype(self.values.dtype, np.integer):
+                raise ValueError(
+                    f"sampled counts must be integers, got dtype {self.values.dtype}"
+                )
             if total != self.total_shots:
                 raise ValueError(
                     f"counts sum to {total}, expected total_shots={self.total_shots}"

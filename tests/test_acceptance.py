@@ -105,8 +105,7 @@ def test_criterion_3_qpeh_exact_and_sampled(capsys):
 
 
 def test_criterion_4_end_to_end_theta():
-    result = sq.full_pipeline(sq.PathParams(PI / 3, PI / 3),
-                              vertical_config(), horizontal_config())
+    result = sq.full_pipeline(sq.PathParams(PI / 3, PI / 3), sq.QpeConfig(), PI / 4, PI / 4)
     # independent oracle: (A+B)/2 evaluated directly as a complex number
     overlap = complex(0.75, -0.25)
     theta_oracle = math.atan2(overlap.imag, overlap.real)
@@ -141,7 +140,7 @@ def test_criterion_5_grid_property_suite(capsys, tmp_path):
             ab = sq.amplitudes_AB(params)
             worst_eq13 = max(worst_eq13, abs(
                 abs(ab.A) ** 2 - (1 + 2 * cs.S * cs.C * math.sin(params.delta))))
-            result = sq.full_pipeline(params, vertical_config(), horizontal_config())
+            result = sq.full_pipeline(params, sq.QpeConfig(), PI / 4, PI / 4)
             worst_eq17 = max(worst_eq17, abs(
                 result.sin_delta_est - math.sin(params.delta)))
     elapsed = time.perf_counter() - start

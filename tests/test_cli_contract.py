@@ -9,7 +9,7 @@ import json
 
 import jsonschema
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spinqpe import RUN_RECORD_SCHEMA, ConfigurationError, QpeConfig
@@ -58,6 +58,8 @@ def record_of(argv: list) -> dict:
     (["qpev", "--eta", "pi/3", "--shots", "10", "--seed", "-1"], 3),
     (["qpev", "--eta", "pi/3", "--shots", "9223372036854775808"], 3),
     (["qpev", "--eta", "pi/3", "--aux", "1e305", "--n", "16", "--allow-leakage"], 3),
+    # 2^n aux / (4 pi) has no fraction left in a float; the readout still leaks
+    (["qpev", "--eta", "pi/3", "--aux", "3.3e15", "--n", "6"], 3),
 ])
 def test_boundary_inputs_exit_with_contract_code(argv, code):
     got, out, err = invoke(argv)
@@ -150,6 +152,42 @@ def test_cli_sampling_follows_qpe_config(shots, seed):
     assert code == 0, err
     echo = strict_json(out)["config"]
     assert (echo["shots"], echo["seed"], echo["mode"]) == (config.shots, config.seed, config.mode)
+
+
+_SEGMENT = st.floats(-1.3, 1.3).map(repr)
+# near 0 both readout bins are bin 0 and every pipeline is refused
+_AUX = st.builds("{}{}".format, st.sampled_from(["", "-"]), st.one_of(
+    st.builds("{}pi/{}".format, st.integers(1, 40), st.sampled_from([1, 2, 4, 8, 16, 32, 64])),
+    st.floats(1.0, 20.0).map(repr),
+))
+_MODE = st.one_of(
+    st.just([]),
+    st.builds(lambda shots, seed: [f"--shots={shots}", f"--seed={seed}"],
+              st.integers(1, 10**5), st.integers(0, 2**32)),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(eta=_SEGMENT, delta=_SEGMENT, aux_v=_AUX, aux_h=_AUX, n=st.integers(2, 8),
+       mode=_MODE)
+@example(eta="1.0", delta="0.5", aux_v="pi/4", aux_h="1.0", n=6, mode=[])
+def test_pipeline_runs_what_qpev_and_qpeh_run(eta, delta, aux_v, aux_h, n, mode):
+    """`pipeline` and the two single-run commands build the same runs: its
+    readouts equal those of `qpev` and `qpeh` given the same settings."""
+    run = [f"--n={n}", *mode]
+    code, out, _ = invoke(["pipeline", f"--eta={eta}", f"--delta={delta}",
+                           f"--aux-v={aux_v}", f"--aux-h={aux_h}", *run])
+    assume(code == 0)
+    pipeline = strict_json(out)
+    for name, argv in (
+        ("qpev", ["qpev", f"--eta={eta}", f"--aux={aux_v}"]),
+        ("qpeh", ["qpeh", f"--eta={eta}", f"--delta={delta}", f"--aux={aux_h}"]),
+    ):
+        code, out, err = invoke([*argv, "--allow-leakage", *run])
+        assert code == 0, err
+        record = strict_json(out)
+        assert pipeline["histograms"][name] == record["histograms"][name]
+        assert pipeline["decoded"][name] == record["decoded"][name]
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,13 +6,11 @@ import pytest
 
 from spinqpe import (
     AmplitudePair,
-    Axis,
     ConfigurationError,
     EstimateClampedWarning,
     InconsistentAmplitudesError,
     PathParams,
     QpeConfig,
-    RotationSpec,
     SingularConfigurationError,
     UndefinedPhaseError,
     amplitudes_CS,
@@ -28,17 +26,8 @@ PI = math.pi
 THETA_PI_THIRD = math.atan(-1 / 3)
 
 
-def vertical_config(**kw):
-    return QpeConfig(aux=RotationSpec(Axis.Y, PI / 4), **kw)
-
-
-def horizontal_config(**kw):
-    return QpeConfig(aux=RotationSpec(Axis.X, PI / 4), **kw)
-
-
 def exact_pipeline(eta, delta, branch="principal"):
-    return full_pipeline(PathParams(eta, delta), vertical_config(),
-                         horizontal_config(), branch=branch)
+    return full_pipeline(PathParams(eta, delta), QpeConfig(), PI / 4, PI / 4, branch=branch)
 
 
 class TestReconstructCS:
@@ -163,13 +152,6 @@ class TestFullPipeline:
         result = exact_pipeline(0.0, 0.9)
         assert result.theta_est == pytest.approx(0.0, abs=1e-10)
 
-    def test_axis_preconditions(self):
-        params = PathParams(PI / 3, PI / 3)
-        with pytest.raises(ConfigurationError):
-            full_pipeline(params, horizontal_config(), horizontal_config())
-        with pytest.raises(ConfigurationError):
-            full_pipeline(params, vertical_config(), vertical_config())
-
     def test_branch_name_checked(self):
         with pytest.raises(ConfigurationError):
             exact_pipeline(PI / 3, PI / 3, branch="other")
@@ -204,8 +186,7 @@ class TestFullPipeline:
     def test_sampled_fixed_seed_residual_bound(self):
         result = full_pipeline(
             PathParams(PI / 3, PI / 3),
-            vertical_config(shots=10000, seed=1),
-            horizontal_config(shots=10000, seed=1),
+            QpeConfig(shots=10000, seed=1), PI / 4, PI / 4,
         )
         assert abs(result.residual_theta) <= 0.03
 
@@ -216,8 +197,7 @@ class TestFullPipeline:
                 try:
                     result = full_pipeline(
                         PathParams(PI / 3, PI / 3),
-                        vertical_config(shots=shots, seed=seed),
-                        horizontal_config(shots=shots, seed=seed),
+                        QpeConfig(shots=shots, seed=seed), PI / 4, PI / 4,
                     )
                 except InconsistentAmplitudesError:
                     # noise pushed sin(delta) past the clamp band; count the
@@ -233,13 +213,11 @@ class TestFullPipeline:
     def test_pipeline_determinism(self):
         a = full_pipeline(
             PathParams(PI / 3, PI / 3),
-            vertical_config(shots=5000, seed=11),
-            horizontal_config(shots=5000, seed=12),
+            QpeConfig(shots=5000, seed=11), PI / 4, PI / 4,
         )
         b = full_pipeline(
             PathParams(PI / 3, PI / 3),
-            vertical_config(shots=5000, seed=11),
-            horizontal_config(shots=5000, seed=12),
+            QpeConfig(shots=5000, seed=11), PI / 4, PI / 4,
         )
         assert a.theta_est == b.theta_est
         assert np.array_equal(a.hist_v.values, b.hist_v.values)

@@ -1,8 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spinqpe import (
@@ -20,7 +21,7 @@ from spinqpe import (
     rx,
     ry,
 )
-from spinqpe.qpe import run_circuit
+from spinqpe.qpe import readout_kernel, run_circuit
 from spinqpe.records import decode_payload
 
 PI = math.pi
@@ -93,6 +94,26 @@ class TestExpectedBins:
 
     def test_non_dyadic_flagged(self):
         assert not expected_bins(qpev_config(aux=1.0, n=6)).dyadic_exact
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 16), sign=st.sampled_from([1, -1]),
+           u=st.floats(-3, 300))
+    @example(n=6, sign=1, u=math.log10(3.3e15))
+    def test_bins_follow_the_kernel_peak(self, n, sign, u):
+        """The expected bins sit where readout_kernel peaks, also once
+        2^n a / (4 pi) is too large for a float to keep its fraction."""
+        aux = sign * 10.0 ** u
+        try:
+            config = qpev_config(n=n, aux=aux)
+        except ConfigurationError:
+            assume(False)
+        kernel = readout_kernel(n, aux)
+        second, first = np.sort(kernel)[-2:]
+        assume(first - second >= 1e-9)
+        bins = expected_bins(config)
+        assert bins.m_minus == int(np.argmax(kernel))
+        if bins.dyadic_exact:
+            assert kernel[bins.m_minus] >= 1 - 1e-9
 
 
 class TestRunQpe:
@@ -227,9 +248,10 @@ class TestRunQpe:
     ], ids=["run_qpe", "run_circuit", "decode"])
     def test_altered_config_rechecked(self, step):
         config = qpev_config(n=3, aux=PI, shots=5, seed=1)
-        config.shots = 2**64
-        with pytest.raises(ConfigurationError):
-            step(config)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.shots = 2**64
+        assert config.shots == 5
+        step(config)
 
 
 class TestDecode:
@@ -350,13 +372,13 @@ class TestQpeConfig:
     def test_full_pipeline_refuses_bad_sampling(self, shots, seed):
         with pytest.raises(ConfigurationError):
             full_pipeline(PathParams(PI / 3, PI / 3),
-                          qpev_config(n=4, shots=shots, seed=seed), qpeh_config(n=4))
+                          QpeConfig(counting_qubits=4, shots=shots, seed=seed), PI / 4, PI / 4)
 
     def test_full_pipeline_rechecks_an_altered_config(self):
-        config = qpev_config(n=4, shots=5, seed=1)
-        config.seed = -1
-        with pytest.raises(ConfigurationError):
-            full_pipeline(PathParams(PI / 3, PI / 3), config, qpeh_config(n=4))
+        config = QpeConfig(counting_qubits=4, shots=5, seed=1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.seed = -1
+        assert config.seed == 1
 
     def test_exact_config_drops_seed(self):
         assert QpeConfig(seed=3).seed is None

@@ -273,6 +273,15 @@ class TestHistogram:
         with pytest.raises(ValueError):
             Histogram(np.array([0.7, 0.0]))
 
+    @pytest.mark.parametrize("values, shots", [
+        ([1.5, -0.5], 0),
+        ([3, -1], 2),
+        ([0.5, 1.5], 2),
+    ], ids=["negative-probability", "negative-count", "fractional-count"])
+    def test_impossible_values_refused(self, values, shots):
+        with pytest.raises(ValueError):
+            Histogram(np.array(values), total_shots=shots)
+
     def test_outcome_range_checked(self):
         # one value per outcome of a 2**k register: a length check
         for values in ([], [0.5, 0.25, 0.25], [[1.0, 0.0]]):
