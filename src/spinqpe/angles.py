@@ -5,6 +5,7 @@ Grammar (no whitespace inside a token, surrounding whitespace ignored):
     angle   := pifrac | decimal
     pifrac  := '-'? (INT ('/' INT)?)? 'pi' ('/' INT)?
     decimal := '-'? INT ('.' INT?)? (('e'|'E') ('+'|'-')? INT)?
+    INT     := [0-9]+   (ASCII digits only)
 
 Examples: "pi", "pi/3", "-pi/3", "3pi/4", "15/16pi", "2", "1.0471975512",
 "-2.5e-3". parse_angle returns the value in radians as a float; records
@@ -17,6 +18,8 @@ import math
 
 from .errors import AngleParseError
 
+_DIGITS = "0123456789"
+
 
 def _skip_ws(text: str, i: int) -> int:
     while i < len(text) and text[i].isspace():
@@ -26,7 +29,7 @@ def _skip_ws(text: str, i: int) -> int:
 
 def _read_int(text: str, i: int, what: str) -> tuple[int, int]:
     start = i
-    while i < len(text) and text[i].isdigit():
+    while i < len(text) and text[i] in _DIGITS:
         i += 1
     if i == start:
         raise AngleParseError(text, start, f"expected {what}")
@@ -58,14 +61,14 @@ def _decimal_end(text: str, i: int) -> int:
     """Index just past a decimal literal whose integer part ends at i."""
     if i < len(text) and text[i] == ".":
         i += 1
-        while i < len(text) and text[i].isdigit():
+        while i < len(text) and text[i] in _DIGITS:
             i += 1
     if i < len(text) and text[i] in "eE":
         i += 1
         if i < len(text) and text[i] in "+-":
             i += 1
         start = i
-        while i < len(text) and text[i].isdigit():
+        while i < len(text) and text[i] in _DIGITS:
             i += 1
         if i == start:
             raise AngleParseError(text, start, "expected exponent digits")
@@ -93,7 +96,7 @@ def _value(text: str) -> float:
         i += 1
     if text.startswith("pi", i):
         return _pi_tail(text, i + 2, sign * math.pi)
-    if i < len(text) and text[i].isdigit():
+    if i < len(text) and text[i] in _DIGITS:
         num_start = i
         i, num = _read_int(text, i, "digits")
         if i < len(text) and text[i] in ".eE":

@@ -19,7 +19,8 @@ from .statevector import Histogram
 
 TOOL_VERSION = "0.1.0"
 
-_INT_OR_NULL = {"type": ["integer", "null"]}
+#: the values of `config.mode` and `histograms.<run>.mode`
+_MODES = ("exact", "sampled")
 
 #: The flat record sections, one row per key, in record order:
 #: (section, key, JSON type or enum of values, required, CSV column). Every
@@ -33,7 +34,7 @@ _FLAT_FIELDS = (
     ("config", "n", "integer", True, "n"),
     ("config", "shots", "integer", True, "shots"),
     ("config", "seed", "integer", True, "seed"),
-    ("config", "mode", ("exact", "sampled"), True, "mode"),
+    ("config", "mode", _MODES, True, "mode"),
     ("config", "branch", ("principal", "reflected"), True, "branch"),
     ("estimates", "C", "number", True, "C"),
     ("estimates", "S", "number", True, "S"),
@@ -68,107 +69,72 @@ _NULLS = {
 }
 
 
+_INTEGER = {"type": "integer"}
+_NUMBER = {"type": "number"}
+_STRING = {"type": "string"}
+
+
 def _value_schema(kind) -> dict:
     if isinstance(kind, str):
         return {"type": [kind, "null"]}
     return {"enum": [*kind, None]}
 
 
-def _section_schema(section: str) -> dict:
-    rows = [row for row in _FLAT_FIELDS if row[0] == section]
+def _object(properties: dict, optional=()) -> dict:
+    """A closed schema object: every property not in `optional` is required."""
     return {
         "type": "object",
         "additionalProperties": False,
-        "required": list(_NULLS[section]),
-        "properties": {key: _value_schema(kind) for _, key, kind, _, _ in rows},
+        "required": [key for key in properties if key not in optional],
+        "properties": properties,
     }
+
+
+def _section_schema(section: str) -> dict:
+    rows = [row for row in _FLAT_FIELDS if row[0] == section]
+    optional = [key for _, key, _, required, _ in rows if not required]
+    return _object({key: _value_schema(kind) for _, key, kind, _, _ in rows}, optional)
 
 
 def _run_pair_schema(definition: str) -> dict:
     """A section with one `definition` object, or null, per estimation run."""
     value = {"oneOf": [{"type": "null"}, {"$ref": f"#/$defs/{definition}"}]}
-    return {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["qpev", "qpeh"],
-        "properties": {"qpev": value, "qpeh": value},
-    }
+    return _object({"qpev": value, "qpeh": value})
 
 
 RUN_RECORD_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "title": "spinqpe run record",
-    "type": "object",
-    "additionalProperties": False,
-    "required": [
-        "command", "config", "histograms", "decoded", "estimates",
-        "analytic", "residuals", "warnings", "version",
-    ],
-    "properties": {
-        "command": {"type": "array", "items": {"type": "string"}},
+    **_object({
+        "command": {"type": "array", "items": _STRING},
         "config": _section_schema("config"),
         "histograms": _run_pair_schema("histogram"),
         "decoded": _run_pair_schema("decode"),
         "estimates": _section_schema("estimates"),
         "analytic": _section_schema("analytic"),
         "residuals": _section_schema("residuals"),
-        "warnings": {"type": "array", "items": {"type": "string"}},
-        "version": {"type": "string"},
-    },
+        "warnings": {"type": "array", "items": _STRING},
+        "version": _STRING,
+    }),
     "$defs": {
-        "histogram": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["num_bits", "mode", "total_shots", "seed", "entries"],
-            "properties": {
-                "num_bits": {"type": "integer"},
-                "mode": {"enum": ["exact", "sampled"]},
-                "total_shots": {"type": "integer"},
-                "seed": _INT_OR_NULL,
-                "entries": {"type": "array", "items": {"$ref": "#/$defs/bin"}},
-            },
-        },
-        "bin": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["m", "bits", "probability"],
-            "properties": {
-                "m": {"type": "integer"},
-                "bits": {"type": "string"},
-                "count": {"type": "integer"},
-                "probability": {"type": "number"},
-            },
-        },
-        "decode": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": [
-                "m_plus", "m_minus", "dyadic_exact", "window",
-                "p_plus", "p_minus", "coverage", "peaks",
-            ],
-            "properties": {
-                "m_plus": {"type": "integer"},
-                "m_minus": {"type": "integer"},
-                "dyadic_exact": {"type": "boolean"},
-                "window": {"type": "integer"},
-                "p_plus": {"type": "number"},
-                "p_minus": {"type": "number"},
-                "coverage": {"type": "number"},
-                "peaks": {"type": "array", "items": {"$ref": "#/$defs/peak"}},
-            },
-        },
-        "peak": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["m", "bits", "fraction", "signed_angle", "probability"],
-            "properties": {
-                "m": {"type": "integer"},
-                "bits": {"type": "string"},
-                "fraction": {"type": "number"},
-                "signed_angle": {"type": "number"},
-                "probability": {"type": "number"},
-            },
-        },
+        "histogram": _object({
+            "num_bits": _INTEGER, "mode": {"enum": list(_MODES)}, "total_shots": _INTEGER,
+            "seed": _value_schema("integer"),
+            "entries": {"type": "array", "items": {"$ref": "#/$defs/bin"}},
+        }),
+        "bin": _object(
+            {"m": _INTEGER, "bits": _STRING, "count": _INTEGER, "probability": _NUMBER},
+            optional=["count"],
+        ),
+        "decode": _object({
+            "m_plus": _INTEGER, "m_minus": _INTEGER, "dyadic_exact": {"type": "boolean"},
+            "window": _INTEGER, "p_plus": _NUMBER, "p_minus": _NUMBER, "coverage": _NUMBER,
+            "peaks": {"type": "array", "items": {"$ref": "#/$defs/peak"}},
+        }),
+        "peak": _object({
+            "m": _INTEGER, "bits": _STRING, "fraction": _NUMBER, "signed_angle": _NUMBER,
+            "probability": _NUMBER,
+        }),
     },
 }
 

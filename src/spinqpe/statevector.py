@@ -69,7 +69,7 @@ class Histogram:
     """Readout over a measured qubit subset, one value per outcome.
 
     `values` has length 2**num_bits. In exact mode (total_shots == 0) it
-    holds the outcome probabilities, with dust at or below
+    holds the outcome probabilities as floats, with dust at or below
     PROBABILITY_FLOOR set to 0. In sampled mode it holds the int64 counts
     of `total_shots` draws made with `seed`.
     """
@@ -98,6 +98,10 @@ class Histogram:
                 raise ValueError(
                     f"counts sum to {total}, expected total_shots={self.total_shots}"
                 )
+        elif not np.issubdtype(self.values.dtype, np.floating):
+            raise ValueError(
+                f"exact-mode probabilities must be floats, got dtype {self.values.dtype}"
+            )
         elif not abs(total - 1.0) <= 1e-10:  # a NaN sum fails as well
             raise ValueError(
                 f"exact-mode probabilities sum to {total!r}, expected 1 within 1e-10"

@@ -57,6 +57,12 @@ class TestErrors:
         ("1e", 2),
         ("pi/4 junk", 5),
         ("pi4", 2),
+        # only ASCII digits are digits
+        ("\u0663pi", 0),
+        ("3\u00b2", 1),
+        ("pi/\u0664", 3),
+        ("1e\u0665", 2),
+        ("\U0001d7d1", 0),
     ])
     def test_position_reported(self, text, position):
         with pytest.raises(AngleParseError) as excinfo:

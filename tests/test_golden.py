@@ -90,7 +90,10 @@ def test_output_is_byte_identical(name):
 
 
 def test_schema_matches_golden():
-    assert RUN_RECORD_SCHEMA == strict_json(SCHEMA_FILE.read_text(encoding="utf-8"))
+    text = SCHEMA_FILE.read_text(encoding="utf-8")
+    assert RUN_RECORD_SCHEMA == strict_json(text)
+    # == ignores key order; the published text pins it as well
+    assert json.dumps(RUN_RECORD_SCHEMA, indent=2) + "\n" == text
 
 
 if __name__ == "__main__":

@@ -277,7 +277,11 @@ class TestHistogram:
         ([1.5, -0.5], 0),
         ([3, -1], 2),
         ([0.5, 1.5], 2),
-    ], ids=["negative-probability", "negative-count", "fractional-count"])
+        ([True, False], 0),
+        ([1 + 0j, 0j], 0),
+        ([1, 0], 0),
+    ], ids=["negative-probability", "negative-count", "fractional-count",
+            "bool-probability", "complex-probability", "integer-probability"])
     def test_impossible_values_refused(self, values, shots):
         with pytest.raises(ValueError):
             Histogram(np.array(values), total_shots=shots)
