@@ -60,6 +60,7 @@ from .qpe import (
     DecodeResult,
     ExpectedBins,
     QpeConfig,
+    RunSettings,
     decode,
     expected_bins,
     format_binary,
@@ -100,6 +101,7 @@ __all__ = [
     "QpeConfig",
     "RotationSpec",
     "RUN_RECORD_SCHEMA",
+    "RunSettings",
     "SingularConfigurationError",
     "StateVector",
     "TOOL_VERSION",

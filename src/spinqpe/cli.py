@@ -15,7 +15,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .angles import parse_angle
@@ -23,7 +22,7 @@ from .errors import AngleParseError, ConfigurationError
 from .extraction import capture_warnings, full_pipeline, reconstruct_CS, reconstruct_absA
 from .gates import Axis, RotationSpec, rx, ry
 from .precession import PathParams, TotalPhase, amplitudes_AB, amplitudes_CS, total_phase
-from .qpe import QpeConfig, decode, expected_bins, run_qpe
+from .qpe import QpeConfig, RunSettings, decode, expected_bins, run_qpe
 from .records import (
     decode_payload,
     extraction_payloads,
@@ -139,20 +138,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _echo(run: QpeConfig) -> dict:
+def _echo(run: RunSettings) -> dict:
     """A run's register width and sampling settings as a record's config echoes them."""
     return {"n": run.counting_qubits, "shots": run.shots, "seed": run.seed, "mode": run.mode}
 
 
-def _readout(run: QpeConfig, axis: Axis, aux: float, target_prep: tuple,
+def _readout(run: RunSettings, axis: Axis, aux: float, target_prep: tuple,
              allow_leakage: bool):
-    """Run one estimation circuit, `run` with this auxiliary rotation and
-    target preparation; (histogram, decode result)."""
-    config = replace(run, aux=RotationSpec(axis, aux), target_prep=target_prep)
+    """Run one estimation circuit, QpeConfig(run, RotationSpec(axis, aux),
+    target_prep); (histogram, decode result)."""
+    config = QpeConfig(run, RotationSpec(axis, aux), target_prep)
     if not expected_bins(config).dyadic_exact and not allow_leakage:
         raise ConfigurationError(
             f"auxiliary angle {aux!r} is not an integer multiple of "
-            f"4*pi/{1 << config.counting_qubits}, so the readout leaks into "
+            f"4*pi/{1 << run.counting_qubits}, so the readout leaks into "
             "neighboring bins; rerun with --allow-leakage to accept that"
         )
     hist = run_qpe(config)
@@ -211,7 +210,7 @@ def cmd_analytic(args) -> int:
 def cmd_qpev(args) -> int:
     eta = parse_angle(args.eta)
     aux = parse_angle(args.aux)
-    run = QpeConfig(counting_qubits=args.n, shots=args.shots, seed=args.seed)
+    run = RunSettings(args.n, args.shots, args.seed)
     hist, result = _readout(run, Axis.Y, aux, (rx(-eta),), args.allow_leakage)
     cs = reconstruct_CS(result.p_plus, result.p_minus)
     return _emit(args, config={"eta": eta, "aux_v": aux, **_echo(run)},
@@ -225,7 +224,7 @@ def cmd_qpeh(args) -> int:
     eta = parse_angle(args.eta)
     delta = parse_angle(args.delta)
     aux = parse_angle(args.aux)
-    run = QpeConfig(counting_qubits=args.n, shots=args.shots, seed=args.seed)
+    run = RunSettings(args.n, args.shots, args.seed)
     hist, result = _readout(run, Axis.X, aux, (rx(-eta), ry(delta)), args.allow_leakage)
     absA = reconstruct_absA(result.p_plus)
     phase, notes = capture_warnings(total_phase, PathParams(eta, delta))
@@ -242,7 +241,7 @@ def cmd_pipeline(args) -> int:
     delta = parse_angle(args.delta)
     aux_v = parse_angle(args.aux_v)
     aux_h = parse_angle(args.aux_h)
-    run = QpeConfig(counting_qubits=args.n, shots=args.shots, seed=args.seed)
+    run = RunSettings(args.n, args.shots, args.seed)
     result = full_pipeline(PathParams(eta, delta), run, aux_v, aux_h, args.branch)
     histograms, decoded = extraction_payloads(result)
     return _emit(
@@ -295,7 +294,7 @@ def cmd_sweep(args) -> int:
     eta_lo, eta_hi = _parse_range(args.eta_range, "--eta-range")
     delta_lo, delta_hi = _parse_range(args.delta_range, "--delta-range")
     aux = parse_angle(DEFAULT_AUX)
-    run = QpeConfig(counting_qubits=args.n)
+    run = RunSettings(args.n)
     rows = []
     for eta in _grid(eta_lo, eta_hi, args.steps):
         for delta in _grid(delta_lo, delta_hi, args.steps):

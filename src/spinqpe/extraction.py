@@ -15,7 +15,7 @@ covers |delta| <= pi/2.
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import (
     ConfigurationError,
@@ -26,7 +26,7 @@ from .errors import (
 )
 from .gates import Axis, RotationSpec, rx, ry
 from .precession import AmplitudePair, PathParams, TotalPhase, total_phase, wrap_angle
-from .qpe import DecodeResult, QpeConfig, decode, run_qpe
+from .qpe import DecodeResult, QpeConfig, RunSettings, decode, run_qpe
 from .statevector import Histogram
 
 BRANCHES = ("principal", "reflected")
@@ -134,7 +134,7 @@ class ExtractionResult:
 
 def full_pipeline(
     params: PathParams,
-    run: QpeConfig,
+    run: RunSettings,
     aux_v: float,
     aux_h: float,
     branch: str = "principal",
@@ -145,16 +145,16 @@ def full_pipeline(
     shots means exact probabilities). The vertical run rotates the
     auxiliary about Y by aux_v on the target rx(-eta)|0>, the horizontal
     run about X by aux_h on ry(delta) rx(-eta)|0>; both configs are
-    checked by QpeConfig. Both readouts are decoded with decode's window
-    and coverage threshold; the warnings of decoding, clamping and the
-    closed form are collected into the result's `warnings`.
+    checked by QpeConfig, which refuses a `run` that is not a
+    RunSettings. Both readouts are decoded with decode's window and
+    coverage threshold; the warnings of decoding, clamping and the closed
+    form are collected into the result's `warnings`.
     """
     if branch not in BRANCHES:
         raise ConfigurationError(f"branch must be one of {BRANCHES}, got {branch!r}")
 
-    config_v = replace(run, aux=RotationSpec(Axis.Y, aux_v), target_prep=(rx(-params.eta),))
-    config_h = replace(run, aux=RotationSpec(Axis.X, aux_h),
-                       target_prep=(rx(-params.eta), ry(params.delta)))
+    config_v = QpeConfig(run, RotationSpec(Axis.Y, aux_v), (rx(-params.eta),))
+    config_h = QpeConfig(run, RotationSpec(Axis.X, aux_h), (rx(-params.eta), ry(params.delta)))
 
     hist_v = run_qpe(config_v)
     hist_h = run_qpe(config_h)

@@ -4,7 +4,9 @@ Register layout: counting qubits 0..n-1 (qubit j carries weight 2^j in the
 measured outcome), target qubit n. The circuit applies the target
 preparation, a Hadamard on every counting qubit, a controlled rotation by
 2^j times the auxiliary angle from each counting qubit j, and the inverse
-Fourier transform on the counting register.
+Fourier transform on the counting register. A QpeConfig describes one
+such run: its RunSettings (register width, shots, seed), the auxiliary
+rotation and the target preparation.
 
 run_qpe is the spectral engine: with one target and controlled powers of
 one rotation, the readout is the target's two squared eigen-overlaps,
@@ -61,23 +63,18 @@ def _is_int(value) -> bool:
     return isinstance(value, Integral) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True, eq=False)
-class QpeConfig:
-    """One phase-estimation run.
+@dataclass(frozen=True)
+class RunSettings:
+    """The register width and sampling settings of a run.
 
-    target_prep is the gate sequence applied to the target qubit starting
-    from |0>, first element first. The run is exact when shots is None and
-    sampled otherwise. A sampled run needs integral shots in
-    [1, MAX_SHOTS] and an integral seed >= 0, so it is reproducible; an
-    exact run drops its seed (seed becomes None). A bool counts as no
-    integer. Every setting is checked here, at construction, and a bad one
-    raises ConfigurationError. The config is frozen: dataclasses.replace
-    builds a changed copy, checked the same way.
+    The run is exact when shots is None and sampled otherwise. A sampled
+    run needs integral shots in [1, MAX_SHOTS] and an integral seed >= 0,
+    so it is reproducible; an exact run drops its seed (seed becomes
+    None). A bool counts as no integer. Every setting is checked here, at
+    construction, and a bad one raises ConfigurationError.
     """
 
     counting_qubits: int = 10
-    aux: RotationSpec = RotationSpec(Axis.Y, math.pi / 4)
-    target_prep: tuple = ()
     shots: int | None = None
     seed: int | None = None
 
@@ -87,12 +84,6 @@ class QpeConfig:
             raise ConfigurationError(
                 f"counting_qubits must be an integer in [1, {MAX_COUNTING_QUBITS}], "
                 f"got {self.counting_qubits!r}"
-            )
-        if not isinstance(self.aux, RotationSpec):
-            raise ConfigurationError(f"aux must be a RotationSpec, got {self.aux!r}")
-        if not math.isfinite((1 << self.counting_qubits) * self.aux.angle):
-            raise ConfigurationError(
-                f"auxiliary angle {self.aux.angle!r} overflows its controlled powers"
             )
         if self.shots is None:
             object.__setattr__(self, "seed", None)
@@ -104,11 +95,46 @@ class QpeConfig:
             raise ConfigurationError(
                 f"sampled mode needs an integral seed >= 0, got {self.seed!r}"
             )
-        object.__setattr__(self, "target_prep", tuple(self.target_prep))
 
     @property
     def mode(self) -> str:
         return "exact" if self.shots is None else "sampled"
+
+
+@dataclass(frozen=True, eq=False)
+class QpeConfig:
+    """One phase-estimation run: its settings, the auxiliary rotation and
+    the target preparation.
+
+    target_prep is the gate sequence applied to the target qubit starting
+    from |0>, first element first. Each gate is checked once, here, to be
+    a finite unitary 2x2 and stored as a read-only complex128 copy, so
+    changing the caller's array later changes no run. A bad field raises
+    ConfigurationError (a bad gate, ValueError) at construction, and the
+    config is frozen.
+    """
+
+    run: RunSettings = RunSettings()
+    aux: RotationSpec = RotationSpec(Axis.Y, math.pi / 4)
+    target_prep: tuple = ()
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.run, RunSettings):
+            raise ConfigurationError(f"run must be a RunSettings, got {self.run!r}")
+        if not isinstance(self.aux, RotationSpec):
+            raise ConfigurationError(f"aux must be a RotationSpec, got {self.aux!r}")
+        if not math.isfinite((1 << self.run.counting_qubits) * self.aux.angle):
+            raise ConfigurationError(
+                f"auxiliary angle {self.aux.angle!r} overflows its controlled powers"
+            )
+        object.__setattr__(self, "target_prep", tuple(map(_frozen_gate, self.target_prep)))
+
+
+def _frozen_gate(gate) -> np.ndarray:
+    """A read-only complex128 copy of a checked 2x2 unitary."""
+    gate = require_gate(gate).copy()
+    gate.flags.writeable = False
+    return gate
 
 
 @dataclass(frozen=True)
@@ -136,7 +162,7 @@ def expected_bins(config: QpeConfig) -> ExpectedBins:
     Also reports whether 2^n * a / (4 pi) is an integer ("dyadic-exact"),
     i.e. whether the run is free of spectral leakage.
     """
-    n, a = config.counting_qubits, config.aux.angle
+    n, a = config.run.counting_qubits, config.aux.angle
     size = 1 << n
     x = size * a / (4.0 * math.pi)
     if math.ulp(x) > _DYADIC_ATOL:
@@ -177,7 +203,7 @@ def _target_overlaps(config: QpeConfig) -> tuple[float, float]:
     """(|<+axis|t>|^2, |<-axis|t>|^2) for the target t = prep applied to |0>."""
     t0, t1 = 1.0 + 0j, 0j
     for gate in config.target_prep:
-        (g00, g01), (g10, g11) = require_gate(gate).tolist()
+        (g00, g01), (g10, g11) = gate.tolist()
         t0, t1 = g00 * t0 + g01 * t1, g10 * t0 + g11 * t1
     bras = (v.conj().tolist() for v in axis_eigenvectors(config.aux.axis))
     return tuple(abs(b0 * t0 + b1 * t1) ** 2 for b0, b1 in bras)
@@ -190,20 +216,20 @@ def run_qpe(config: QpeConfig) -> Histogram:
     P(m) = w_minus K(m) + w_plus K(-m mod 2^n).
     """
     w_plus, w_minus = _target_overlaps(config)
-    kernel = readout_kernel(config.counting_qubits, config.aux.angle)
+    kernel = readout_kernel(config.run.counting_qubits, config.aux.angle)
     probs = w_minus * kernel
     # K(-m mod 2^n) is kernel[0] at m = 0 and kernel[2^n - m] after it
     probs[0] += w_plus * kernel[0]
     probs[1:] += w_plus * kernel[:0:-1]
-    if config.shots is None:
+    if config.run.shots is None:
         return histogram_from_probabilities(probs)
-    return sample_probabilities(probs, config.shots, config.seed)
+    return sample_probabilities(probs, config.run.shots, config.run.seed)
 
 
 def run_circuit(config: QpeConfig) -> Histogram:
     """Reference engine: simulate the estimation circuit gate by gate on
     the full n+1 qubit register and read out the counting register."""
-    n = config.counting_qubits
+    n = config.run.counting_qubits
     target = n
     state = new_state(n + 1)
     for gate in config.target_prep:
@@ -215,9 +241,9 @@ def run_circuit(config: QpeConfig) -> Histogram:
         state = apply_controlled(state, rotation_power(config.aux, 1 << j), j, target)
     counting = tuple(range(n - 1, -1, -1))  # MSB first
     state = apply_iqft(state, build_iqft(counting))
-    if config.shots is None:
+    if config.run.shots is None:
         return exact_histogram(state, counting)
-    return sample(state, counting, config.shots, config.seed)
+    return sample(state, counting, config.run.shots, config.run.seed)
 
 
 def _window_mass(hist: Histogram, window: set) -> float:
@@ -239,10 +265,10 @@ def decode(hist: Histogram, config: QpeConfig) -> DecodeResult:
     windows must not overlap. Coverage below COVERAGE_THRESHOLD is reported
     as a leakage warning, not an error.
     """
-    if hist.num_bits != config.counting_qubits:
+    if hist.num_bits != config.run.counting_qubits:
         raise ConfigurationError(
             f"histogram has {hist.num_bits} bits but the configuration "
-            f"counts {config.counting_qubits}"
+            f"counts {config.run.counting_qubits}"
         )
     bins = expected_bins(config)
     window = 0 if bins.dyadic_exact else LEAKY_WINDOW

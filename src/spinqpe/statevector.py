@@ -70,8 +70,9 @@ class Histogram:
 
     `values` has length 2**num_bits. In exact mode (total_shots == 0) it
     holds the outcome probabilities as floats, with dust at or below
-    PROBABILITY_FLOOR set to 0. In sampled mode it holds the int64 counts
-    of `total_shots` draws made with `seed`.
+    PROBABILITY_FLOOR set to 0, and seed is None. In sampled mode it holds
+    the int64 counts of `total_shots` draws made with `seed`. A bool
+    total_shots counts as no integer.
     """
 
     values: np.ndarray
@@ -88,6 +89,8 @@ class Histogram:
             )
         if self.values.min() < 0:
             raise ValueError("a histogram value is negative")
+        if isinstance(self.total_shots, bool):
+            raise ValueError(f"total_shots must be an integer, got {self.total_shots!r}")
         total = self.values.sum().item()
         if self.total_shots:
             if not np.issubdtype(self.values.dtype, np.integer):
@@ -98,6 +101,8 @@ class Histogram:
                 raise ValueError(
                     f"counts sum to {total}, expected total_shots={self.total_shots}"
                 )
+        elif self.seed is not None:
+            raise ValueError(f"an exact-mode histogram has no seed, got {self.seed!r}")
         elif not np.issubdtype(self.values.dtype, np.floating):
             raise ValueError(
                 f"exact-mode probabilities must be floats, got dtype {self.values.dtype}"

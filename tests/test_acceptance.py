@@ -30,12 +30,12 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def vertical_config(**kw):
-    return sq.QpeConfig(aux=sq.RotationSpec(sq.Axis.Y, PI / 4), **kw)
+def vertical_config(target_prep, **run):
+    return sq.QpeConfig(sq.RunSettings(**run), sq.RotationSpec(sq.Axis.Y, PI / 4), target_prep)
 
 
-def horizontal_config(**kw):
-    return sq.QpeConfig(aux=sq.RotationSpec(sq.Axis.X, PI / 4), **kw)
+def horizontal_config(target_prep, **run):
+    return sq.QpeConfig(sq.RunSettings(**run), sq.RotationSpec(sq.Axis.X, PI / 4), target_prep)
 
 
 def test_criterion_1_qpev_exact_reproduction(capsys):
@@ -105,7 +105,7 @@ def test_criterion_3_qpeh_exact_and_sampled(capsys):
 
 
 def test_criterion_4_end_to_end_theta():
-    result = sq.full_pipeline(sq.PathParams(PI / 3, PI / 3), sq.QpeConfig(), PI / 4, PI / 4)
+    result = sq.full_pipeline(sq.PathParams(PI / 3, PI / 3), sq.RunSettings(), PI / 4, PI / 4)
     # independent oracle: (A+B)/2 evaluated directly as a complex number
     overlap = complex(0.75, -0.25)
     theta_oracle = math.atan2(overlap.imag, overlap.real)
@@ -140,7 +140,7 @@ def test_criterion_5_grid_property_suite(capsys, tmp_path):
             ab = sq.amplitudes_AB(params)
             worst_eq13 = max(worst_eq13, abs(
                 abs(ab.A) ** 2 - (1 + 2 * cs.S * cs.C * math.sin(params.delta))))
-            result = sq.full_pipeline(params, sq.QpeConfig(), PI / 4, PI / 4)
+            result = sq.full_pipeline(params, sq.RunSettings(), PI / 4, PI / 4)
             worst_eq17 = max(worst_eq17, abs(
                 result.sin_delta_est - math.sin(params.delta)))
     elapsed = time.perf_counter() - start

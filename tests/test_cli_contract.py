@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from spinqpe import RUN_RECORD_SCHEMA, ConfigurationError, QpeConfig
+from spinqpe import RUN_RECORD_SCHEMA, ConfigurationError, RunSettings
 from spinqpe.cli import main
 
 CONTRACT_CODES = {0, 2, 3, 4}
@@ -136,22 +136,22 @@ def test_exact_mode_ignores_seed():
 @example(shots=5, seed=-1)
 @example(shots=None, seed=-1)
 def test_cli_sampling_follows_qpe_config(shots, seed):
-    """`qpev` refuses exactly the shots and seed QpeConfig refuses, and
-    echoes the settings of the config it accepts."""
+    """`qpev` refuses exactly the shots and seed RunSettings refuses, and
+    echoes the settings it accepts."""
     try:
-        config = QpeConfig(counting_qubits=2, shots=shots, seed=seed)
+        run = RunSettings(2, shots, seed)
     except ConfigurationError:
-        config = None
+        run = None
     # aux pi puts the two readout bins at 1 and 3 of a 2-qubit register
     argv = ["qpev", "--eta", "pi/3", "--aux", "pi", "--n", "2", f"--seed={seed}"]
     code, out, err = invoke(argv if shots is None else [*argv, f"--shots={shots}"])
-    if config is None:
+    if run is None:
         assert code == 3
         assert_one_error_line(code, out, err)
         return
     assert code == 0, err
     echo = strict_json(out)["config"]
-    assert (echo["shots"], echo["seed"], echo["mode"]) == (config.shots, config.seed, config.mode)
+    assert (echo["shots"], echo["seed"], echo["mode"]) == (run.shots, run.seed, run.mode)
 
 
 _SEGMENT = st.floats(-1.3, 1.3).map(repr)

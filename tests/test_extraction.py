@@ -10,7 +10,7 @@ from spinqpe import (
     EstimateClampedWarning,
     InconsistentAmplitudesError,
     PathParams,
-    QpeConfig,
+    RunSettings,
     SingularConfigurationError,
     UndefinedPhaseError,
     amplitudes_CS,
@@ -27,7 +27,7 @@ THETA_PI_THIRD = math.atan(-1 / 3)
 
 
 def exact_pipeline(eta, delta, branch="principal"):
-    return full_pipeline(PathParams(eta, delta), QpeConfig(), PI / 4, PI / 4, branch=branch)
+    return full_pipeline(PathParams(eta, delta), RunSettings(), PI / 4, PI / 4, branch=branch)
 
 
 class TestReconstructCS:
@@ -186,7 +186,7 @@ class TestFullPipeline:
     def test_sampled_fixed_seed_residual_bound(self):
         result = full_pipeline(
             PathParams(PI / 3, PI / 3),
-            QpeConfig(shots=10000, seed=1), PI / 4, PI / 4,
+            RunSettings(shots=10000, seed=1), PI / 4, PI / 4,
         )
         assert abs(result.residual_theta) <= 0.03
 
@@ -197,7 +197,7 @@ class TestFullPipeline:
                 try:
                     result = full_pipeline(
                         PathParams(PI / 3, PI / 3),
-                        QpeConfig(shots=shots, seed=seed), PI / 4, PI / 4,
+                        RunSettings(shots=shots, seed=seed), PI / 4, PI / 4,
                     )
                 except InconsistentAmplitudesError:
                     # noise pushed sin(delta) past the clamp band; count the
@@ -213,11 +213,11 @@ class TestFullPipeline:
     def test_pipeline_determinism(self):
         a = full_pipeline(
             PathParams(PI / 3, PI / 3),
-            QpeConfig(shots=5000, seed=11), PI / 4, PI / 4,
+            RunSettings(shots=5000, seed=11), PI / 4, PI / 4,
         )
         b = full_pipeline(
             PathParams(PI / 3, PI / 3),
-            QpeConfig(shots=5000, seed=11), PI / 4, PI / 4,
+            RunSettings(shots=5000, seed=11), PI / 4, PI / 4,
         )
         assert a.theta_est == b.theta_est
         assert np.array_equal(a.hist_v.values, b.hist_v.values)

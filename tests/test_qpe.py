@@ -12,6 +12,7 @@ from spinqpe import (
     PathParams,
     QpeConfig,
     RotationSpec,
+    RunSettings,
     axis_eigenvectors,
     decode,
     expected_bins,
@@ -35,13 +36,11 @@ BAD_SAMPLING = [(5, -1), (2**63, 1), (5, 1.5), (5.0, 1), (True, 1), (5, True)]
 
 
 def qpev_config(eta=PI / 3, aux=PI / 4, n=10, **kw):
-    return QpeConfig(counting_qubits=n, aux=RotationSpec(Axis.Y, aux),
-                     target_prep=(rx(-eta),), **kw)
+    return QpeConfig(RunSettings(n, **kw), RotationSpec(Axis.Y, aux), (rx(-eta),))
 
 
 def qpeh_config(eta=PI / 3, delta=PI / 3, aux=PI / 4, n=10, **kw):
-    return QpeConfig(counting_qubits=n, aux=RotationSpec(Axis.X, aux),
-                     target_prep=(rx(-eta), ry(delta)), **kw)
+    return QpeConfig(RunSettings(n, **kw), RotationSpec(Axis.X, aux), (rx(-eta), ry(delta)))
 
 
 def prep_vector(gates) -> np.ndarray:
@@ -58,7 +57,7 @@ def estimation_distribution(config: QpeConfig) -> np.ndarray:
     times the Dirichlet kernel |sin(pi x) / (2^n sin(pi x / 2^n))|^2
     centered on its eigenphase bin.
     """
-    n = config.counting_qubits
+    n = config.run.counting_qubits
     dim = 1 << n
     target = prep_vector(config.target_prep)
     plus, minus = axis_eigenvectors(config.aux.axis)
@@ -151,9 +150,7 @@ class TestRunQpe:
         rng = np.random.default_rng(31)
         for _ in range(5):
             prep = (rx(rng.uniform(-PI, PI)), ry(rng.uniform(-PI, PI)))
-            config = QpeConfig(counting_qubits=8,
-                               aux=RotationSpec(Axis.X, PI / 2),
-                               target_prep=prep)
+            config = QpeConfig(RunSettings(8), RotationSpec(Axis.X, PI / 2), prep)
             hist = run_qpe(config)
             bins = expected_bins(config)
             assert np.delete(hist.values, [bins.m_plus, bins.m_minus]).sum() <= 1e-12
@@ -163,9 +160,7 @@ class TestRunQpe:
         for axis in (Axis.X, Axis.Y):
             for _ in range(5):
                 prep = (ry(rng.uniform(-PI, PI)), rx(rng.uniform(-PI, PI)))
-                config = QpeConfig(counting_qubits=6,
-                                   aux=RotationSpec(axis, PI / 4),
-                                   target_prep=prep)
+                config = QpeConfig(RunSettings(6), RotationSpec(axis, PI / 4), prep)
                 result = decode(run_qpe(config), config)
                 plus, minus = axis_eigenvectors(axis)
                 target = prep_vector(prep)
@@ -189,7 +184,6 @@ class TestRunQpe:
     def test_global_phase_transparency(self):
         base = run_qpe(qpev_config())
         phased = run_qpe(QpeConfig(
-            counting_qubits=10,
             aux=RotationSpec(Axis.Y, PI / 4),
             target_prep=(np.exp(0.7j) * rx(-PI / 3),),
         ))
@@ -200,7 +194,6 @@ class TestRunQpe:
         # eigencomponents by phases; the histogram cannot change
         base = run_qpe(qpeh_config())
         dressed = run_qpe(QpeConfig(
-            counting_qubits=10,
             aux=RotationSpec(Axis.X, PI / 4),
             target_prep=(rx(-PI / 3), ry(PI / 3), rx(0.913)),
         ))
@@ -221,8 +214,7 @@ class TestRunQpe:
         """run_qpe agrees per bin with the gate-by-gate circuit and with
         the closed-form oracle, also at the large auxiliary angles where an
         FFT of the kickback phases drifts."""
-        config = QpeConfig(counting_qubits=n, aux=RotationSpec(axis, aux),
-                           target_prep=(rx(prep_x), ry(prep_y)))
+        config = QpeConfig(RunSettings(n), RotationSpec(axis, aux), (rx(prep_x), ry(prep_y)))
         probs = run_qpe(config).values
         np.testing.assert_allclose(probs, run_circuit(config).values, rtol=0, atol=1e-12)
         np.testing.assert_allclose(probs, estimation_distribution(config), rtol=0, atol=1e-10)
@@ -239,7 +231,7 @@ class TestRunQpe:
                              ids=["non-unitary", "non-finite", "not-2x2"])
     def test_bad_prep_gate_refused(self, engine, gate):
         with pytest.raises(ValueError, match="^gate "):
-            engine(QpeConfig(counting_qubits=3, target_prep=(ry(0.2), gate)))
+            engine(QpeConfig(RunSettings(3), target_prep=(ry(0.2), gate)))
 
     @pytest.mark.parametrize("step", [
         run_qpe,
@@ -249,8 +241,8 @@ class TestRunQpe:
     def test_altered_config_rechecked(self, step):
         config = qpev_config(n=3, aux=PI, shots=5, seed=1)
         with pytest.raises(dataclasses.FrozenInstanceError):
-            config.shots = 2**64
-        assert config.shots == 5
+            config.run.shots = 2**64
+        assert config.run.shots == 5
         step(config)
 
 
@@ -346,42 +338,66 @@ class TestFormatBinary:
 
 
 class TestQpeConfig:
+    """A config's register width, shots and seed are its RunSettings,
+    which checks them; the config checks its run, aux and prep gates."""
+
     @pytest.mark.parametrize("n", [0, 17, True])
     def test_counting_width_bounds(self, n):
         with pytest.raises(ConfigurationError):
-            QpeConfig(counting_qubits=n)
+            RunSettings(counting_qubits=n)
 
     def test_sampled_needs_seed(self):
         with pytest.raises(ConfigurationError):
-            QpeConfig(shots=100, seed=None)
+            RunSettings(shots=100, seed=None)
 
     def test_sampled_needs_positive_shots(self):
         with pytest.raises(ConfigurationError):
-            QpeConfig(seed=1, shots=0)
+            RunSettings(seed=1, shots=0)
 
     def test_mode_follows_shots(self):
-        assert QpeConfig().mode == "exact"
-        assert QpeConfig(shots=5, seed=1).mode == "sampled"
+        assert RunSettings().mode == "exact"
+        assert RunSettings(shots=5, seed=1).mode == "sampled"
 
     @pytest.mark.parametrize("shots, seed", BAD_SAMPLING)
     def test_bad_sampling_refused_at_construction(self, shots, seed):
         with pytest.raises(ConfigurationError):
-            QpeConfig(shots=shots, seed=seed)
+            RunSettings(shots=shots, seed=seed)
 
     @pytest.mark.parametrize("shots, seed", BAD_SAMPLING)
     def test_full_pipeline_refuses_bad_sampling(self, shots, seed):
         with pytest.raises(ConfigurationError):
             full_pipeline(PathParams(PI / 3, PI / 3),
-                          QpeConfig(counting_qubits=4, shots=shots, seed=seed), PI / 4, PI / 4)
+                          RunSettings(4, shots, seed), PI / 4, PI / 4)
 
     def test_full_pipeline_rechecks_an_altered_config(self):
-        config = QpeConfig(counting_qubits=4, shots=5, seed=1)
+        run = RunSettings(4, 5, 1)
         with pytest.raises(dataclasses.FrozenInstanceError):
-            config.seed = -1
-        assert config.seed == 1
+            run.seed = -1
+        assert run.seed == 1
 
     def test_exact_config_drops_seed(self):
-        assert QpeConfig(seed=3).seed is None
+        assert RunSettings(seed=3).seed is None
+
+    # a whole QpeConfig first: its aux and prep would take no effect
+    @pytest.mark.parametrize("run", [QpeConfig(aux=RotationSpec(Axis.X, 1.0)), 4, None])
+    def test_full_pipeline_refuses_a_whole_config(self, run):
+        with pytest.raises(ConfigurationError, match="RunSettings"):
+            full_pipeline(PathParams(PI / 3, PI / 3), run, PI / 4, PI / 4)
+
+    @pytest.mark.parametrize("shots", [None, 500])
+    def test_prep_gates_are_frozen_copies(self, shots):
+        gate = np.array(rx(-PI / 3), dtype=np.complex128)
+        config = QpeConfig(RunSettings(6, shots, 3), RotationSpec(Axis.Y, 1.0), (gate, ry(0.4)))
+        before = (run_qpe(config).values, run_circuit(config).values,
+                  decode(run_qpe(config), config))
+        gate[...] = 2 * rx(0.3)
+        after = (run_qpe(config).values, run_circuit(config).values,
+                 decode(run_qpe(config), config))
+        assert np.array_equal(after[0], before[0])
+        assert np.array_equal(after[1], before[1])
+        assert after[2] == before[2]
+        assert all(not g.flags.writeable for g in config.target_prep)
+        assert all(g.dtype == np.complex128 for g in config.target_prep)
 
     def test_sampling_determinism(self):
         config = qpev_config(shots=2000, seed=99)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinqpe import Axis, QpeConfig, RotationSpec, rx, ry
+from spinqpe import Axis, QpeConfig, RotationSpec, RunSettings, rx, ry
 from spinqpe.cli import main
 from spinqpe.qpe import format_binary, run_qpe
 from spinqpe.records import histogram_payload, make_record, to_json
@@ -133,16 +133,13 @@ def test_slot_count_mismatch_raises():
 @pytest.mark.parametrize("argv, config", [
     (["qpev", "--eta", "0.7", "--aux", "1.234", "--n", "12", "--exact",
       "--allow-leakage"],
-     QpeConfig(counting_qubits=12, aux=RotationSpec(Axis.Y, 1.234),
-               target_prep=(rx(-0.7),))),
+     QpeConfig(RunSettings(12), RotationSpec(Axis.Y, 1.234), (rx(-0.7),))),
     (["qpeh", "--eta", "0.7", "--delta", "0.4", "--aux", "1.234", "--n", "12",
       "--exact", "--allow-leakage"],
-     QpeConfig(counting_qubits=12, aux=RotationSpec(Axis.X, 1.234),
-               target_prep=(rx(-0.7), ry(0.4)))),
+     QpeConfig(RunSettings(12), RotationSpec(Axis.X, 1.234), (rx(-0.7), ry(0.4)))),
     (["qpev", "--eta", "0.7", "--aux", "1.234", "--n", "12", "--shots", "100000",
       "--seed", "5", "--allow-leakage"],
-     QpeConfig(counting_qubits=12, aux=RotationSpec(Axis.Y, 1.234),
-               target_prep=(rx(-0.7),), shots=100000, seed=5)),
+     QpeConfig(RunSettings(12, 100000, 5), RotationSpec(Axis.Y, 1.234), (rx(-0.7),))),
 ])
 def test_large_record_is_canonical_json(capsys, argv, config):
     assert main(argv) == 0

@@ -273,18 +273,21 @@ class TestHistogram:
         with pytest.raises(ValueError):
             Histogram(np.array([0.7, 0.0]))
 
-    @pytest.mark.parametrize("values, shots", [
-        ([1.5, -0.5], 0),
-        ([3, -1], 2),
-        ([0.5, 1.5], 2),
-        ([True, False], 0),
-        ([1 + 0j, 0j], 0),
-        ([1, 0], 0),
+    @pytest.mark.parametrize("values, shots, seed", [
+        ([1.5, -0.5], 0, None),
+        ([3, -1], 2, None),
+        ([0.5, 1.5], 2, None),
+        ([True, False], 0, None),
+        ([1 + 0j, 0j], 0, None),
+        ([1, 0], 0, None),
+        ([1, 0], True, 0),
+        ([1.0, 0.0], 0, 5),
     ], ids=["negative-probability", "negative-count", "fractional-count",
-            "bool-probability", "complex-probability", "integer-probability"])
-    def test_impossible_values_refused(self, values, shots):
+            "bool-probability", "complex-probability", "integer-probability",
+            "bool-shots", "exact-seed"])
+    def test_impossible_values_refused(self, values, shots, seed):
         with pytest.raises(ValueError):
-            Histogram(np.array(values), total_shots=shots)
+            Histogram(np.array(values), total_shots=shots, seed=seed)
 
     def test_outcome_range_checked(self):
         # one value per outcome of a 2**k register: a length check
