@@ -25,6 +25,7 @@ always yields the same histogram.
 """
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -71,8 +72,8 @@ class Histogram:
     `values` has length 2**num_bits. In exact mode (total_shots == 0) it
     holds the outcome probabilities as floats, with dust at or below
     PROBABILITY_FLOOR set to 0, and seed is None. In sampled mode it holds
-    the int64 counts of `total_shots` draws made with `seed`. A bool
-    total_shots counts as no integer.
+    the int64 counts of `total_shots` draws made with `seed`, an integer
+    >= 0 that reproduces them. A bool counts as no integer.
     """
 
     values: np.ndarray
@@ -100,6 +101,11 @@ class Histogram:
             if total != self.total_shots:
                 raise ValueError(
                     f"counts sum to {total}, expected total_shots={self.total_shots}"
+                )
+            seed = self.seed
+            if isinstance(seed, bool) or not (isinstance(seed, Integral) and seed >= 0):
+                raise ValueError(
+                    f"a sampled histogram needs an integral seed >= 0, got {seed!r}"
                 )
         elif self.seed is not None:
             raise ValueError(f"an exact-mode histogram has no seed, got {self.seed!r}")

@@ -240,9 +240,15 @@ class TestRunQpe:
     ], ids=["run_qpe", "run_circuit", "decode"])
     def test_altered_config_rechecked(self, step):
         config = qpev_config(n=3, aux=PI, shots=5, seed=1)
+        run, prep = config.run, config.target_prep
         with pytest.raises(dataclasses.FrozenInstanceError):
             config.run.shots = 2**64
-        assert config.run.shots == 5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.target_prep = (np.eye(2) * 2,)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.run = RunSettings()
+        assert config.run is run and config.run.shots == 5
+        assert config.target_prep is prep
         step(config)
 
 
@@ -370,10 +376,11 @@ class TestQpeConfig:
                           RunSettings(4, shots, seed), PI / 4, PI / 4)
 
     def test_full_pipeline_rechecks_an_altered_config(self):
-        run = RunSettings(4, 5, 1)
+        aux = RotationSpec(Axis.Y, PI / 4)
+        config = QpeConfig(RunSettings(4, 5, 1), aux)
         with pytest.raises(dataclasses.FrozenInstanceError):
-            run.seed = -1
-        assert run.seed == 1
+            config.aux = RotationSpec(Axis.X, 1.0)
+        assert config.aux is aux
 
     def test_exact_config_drops_seed(self):
         assert RunSettings(seed=3).seed is None

@@ -282,9 +282,14 @@ class TestHistogram:
         ([1, 0], 0, None),
         ([1, 0], True, 0),
         ([1.0, 0.0], 0, 5),
+        ([1, 0], 1, True),
+        ([1, 0], 1, None),
+        ([1, 0], 1, -4),
+        ([1, 0], 1, 1.5),
     ], ids=["negative-probability", "negative-count", "fractional-count",
             "bool-probability", "complex-probability", "integer-probability",
-            "bool-shots", "exact-seed"])
+            "bool-shots", "exact-seed", "bool-seed", "sampled-no-seed",
+            "negative-seed", "fractional-seed"])
     def test_impossible_values_refused(self, values, shots, seed):
         with pytest.raises(ValueError):
             Histogram(np.array(values), total_shots=shots, seed=seed)
