@@ -12,6 +12,11 @@ Examples: "pi", "pi/3", "-pi/3", "3pi/4", "15/16pi", "2", "1.0471975512",
 echo the raw text through the command line they store. Malformed input,
 and a number too large for a float, raise AngleParseError carrying the
 offending position.
+
+On the command line argparse reads a value that starts with '-' as a
+flag unless it is a plain negative decimal such as -0.7, so "--aux -pi/4"
+or "--eta -2.5e-3" is a usage error (exit 2); attach the value instead:
+"--aux=-pi/4".
 """
 
 import math

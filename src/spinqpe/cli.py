@@ -43,6 +43,14 @@ DEFAULT_AUX = "pi/4"
 DEFAULT_SEED = 0
 
 
+def _signed(flag: str, example: str = "-pi/3") -> str:
+    """The help-text note of an option that takes a signed value. argparse
+    reads a value that starts with "-" as a flag unless it is a plain
+    negative decimal such as -0.7, so -pi/3, -1e-3 or -1:0.5 only pass
+    attached to the flag."""
+    return f" (write a negative value attached: {flag}={example})"
+
+
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=["json", "csv"], default="json",
                         help="record output format (default json)")
@@ -81,15 +89,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analytic", help="closed-form amplitudes and phase")
-    p.add_argument("--eta", required=True, help="segment-1 angle (radians or pi fraction)")
-    p.add_argument("--delta", required=True, help="segment-2 angle")
+    p.add_argument("--eta", required=True,
+                   help="segment-1 angle, radians or pi fraction" + _signed("--eta"))
+    p.add_argument("--delta", required=True, help="segment-2 angle" + _signed("--delta"))
     _add_output_flags(p)
     p.set_defaults(func=cmd_analytic)
 
     p = sub.add_parser("qpev", help="vertical run: measure C^2 and S^2")
-    p.add_argument("--eta", required=True, help="segment-1 angle")
+    p.add_argument("--eta", required=True, help="segment-1 angle" + _signed("--eta"))
     p.add_argument("--aux", default=DEFAULT_AUX,
-                   help=f"auxiliary Y-rotation angle (default {DEFAULT_AUX})")
+                   help=f"auxiliary Y-rotation angle, default {DEFAULT_AUX}"
+                   + _signed("--aux", "-pi/4"))
     p.add_argument("--allow-leakage", action="store_true",
                    help="accept a non dyadic-exact auxiliary angle")
     _add_run_flags(p)
@@ -97,10 +107,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_qpev)
 
     p = sub.add_parser("qpeh", help="horizontal run: measure |A|^2/2 and |B|^2/2")
-    p.add_argument("--eta", required=True, help="segment-1 angle")
-    p.add_argument("--delta", required=True, help="segment-2 angle")
+    p.add_argument("--eta", required=True, help="segment-1 angle" + _signed("--eta"))
+    p.add_argument("--delta", required=True, help="segment-2 angle" + _signed("--delta"))
     p.add_argument("--aux", default=DEFAULT_AUX,
-                   help=f"auxiliary X-rotation angle (default {DEFAULT_AUX})")
+                   help=f"auxiliary X-rotation angle, default {DEFAULT_AUX}"
+                   + _signed("--aux", "-pi/4"))
     p.add_argument("--allow-leakage", action="store_true",
                    help="accept a non dyadic-exact auxiliary angle")
     _add_run_flags(p)
@@ -108,12 +119,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_qpeh)
 
     p = sub.add_parser("pipeline", help="both runs plus phase extraction")
-    p.add_argument("--eta", required=True, help="segment-1 angle")
-    p.add_argument("--delta", required=True, help="segment-2 angle")
+    p.add_argument("--eta", required=True, help="segment-1 angle" + _signed("--eta"))
+    p.add_argument("--delta", required=True, help="segment-2 angle" + _signed("--delta"))
     p.add_argument("--aux-v", default=DEFAULT_AUX,
-                   help=f"vertical auxiliary angle (default {DEFAULT_AUX})")
+                   help=f"vertical auxiliary angle, default {DEFAULT_AUX}"
+                   + _signed("--aux-v", "-pi/4"))
     p.add_argument("--aux-h", default=DEFAULT_AUX,
-                   help=f"horizontal auxiliary angle (default {DEFAULT_AUX})")
+                   help=f"horizontal auxiliary angle, default {DEFAULT_AUX}"
+                   + _signed("--aux-h", "-pi/4"))
     p.add_argument("--branch", choices=["principal", "reflected"],
                    default="principal", help="delta branch for asin(sin delta)")
     _add_run_flags(p)
@@ -122,9 +135,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="grid the exact pipeline, write CSV")
     p.add_argument("--eta-range", required=True, metavar="LO:HI",
-                   help="segment-1 range, e.g. 0.2:1.3 or pi/12:pi/3")
+                   help="segment-1 range, e.g. 0.2:1.3 or pi/12:pi/3"
+                   + _signed("--eta-range", "-1:0.5"))
     p.add_argument("--delta-range", required=True, metavar="LO:HI",
-                   help="segment-2 range")
+                   help="segment-2 range" + _signed("--delta-range", "-pi/3:0"))
     p.add_argument("--steps", type=int, default=12,
                    help="grid points per axis (default 12)")
     p.add_argument("--exact", action="store_true",

@@ -26,7 +26,7 @@ from .errors import (
 )
 from .gates import Axis, RotationSpec, rx, ry
 from .precession import AmplitudePair, PathParams, TotalPhase, total_phase, wrap_angle
-from .qpe import DecodeResult, QpeConfig, RunSettings, decode, run_qpe
+from .qpe import DecodeResult, QpeConfig, RunSettings, decode, readout_kernel, run_qpe
 from .statevector import Histogram
 
 BRANCHES = ("principal", "reflected")
@@ -146,9 +146,12 @@ def full_pipeline(
     auxiliary about Y by aux_v on the target rx(-eta)|0>, the horizontal
     run about X by aux_h on ry(delta) rx(-eta)|0>; both configs are
     checked by QpeConfig, which refuses a `run` that is not a
-    RunSettings. Both readouts are decoded with decode's window and
-    coverage threshold; the warnings of decoding, clamping and the closed
-    form are collected into the result's `warnings`.
+    RunSettings. The readout kernel depends only on the width and the
+    angle, so it is built once per distinct angle: one shared, read-only
+    kernel when aux_h == aux_v (the default), two otherwise. Both readouts
+    are decoded with decode's window and coverage threshold; the warnings
+    of decoding, clamping and the closed form are collected into the
+    result's `warnings`.
     """
     if branch not in BRANCHES:
         raise ConfigurationError(f"branch must be one of {BRANCHES}, got {branch!r}")
@@ -156,8 +159,11 @@ def full_pipeline(
     config_v = QpeConfig(run, RotationSpec(Axis.Y, aux_v), (rx(-params.eta),))
     config_h = QpeConfig(run, RotationSpec(Axis.X, aux_h), (rx(-params.eta), ry(params.delta)))
 
-    hist_v = run_qpe(config_v)
-    hist_h = run_qpe(config_h)
+    kernel = readout_kernel(run.counting_qubits, aux_v)
+    hist_v = run_qpe(config_v, kernel=kernel)
+    if aux_h != aux_v:
+        kernel = readout_kernel(run.counting_qubits, aux_h)
+    hist_h = run_qpe(config_h, kernel=kernel)
     decode_v = decode(hist_v, config_v)
     decode_h = decode(hist_h, config_h)
 

@@ -183,8 +183,13 @@ def readout_kernel(n: int, angle: float) -> np.ndarray:
     K(m) = prod_l cos^2(phi_l - pi m / 2^(n-l)) over l = 0..n-1, with
     phi_l = 2^(l-2) angle reduced into (-pi, pi]; the |+axis> component
     reads K(-m mod 2^n). Factor l depends only on m mod 2^(n-l), so K is
-    grown from the top bit down, one broadcast product per bit, with
-    about 2 * 2^n cosines.
+    grown from the top bit down: each bit's factor array takes the kernel
+    so far into both of its halves in place and becomes the kernel, so a
+    bit allocates nothing beyond its factor; about 2 * 2^n cosines.
+
+    K depends only on n and the angle, not on the axis or the target, so
+    one kernel serves every run of that width and angle (run_qpe's
+    `kernel`). It is returned read-only, so no run can change a shared one.
     """
     ramp = np.arange(1 << n, dtype=np.float64)
     kernel = np.ones(1)
@@ -195,7 +200,10 @@ def readout_kernel(n: int, angle: float) -> np.ndarray:
         factor += math.atan2(math.sin(c), math.cos(c))
         np.cos(factor, out=factor)
         factor *= factor
-        kernel = (factor.reshape(2, -1) * kernel).reshape(-1)
+        halves = factor.reshape(2, -1)
+        halves *= kernel
+        kernel = factor
+    kernel.flags.writeable = False
     return kernel
 
 
@@ -209,14 +217,26 @@ def _target_overlaps(config: QpeConfig) -> tuple[float, float]:
     return tuple(abs(b0 * t0 + b1 * t1) ** 2 for b0, b1 in bras)
 
 
-def run_qpe(config: QpeConfig) -> Histogram:
+def run_qpe(config: QpeConfig, *, kernel: np.ndarray | None = None) -> Histogram:
     """The counting-register readout (exact probabilities or a seeded
     sample) of the estimation circuit, computed in O(2^n) from the
     target's two eigen-overlaps and readout_kernel:
     P(m) = w_minus K(m) + w_plus K(-m mod 2^n).
+
+    `kernel` is readout_kernel(n, config.aux.angle), built here when None.
+    It depends only on the width and the angle, so runs that share both
+    may share one kernel; it is only read. A kernel that is not a float64
+    array of shape (2^n,) raises ConfigurationError.
     """
+    n = config.run.counting_qubits
+    if kernel is None:
+        kernel = readout_kernel(n, config.aux.angle)
+    elif not (isinstance(kernel, np.ndarray) and kernel.dtype == np.float64
+              and kernel.shape == (1 << n,)):
+        raise ConfigurationError(
+            f"kernel must be a float64 array of shape ({1 << n},) for {n} counting qubits"
+        )
     w_plus, w_minus = _target_overlaps(config)
-    kernel = readout_kernel(config.run.counting_qubits, config.aux.angle)
     probs = w_minus * kernel
     # K(-m mod 2^n) is kernel[0] at m = 0 and kernel[2^n - m] after it
     probs[0] += w_plus * kernel[0]

@@ -224,6 +224,30 @@ class TestOutputAndErrors:
             main(["qpev", "--eta", "pi/3", "--bogus"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("flag, argv", [
+        ("--aux", ["qpev", "--eta", "0.3", "--aux", "-pi/4"]),
+        ("--eta", ["qpev", "--eta", "-1e-3"]),
+        ("--eta-range", ["sweep", "--eta-range", "-1.0:0.5", "--delta-range", "0.2:0.3"]),
+    ], ids=["aux", "eta", "eta-range"])
+    def test_negative_value_needs_the_attached_form(self, capsys, flag, argv):
+        """argparse reads a separate -pi/4 as a flag: one JSON error line,
+        exit 2. Attached to its flag the same value parses."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error["type"] == "ArgumentError"
+        assert error["message"] == f"argument {flag}: expected one argument"
+
+    def test_attached_negative_pi_fraction_parses(self, capsys):
+        record = run_record(capsys, "qpev", "--eta=-1e-3", "--aux=-pi/4", "--n", "4")
+        assert record["config"]["aux_v"] == -PI / 4
+        assert record["config"]["eta"] == -1e-3
+
     def test_shots_and_exact_conflict(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["qpev", "--eta", "pi/3", "--shots", "100", "--exact"])

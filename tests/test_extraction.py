@@ -1,23 +1,35 @@
 import math
 import statistics
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import spinqpe.extraction as extraction
+import spinqpe.qpe as qpe
 from spinqpe import (
     AmplitudePair,
+    Axis,
     ConfigurationError,
     EstimateClampedWarning,
     InconsistentAmplitudesError,
     PathParams,
+    QpeConfig,
+    RotationSpec,
     RunSettings,
     SingularConfigurationError,
     UndefinedPhaseError,
     amplitudes_CS,
+    decode,
     full_pipeline,
     infer_sin_delta,
     reconstruct_absA,
     reconstruct_CS,
+    run_qpe,
+    rx,
+    ry,
     theta_from_estimates,
     total_phase,
 )
@@ -236,3 +248,69 @@ class TestFullPipeline:
         cs = amplitudes_CS(PI / 3)
         assert result.C_est ** 2 + result.S_est ** 2 == pytest.approx(1.0, abs=1e-12)
         assert result.C_est == pytest.approx(cs.C, abs=1e-10)
+
+
+@st.composite
+def pipeline_auxes(draw, n):
+    """(aux_v, aux_h): each dyadic (4 pi k / 2^n with two distinct bins)
+    or arbitrary, and equal in about half the draws."""
+    def aux():
+        if draw(st.booleans()):
+            k = draw(st.integers(1, (1 << (n - 1)) - 1)) * draw(st.sampled_from([1, -1]))
+            return 4 * PI * k / (1 << n)
+        return draw(st.floats(-4 * PI, 4 * PI))
+    aux_v = aux()
+    return aux_v, aux_v if draw(st.booleans()) else aux()
+
+
+class TestSharedKernel:
+    """full_pipeline builds one readout kernel per distinct angle and
+    reads out exactly what two separately built runs read out."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), eta=st.floats(-1.4, 1.4), delta=st.floats(-PI, PI),
+           n=st.integers(2, 16), sampled=st.booleans(), seed=st.integers(0, 2**32))
+    def test_pipeline_equals_separate_runs(self, data, eta, delta, n, sampled, seed):
+        aux_v, aux_h = data.draw(pipeline_auxes(n))
+        run = RunSettings(n, 10_000, seed) if sampled else RunSettings(n)
+        params = PathParams(eta, delta)
+        config_v = QpeConfig(run, RotationSpec(Axis.Y, aux_v), (rx(-eta),))
+        config_h = QpeConfig(run, RotationSpec(Axis.X, aux_h), (rx(-eta), ry(delta)))
+        hist_v, hist_h = run_qpe(config_v), run_qpe(config_h)
+        try:
+            decode_v, decode_h = decode(hist_v, config_v), decode(hist_h, config_h)
+            cs = reconstruct_CS(decode_v.p_plus, decode_v.p_minus)
+            absA = reconstruct_absA(decode_h.p_plus)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                sin_delta, raw = infer_sin_delta(absA, cs)
+                theta = theta_from_estimates(cs, math.asin(sin_delta))
+                total_phase(params)
+        except ConfigurationError as err:  # the pipeline stops where these do
+            with pytest.raises(type(err)):
+                full_pipeline(params, run, aux_v, aux_h)
+            return
+        result = full_pipeline(params, run, aux_v, aux_h)
+        for got, want in ((result.hist_v, hist_v), (result.hist_h, hist_h)):
+            assert got.values.dtype == want.values.dtype
+            assert np.array_equal(got.values, want.values)
+        assert (result.decode_v, result.decode_h) == (decode_v, decode_h)
+        assert (result.C_est, result.S_est, result.absA_est) == (cs.C, cs.S, absA)
+        assert (result.sin_delta_est, result.sin_delta_raw) == (sin_delta, raw)
+        assert result.theta_est == theta
+
+    @pytest.mark.parametrize("shots", [None, 1000])
+    @pytest.mark.parametrize("aux_h, builds", [(PI / 4, 1), (PI / 2, 2), (1.0, 2)])
+    def test_one_kernel_per_distinct_angle(self, monkeypatch, shots, aux_h, builds):
+        calls = []
+
+        def counted(n, angle):
+            calls.append((n, angle))
+            return build(n, angle)
+
+        build = qpe.readout_kernel
+        monkeypatch.setattr(qpe, "readout_kernel", counted)
+        monkeypatch.setattr(extraction, "readout_kernel", counted)
+        full_pipeline(PathParams(0.4, -0.7), RunSettings(8, shots, 3), PI / 4, aux_h)
+        assert len(calls) == builds
+        assert {angle for _, angle in calls} == {PI / 4, aux_h}

@@ -41,6 +41,8 @@ CASES = {
                    "--allow-leakage"],
     "qpeh-csv": ["qpeh", "--eta", "pi/6", "--delta=-pi/4", "--n", "6", "--format", "csv"],
     "pipeline-exact": ["pipeline", "--eta", "pi/3", "--delta", "pi/3", "--n", "6", "--exact"],
+    "pipeline-exact-n16": ["pipeline", "--eta", "0.4", "--delta", "-0.7", "--exact",
+                           "--n", "16"],
     "pipeline-sampled": ["pipeline", "--eta", "pi/3", "--delta", "pi/3", "--n", "6",
                          "--shots", "5000", "--seed", "21"],
     "pipeline-reflected": ["pipeline", "--eta", "pi/4", "--delta", "2pi/3", "--n", "6",

@@ -409,3 +409,80 @@ class TestQpeConfig:
     def test_sampling_determinism(self):
         config = qpev_config(shots=2000, seed=99)
         assert np.array_equal(run_qpe(config).values, run_qpe(config).values)
+
+
+def broadcast_kernel(n, angle):
+    """readout_kernel as a fresh broadcast product per bit: the form the
+    in-place build must reproduce bit for bit."""
+    ramp = np.arange(1 << n, dtype=np.float64)
+    kernel = np.ones(1)
+    for l in range(n - 1, -1, -1):
+        c = math.ldexp(angle, l - 2)
+        span = 1 << (n - l)
+        factor = ramp[:span] * (-PI / span)
+        factor += math.atan2(math.sin(c), math.cos(c))
+        np.cos(factor, out=factor)
+        factor *= factor
+        kernel = (factor.reshape(2, -1) * kernel).reshape(-1)
+    return kernel
+
+
+@st.composite
+def aux_angles(draw, n):
+    """A dyadic angle (4 pi k / 2^n, a bin centre) or an arbitrary one."""
+    if draw(st.booleans()):
+        k = draw(st.integers(1, (1 << (n - 1)) - 1)) * draw(st.sampled_from([1, -1]))
+        return 4 * PI * k / (1 << n)
+    return draw(st.floats(-4 * PI, 4 * PI))
+
+
+class TestSharedKernel:
+    """One readout kernel serves every run of its width and angle."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), n=st.integers(2, 16), axis=st.sampled_from(Axis),
+           prep=st.lists(st.tuples(st.sampled_from([rx, ry]), st.floats(-2 * PI, 2 * PI)),
+                         max_size=3),
+           sampled=st.booleans(), seed=st.integers(0, 2**32))
+    def test_passed_kernel_gives_the_same_readout(self, data, n, axis, prep, sampled, seed):
+        aux = data.draw(aux_angles(n))
+        run = RunSettings(n, 10_000, seed) if sampled else RunSettings(n)
+        config = QpeConfig(run, RotationSpec(axis, aux), tuple(g(a) for g, a in prep))
+        kernel = readout_kernel(n, aux)
+        shared = run_qpe(config, kernel=kernel).values
+        own = run_qpe(config).values
+        assert np.array_equal(shared, own)
+        assert shared.dtype == own.dtype
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 16])
+    @pytest.mark.parametrize("aux", [PI / 4, 0.3, -0.0, 3.3e5])
+    def test_in_place_build_is_bit_identical(self, n, aux):
+        kernel = readout_kernel(n, aux)
+        reference = broadcast_kernel(n, aux)
+        assert kernel.dtype == reference.dtype and np.array_equal(kernel, reference)
+
+    def test_kernel_is_read_only(self):
+        kernel = readout_kernel(6, PI / 4)
+        assert not kernel.flags.writeable
+        with pytest.raises(ValueError):
+            kernel[0] = 2.0
+
+    @pytest.mark.parametrize("shots", [None, 500])
+    def test_run_leaves_a_passed_kernel_unchanged(self, shots):
+        config = qpeh_config(n=8, aux=1.0, shots=shots, seed=4)
+        kernel = readout_kernel(8, 1.0)
+        before = kernel.copy()
+        run_qpe(config, kernel=kernel)
+        assert np.array_equal(kernel, before)
+        assert not kernel.flags.writeable
+
+    @pytest.mark.parametrize("kernel", [
+        readout_kernel(5, PI / 4),
+        readout_kernel(7, PI / 4),
+        readout_kernel(6, PI / 4).reshape(8, 8),
+        readout_kernel(6, PI / 4).astype(np.float32),
+        readout_kernel(6, PI / 4).tolist(),
+    ], ids=["2^(n-1)", "2^(n+1)", "2-d", "float32", "list"])
+    def test_wrong_kernel_refused(self, kernel):
+        with pytest.raises(ConfigurationError, match="kernel"):
+            run_qpe(qpev_config(n=6), kernel=kernel)
