@@ -43,12 +43,14 @@ DEFAULT_AUX = "pi/4"
 DEFAULT_SEED = 0
 
 
-def _signed(flag: str, example: str = "-pi/3") -> str:
-    """The help-text note of an option that takes a signed value. argparse
-    reads a value that starts with "-" as a flag unless it is a plain
-    negative decimal such as -0.7, so -pi/3, -1e-3 or -1:0.5 only pass
-    attached to the flag."""
-    return f" (write a negative value attached: {flag}={example})"
+def _add_angle(parser: argparse.ArgumentParser, flag: str, text: str,
+               example: str = "-pi/3", **kwargs) -> None:
+    """Add an option that takes a signed angle or range. argparse reads a
+    value that starts with "-" as a flag unless it is a plain negative
+    decimal such as -0.7, so -pi/3, -1e-3 or -1:0.5 only pass attached to
+    the flag, and the help text says so."""
+    parser.add_argument(
+        flag, help=f"{text} (write a negative value attached: {flag}={example})", **kwargs)
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
@@ -89,17 +91,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analytic", help="closed-form amplitudes and phase")
-    p.add_argument("--eta", required=True,
-                   help="segment-1 angle, radians or pi fraction" + _signed("--eta"))
-    p.add_argument("--delta", required=True, help="segment-2 angle" + _signed("--delta"))
+    _add_angle(p, "--eta", "segment-1 angle, radians or pi fraction", required=True)
+    _add_angle(p, "--delta", "segment-2 angle", required=True)
     _add_output_flags(p)
     p.set_defaults(func=cmd_analytic)
 
     p = sub.add_parser("qpev", help="vertical run: measure C^2 and S^2")
-    p.add_argument("--eta", required=True, help="segment-1 angle" + _signed("--eta"))
-    p.add_argument("--aux", default=DEFAULT_AUX,
-                   help=f"auxiliary Y-rotation angle, default {DEFAULT_AUX}"
-                   + _signed("--aux", "-pi/4"))
+    _add_angle(p, "--eta", "segment-1 angle", required=True)
+    _add_angle(p, "--aux", f"auxiliary Y-rotation angle, default {DEFAULT_AUX}", "-pi/4",
+               default=DEFAULT_AUX)
     p.add_argument("--allow-leakage", action="store_true",
                    help="accept a non dyadic-exact auxiliary angle")
     _add_run_flags(p)
@@ -107,11 +107,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_qpev)
 
     p = sub.add_parser("qpeh", help="horizontal run: measure |A|^2/2 and |B|^2/2")
-    p.add_argument("--eta", required=True, help="segment-1 angle" + _signed("--eta"))
-    p.add_argument("--delta", required=True, help="segment-2 angle" + _signed("--delta"))
-    p.add_argument("--aux", default=DEFAULT_AUX,
-                   help=f"auxiliary X-rotation angle, default {DEFAULT_AUX}"
-                   + _signed("--aux", "-pi/4"))
+    _add_angle(p, "--eta", "segment-1 angle", required=True)
+    _add_angle(p, "--delta", "segment-2 angle", required=True)
+    _add_angle(p, "--aux", f"auxiliary X-rotation angle, default {DEFAULT_AUX}", "-pi/4",
+               default=DEFAULT_AUX)
     p.add_argument("--allow-leakage", action="store_true",
                    help="accept a non dyadic-exact auxiliary angle")
     _add_run_flags(p)
@@ -119,14 +118,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_qpeh)
 
     p = sub.add_parser("pipeline", help="both runs plus phase extraction")
-    p.add_argument("--eta", required=True, help="segment-1 angle" + _signed("--eta"))
-    p.add_argument("--delta", required=True, help="segment-2 angle" + _signed("--delta"))
-    p.add_argument("--aux-v", default=DEFAULT_AUX,
-                   help=f"vertical auxiliary angle, default {DEFAULT_AUX}"
-                   + _signed("--aux-v", "-pi/4"))
-    p.add_argument("--aux-h", default=DEFAULT_AUX,
-                   help=f"horizontal auxiliary angle, default {DEFAULT_AUX}"
-                   + _signed("--aux-h", "-pi/4"))
+    _add_angle(p, "--eta", "segment-1 angle", required=True)
+    _add_angle(p, "--delta", "segment-2 angle", required=True)
+    _add_angle(p, "--aux-v", f"vertical auxiliary angle, default {DEFAULT_AUX}", "-pi/4",
+               default=DEFAULT_AUX)
+    _add_angle(p, "--aux-h", f"horizontal auxiliary angle, default {DEFAULT_AUX}", "-pi/4",
+               default=DEFAULT_AUX)
     p.add_argument("--branch", choices=["principal", "reflected"],
                    default="principal", help="delta branch for asin(sin delta)")
     _add_run_flags(p)
@@ -134,11 +131,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("sweep", help="grid the exact pipeline, write CSV")
-    p.add_argument("--eta-range", required=True, metavar="LO:HI",
-                   help="segment-1 range, e.g. 0.2:1.3 or pi/12:pi/3"
-                   + _signed("--eta-range", "-1:0.5"))
-    p.add_argument("--delta-range", required=True, metavar="LO:HI",
-                   help="segment-2 range" + _signed("--delta-range", "-pi/3:0"))
+    _add_angle(p, "--eta-range", "segment-1 range, e.g. 0.2:1.3 or pi/12:pi/3", "-1:0.5",
+               required=True, metavar="LO:HI")
+    _add_angle(p, "--delta-range", "segment-2 range", "-pi/3:0",
+               required=True, metavar="LO:HI")
     p.add_argument("--steps", type=int, default=12,
                    help="grid points per axis (default 12)")
     p.add_argument("--exact", action="store_true",
@@ -200,10 +196,13 @@ def _analytic_section(eta: float, delta: float | None = None,
 
 
 def _write(text: str, out: str | None) -> None:
+    """Write `text` to stdout, or to the file `out`. Python holds an argv
+    byte that is not UTF-8 as a lone surrogate, and a CSV record echoes
+    argv, so the file gets such a byte back as it was passed."""
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        Path(out).write_text(text, encoding="utf-8", errors="surrogateescape")
 
 
 def _emit(args, **sections) -> int:

@@ -27,7 +27,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BranchWarning, UndefinedPhaseError
-from .statevector import StateVector
 
 #: reduced Planck constant, J s (2018 CODATA exact value)
 HBAR = 1.054571817e-34
@@ -150,26 +149,27 @@ def amplitudes_AB(params: PathParams) -> ComplexPair:
     )
 
 
-def psi1(eta: float) -> StateVector:
-    """State after segment 1, equal to rx(-eta)|0> exactly.
+def psi1(eta: float) -> np.ndarray:
+    """State after segment 1, rx(-eta)|0> exactly, as a complex128 pair;
+    ValueError unless eta is finite.
 
     In the x eigenbasis this is (e^{+i eta/2} |+x> + e^{-i eta/2} |-x>)
     / sqrt(2); in the computational basis (cos(eta/2), i sin(eta/2)).
     """
-    c = math.cos(eta / 2.0)
-    s = math.sin(eta / 2.0)
-    return StateVector(1, np.array([c, 1j * s], dtype=np.complex128))
+    if not math.isfinite(eta):
+        raise ValueError(f"eta must be finite, got {eta!r}")
+    return np.array([math.cos(eta / 2.0), 1j * math.sin(eta / 2.0)], dtype=np.complex128)
 
 
-def psi2(params: PathParams) -> StateVector:
-    """State after both segments, equal to ry(delta) rx(-eta) |0> exactly,
-    with no global-phase slack."""
+def psi2(params: PathParams) -> np.ndarray:
+    """State after both segments, ry(delta) rx(-eta) |0> exactly with no
+    global-phase slack, as a complex128 pair."""
     cs = amplitudes_CS(params.eta)
     e_minus = np.exp(-0.5j * params.delta)
     e_plus = np.exp(+0.5j * params.delta)
     a0 = (cs.C * e_minus + cs.S * e_plus) / _SQRT2
     a1 = 1j * (cs.C * e_minus - cs.S * e_plus) / _SQRT2
-    return StateVector(1, np.array([a0, a1], dtype=np.complex128))
+    return np.array([a0, a1], dtype=np.complex128)
 
 
 class TotalPhase(NamedTuple):

@@ -25,7 +25,6 @@ prepared target state with the axis eigenvectors.
 
 import math
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 
@@ -38,6 +37,7 @@ from .statevector import (
     apply_single,
     exact_histogram,
     histogram_from_probabilities,
+    is_integer,
     new_state,
     require_gate,
     sample,
@@ -58,11 +58,6 @@ COVERAGE_THRESHOLD = 0.98
 _DYADIC_ATOL = 1e-9
 
 
-def _is_int(value) -> bool:
-    """An integral number other than a bool."""
-    return isinstance(value, Integral) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class RunSettings:
     """The register width and sampling settings of a run.
@@ -79,7 +74,7 @@ class RunSettings:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        if not (_is_int(self.counting_qubits)
+        if not (is_integer(self.counting_qubits)
                 and 1 <= self.counting_qubits <= MAX_COUNTING_QUBITS):
             raise ConfigurationError(
                 f"counting_qubits must be an integer in [1, {MAX_COUNTING_QUBITS}], "
@@ -87,11 +82,11 @@ class RunSettings:
             )
         if self.shots is None:
             object.__setattr__(self, "seed", None)
-        elif not (_is_int(self.shots) and 1 <= self.shots <= MAX_SHOTS):
+        elif not (is_integer(self.shots) and 1 <= self.shots <= MAX_SHOTS):
             raise ConfigurationError(
                 f"sampled mode needs integral shots in [1, {MAX_SHOTS}], got {self.shots!r}"
             )
-        elif not (_is_int(self.seed) and self.seed >= 0):
+        elif not (is_integer(self.seed) and self.seed >= 0):
             raise ConfigurationError(
                 f"sampled mode needs an integral seed >= 0, got {self.seed!r}"
             )

@@ -14,6 +14,7 @@ import json
 import numpy as np
 
 from .extraction import ExtractionResult
+from .precession import wrap_angle
 from .qpe import DecodeResult, format_binary
 from .statevector import Histogram
 
@@ -161,19 +162,13 @@ def histogram_payload(hist: Histogram) -> dict:
     }
 
 
-def _signed_angle(fraction: float) -> float:
-    """2 pi fraction, folded into (-pi, pi]."""
-    turn = 2.0 * np.pi * fraction
-    return turn if fraction <= 0.5 else turn - 2.0 * np.pi
-
-
 def _peak_payload(m: int, probability: float, num_bits: int) -> dict:
     fraction = m / (1 << num_bits)
     return {
         "m": m,
         "bits": format_binary(m, num_bits),
         "fraction": fraction,
-        "signed_angle": _signed_angle(fraction),
+        "signed_angle": wrap_angle(2.0 * np.pi * fraction),
         "probability": probability,
     }
 

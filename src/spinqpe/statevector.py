@@ -40,6 +40,11 @@ UNITARY_ATOL = 1e-12
 PROBABILITY_FLOOR = 1e-15
 
 
+def is_integer(value) -> bool:
+    """An integral number other than a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 @dataclass
 class StateVector:
     """Amplitudes of an n-qubit register (length 2**num_qubits, complex128)."""
@@ -102,10 +107,9 @@ class Histogram:
                 raise ValueError(
                     f"counts sum to {total}, expected total_shots={self.total_shots}"
                 )
-            seed = self.seed
-            if isinstance(seed, bool) or not (isinstance(seed, Integral) and seed >= 0):
+            if not (is_integer(self.seed) and self.seed >= 0):
                 raise ValueError(
-                    f"a sampled histogram needs an integral seed >= 0, got {seed!r}"
+                    f"a sampled histogram needs an integral seed >= 0, got {self.seed!r}"
                 )
         elif self.seed is not None:
             raise ValueError(f"an exact-mode histogram has no seed, got {self.seed!r}")

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import os
 
 import jsonschema
 import pytest
@@ -259,6 +260,32 @@ class TestOutputAndErrors:
                            "--delta", "pi/3", "--out", str(target))
         assert code == 4
         assert json.loads(err)["error"]["exit_code"] == 4
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("argv", [
+        ["analytic", "--eta", "pi/3", "--delta", "pi/3"],
+        ["qpev", "--eta", "pi/3", "--n", "4"],
+        ["pipeline", "--eta", "pi/3", "--delta", "pi/3", "--n", "4"],
+    ], ids=["analytic", "qpev", "pipeline"])
+    def test_out_path_with_a_non_utf8_byte(self, capsys, tmp_path, argv, fmt):
+        """A file name the OS passes with a byte that is not UTF-8 reaches
+        Python as a lone surrogate. The record lands in that file whole,
+        and its command holds the name: the CSV field as the raw byte, the
+        JSON string as an escape."""
+        target = tmp_path / os.fsdecode(b"rec-\xff.csv")
+        argv = [*argv, "--format", fmt, "--out", str(target)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (0, "", "")
+        raw = target.read_bytes()
+        if fmt == "csv":
+            assert os.fsencode(str(target)) in raw
+            text = raw.decode("utf-8", errors="surrogateescape")
+            rows = list(csv.DictReader(io.StringIO(text, newline="")))
+            assert len(rows) == 1 and rows[0]["command"] == " ".join(argv)
+        else:
+            record = json.loads(raw.decode("utf-8"))
+            jsonschema.validate(record, RUN_RECORD_SCHEMA)
+            assert record["command"] == argv
 
     def test_warnings_do_not_change_exit_code(self, capsys):
         # 11/32 pi puts the eigenphase half a bin off center at n = 6, the

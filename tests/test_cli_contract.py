@@ -6,13 +6,16 @@ import contextlib
 import csv
 import io
 import json
+import os
+import tempfile
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from spinqpe import RUN_RECORD_SCHEMA, ConfigurationError, RunSettings
+from spinqpe import RUN_RECORD_SCHEMA, ConfigurationError, Histogram, RunSettings
 from spinqpe.cli import main
 
 CONTRACT_CODES = {0, 2, 3, 4}
@@ -276,3 +279,69 @@ def test_cli_keeps_its_contract(argv):
         assert len(rows) >= 2 and len({len(row) for row in rows}) == 1
     else:
         jsonschema.validate(strict_json(out), RUN_RECORD_SCHEMA)
+
+
+#: file names under a fresh directory: plain, a byte that is not UTF-8 (held
+#: by Python as a lone surrogate), non-ASCII UTF-8, and a missing directory
+_OUT_NAMES = st.sampled_from([
+    "rec.out", os.fsdecode(b"rec-\xff.csv"), os.fsdecode(b"\xfe\xff"), "r\u00e9c.json",
+    os.path.join("missing", "rec.out"),
+])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(COMMANDS, _OUT_NAMES)
+def test_cli_keeps_its_contract_through_out(argv, name):
+    """With --out the contract holds as on stdout, and a command that
+    succeeds leaves a whole record in the file and nothing on stdout."""
+    with tempfile.TemporaryDirectory() as directory:
+        target = os.path.join(directory, name)
+        code, out, err = invoke([*argv, f"--out={target}"])
+        assert code in CONTRACT_CODES
+        if code:
+            assert_one_error_line(code, out, err)
+            return
+        assert (out, err) == ("", "")
+        with open(target, "rb") as handle:
+            text = handle.read().decode("utf-8", errors="surrogateescape")
+    if argv[0] == "sweep" or "--format=csv" in argv:
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        assert len(rows) >= 2 and len({len(row) for row in rows}) == 1
+        if argv[0] != "sweep":
+            assert rows[1][0] == " ".join([*argv, f"--out={target}"])
+    else:
+        jsonschema.validate(strict_json(text), RUN_RECORD_SCHEMA)
+
+
+_SEEDS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**70, 2**70),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.builds(lambda kind, value: kind(value),
+              st.sampled_from([np.int8, np.int64, np.uint8, np.uint64]), st.integers(0, 127)),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.sampled_from([np.True_, np.float64(3.0), "3", 3 + 0j]),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_SEEDS)
+@example(seed=0)
+@example(seed=-1)
+@example(seed=True)
+@example(seed=1.0)
+@example(seed=None)
+@example(seed=np.int64(-1))
+def test_run_settings_and_histogram_accept_the_same_seeds(seed):
+    """A sampled RunSettings and a sampled Histogram share one seed rule:
+    an integer >= 0 that is no bool."""
+    try:
+        RunSettings(1, 1, seed)
+        settings_accept = True
+    except ConfigurationError:
+        settings_accept = False
+    try:
+        Histogram(np.array([1, 0]), total_shots=1, seed=seed)
+        histogram_accepts = True
+    except ValueError:
+        histogram_accepts = False
+    assert settings_accept == histogram_accepts

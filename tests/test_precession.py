@@ -61,35 +61,45 @@ class TestAmplitudesCS:
 
 class TestPsi1:
     def test_zero_angle(self):
-        np.testing.assert_array_equal(psi1(0.0).amplitudes, E0)
+        np.testing.assert_array_equal(psi1(0.0), E0)
 
     def test_pi_third_angle(self):
         np.testing.assert_allclose(
-            psi1(PI / 3).amplitudes,
+            psi1(PI / 3),
             [math.cos(PI / 6), 1j * math.sin(PI / 6)],
             atol=1e-15,
         )
 
     def test_half_turn(self):
-        np.testing.assert_allclose(psi1(PI).amplitudes, [0.0, 1j], atol=1e-15)
+        np.testing.assert_allclose(psi1(PI), [0.0, 1j], atol=1e-15)
+
+    def test_plain_complex_pair(self):
+        for state in (psi1(0.3), psi2(PathParams(0.3, -0.7))):
+            assert type(state) is np.ndarray
+            assert (state.shape, state.dtype) == ((2,), np.complex128)
+
+    @pytest.mark.parametrize("eta", [math.inf, -math.inf, math.nan])
+    def test_non_finite_angle_refused(self, eta):
+        with pytest.raises(ValueError, match="finite"):
+            psi1(eta)
 
     def test_matches_circuit_everywhere(self):
         rng = np.random.default_rng(41)
         for eta in rng.uniform(-PI, PI, 200):
             np.testing.assert_allclose(
-                psi1(eta).amplitudes, rx(-eta) @ E0, atol=1e-12)
+                psi1(eta), rx(-eta) @ E0, atol=1e-12)
 
 
 class TestPsi2:
     def test_zero_angles(self):
         # cos(pi/4) and sin(pi/4) differ by one ulp in doubles, so the
         # excited amplitude carries ~1e-17 dust rather than an exact zero
-        np.testing.assert_allclose(psi2(PathParams(0.0, 0.0)).amplitudes, E0,
+        np.testing.assert_allclose(psi2(PathParams(0.0, 0.0)), E0,
                                    atol=1e-15)
 
     def test_pi_third_angles(self):
         np.testing.assert_allclose(
-            psi2(PathParams(PI / 3, PI / 3)).amplitudes,
+            psi2(PathParams(PI / 3, PI / 3)),
             [0.75 - 0.25j, 0.4330127018922193 + 0.4330127018922193j],
             atol=1e-12,
         )
@@ -97,7 +107,7 @@ class TestPsi2:
     def test_matches_circuit_no_global_phase_slack(self):
         for eta, delta in random_params(1000, seed=43):
             np.testing.assert_allclose(
-                psi2(PathParams(eta, delta)).amplitudes,
+                psi2(PathParams(eta, delta)),
                 evolve(eta, delta),
                 atol=1e-12,
             )
@@ -110,7 +120,7 @@ class TestPsi2:
             ab = amplitudes_AB(PathParams(eta, delta))
             rebuilt = (ab.A * plus_x + ab.B * minus_x) / math.sqrt(2)
             np.testing.assert_allclose(
-                rebuilt, psi2(PathParams(eta, delta)).amplitudes, atol=1e-12)
+                rebuilt, psi2(PathParams(eta, delta)), atol=1e-12)
 
     def test_segments_do_not_commute(self):
         forward = evolve(PI / 3, PI / 3)

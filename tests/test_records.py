@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from spinqpe import Axis, QpeConfig, RotationSpec, RunSettings, rx, ry
 from spinqpe.cli import main
-from spinqpe.qpe import format_binary, run_qpe
-from spinqpe.records import histogram_payload, make_record, to_json
+from spinqpe.qpe import DecodeResult, format_binary, run_qpe
+from spinqpe.records import decode_payload, histogram_payload, make_record, to_json
 from spinqpe.statevector import PROBABILITY_FLOOR, Histogram
 
 #: exact-mode probabilities whose reprs stress the writer: just above the
@@ -81,7 +81,7 @@ def sampled_histograms(draw):
     total = draw(st.one_of(st.just(2**63 - 1), st.integers(1, 2**63 - 1)))
     bins = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=min(size, 16),
                          unique=True))
-    cuts = sorted(draw(st.lists(st.one_of(st.integers(0, 3), st.integers(0, total)),
+    cuts = sorted(draw(st.lists(st.one_of(st.integers(0, min(3, total)), st.integers(0, total)),
                                 min_size=len(bins) - 1, max_size=len(bins) - 1)))
     counts = np.zeros(size, dtype=np.int64)
     counts[bins] = [high - low for low, high in zip([0, *cuts], [*cuts, total])]
@@ -150,3 +150,18 @@ def test_large_record_is_canonical_json(capsys, argv, config):
     (entries,) = [section["entries"] for section in record["histograms"].values()
                   if section is not None]
     assert len(entries) == np.count_nonzero(run_qpe(config).values)
+
+
+def test_peak_angle_folds_every_bin():
+    """A peak's signed_angle is 2 pi m / 2**n folded into (-pi, pi]: for
+    every bin of every width up to 16, bit for bit the turn itself up to
+    half a turn and the turn less 2 pi beyond."""
+    for n in range(1, 17):
+        size = 1 << n
+        for m in range(size):
+            decoded = DecodeResult(m, (size - m) % size, True, 0, 0.5, 0.5, 1.0)
+            for peak in decode_payload(decoded, n)["peaks"]:
+                fraction = peak["m"] / size
+                turn = 2.0 * math.pi * fraction
+                expected = turn if fraction <= 0.5 else turn - 2.0 * math.pi
+                assert peak["signed_angle"].hex() == expected.hex(), (n, peak["m"])
