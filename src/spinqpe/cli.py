@@ -228,7 +228,7 @@ def cmd_qpev(args) -> int:
     cs = reconstruct_CS(result.p_plus, result.p_minus)
     return _emit(args, config={"eta": eta, "aux_v": aux, **_echo(run)},
                  histograms={"qpev": histogram_payload(hist)},
-                 decoded={"qpev": decode_payload(result, args.n)},
+                 decoded={"qpev": decode_payload(result)},
                  estimates={"C": cs.C, "S": cs.S},
                  analytic=_analytic_section(eta), warnings=result.warnings)
 
@@ -243,7 +243,7 @@ def cmd_qpeh(args) -> int:
     phase, notes = capture_warnings(total_phase, PathParams(eta, delta))
     return _emit(args, config={"eta": eta, "delta": delta, "aux_h": aux, **_echo(run)},
                  histograms={"qpeh": histogram_payload(hist)},
-                 decoded={"qpeh": decode_payload(result, args.n)},
+                 decoded={"qpeh": decode_payload(result)},
                  estimates={"absA": absA},
                  analytic=_analytic_section(eta, delta, phase),
                  warnings=result.warnings + notes)

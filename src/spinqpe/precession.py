@@ -182,9 +182,9 @@ def total_phase(params: PathParams) -> TotalPhase:
     """Overlap magnitude and accumulated phase after both segments.
 
     theta is the argument of <0|psi2> = (A+B)/2 and is authoritative; the
-    arctan form is computed alongside and the two must agree on the
-    principal branch (a BranchWarning is issued if they cannot be
-    compared, e.g. when S + C vanishes).
+    arctan form is computed alongside from the same S + C and S - C, so
+    the two agree wherever Re <0|psi2> > 0. When S + C vanishes the arctan
+    form is undefined: it is NaN, and a BranchWarning is issued.
     """
     cs = amplitudes_CS(params.eta)
     half = params.delta / 2.0
@@ -207,12 +207,6 @@ def total_phase(params: PathParams) -> TotalPhase:
         theta_arctan = math.nan
     else:
         theta_arctan = math.atan((cs.S - cs.C) / s_plus_c * math.tan(half))
-        if re > 1e-12 and abs(theta - theta_arctan) > 1e-10:
-            warnings.warn(
-                f"arctan form {theta_arctan!r} disagrees with the overlap "
-                f"argument {theta!r} beyond branch folding",
-                BranchWarning,
-            )
     return TotalPhase(magnitude=magnitude, theta=theta, theta_arctan=theta_arctan)
 
 

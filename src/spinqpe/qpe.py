@@ -134,21 +134,32 @@ def _frozen_gate(gate) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ExpectedBins:
+    """Where a run's two eigencomponents read out: bins m_plus and m_minus
+    of a num_bits register, and whether they land exactly (dyadic_exact)."""
+
+    num_bits: int
     m_plus: int
     m_minus: int
     dyadic_exact: bool
 
+    @property
+    def window(self) -> int:
+        """Bins a decode window reaches to either side of its bin: 0 when
+        dyadic-exact, LEAKY_WINDOW otherwise."""
+        return 0 if self.dyadic_exact else LEAKY_WINDOW
 
-@dataclass
-class DecodeResult:
-    m_plus: int
-    m_minus: int
-    dyadic_exact: bool
-    window: int
+
+@dataclass(frozen=True)
+class DecodeResult(ExpectedBins):
+    """The bins of a readout and the mass decode measured in each window."""
+
     p_plus: float
     p_minus: float
-    coverage: float
     warnings: list = field(default_factory=list)
+
+    @property
+    def coverage(self) -> float:
+        return self.p_plus + self.p_minus
 
 
 def expected_bins(config: QpeConfig) -> ExpectedBins:
@@ -167,7 +178,7 @@ def expected_bins(config: QpeConfig) -> ExpectedBins:
     m_minus = round(x) % size
     m_plus = (size - m_minus) % size
     dyadic = math.isclose(x, round(x), rel_tol=0.0, abs_tol=_DYADIC_ATOL)
-    return ExpectedBins(m_plus=m_plus, m_minus=m_minus, dyadic_exact=dyadic)
+    return ExpectedBins(n, m_plus, m_minus, dyadic)
 
 
 def readout_kernel(n: int, angle: float) -> np.ndarray:
@@ -263,22 +274,23 @@ def run_circuit(config: QpeConfig) -> Histogram:
 
 def _window_mass(hist: Histogram, window: set) -> float:
     """The window's probabilities added left to right in set iteration
-    order. Records pin the decoded masses to the last bit, and adding in
-    ascending order, or compensated as `math.fsum` and the float `sum()`
-    of Python 3.12+ do, can change it."""
+    order, at most 1. Records pin the decoded masses to the last bit, and
+    adding in ascending order, or compensated as `math.fsum` and the float
+    `sum()` of Python 3.12+ do, can change it. A sampled window that holds
+    every shot adds count/shots ratios that are each rounded, so their sum
+    can round above 1; the window's exact mass is then 1."""
     total = 0.0
     for probability in hist.probabilities(list(window)):
         total += probability
-    return total
+    return min(total, 1.0)
 
 
 def decode(hist: Histogram, config: QpeConfig) -> DecodeResult:
     """Total mass around the two expected bins.
 
-    Each window reaches `window` bins to either side of its bin, cyclic:
-    0 for dyadic-exact configurations and LEAKY_WINDOW otherwise. The two
-    windows must not overlap. Coverage below COVERAGE_THRESHOLD is reported
-    as a leakage warning, not an error.
+    Each window reaches the bins' `window` to either side of its bin,
+    cyclic, and the two windows must not overlap. Coverage below
+    COVERAGE_THRESHOLD is reported as a leakage warning, not an error.
     """
     if hist.num_bits != config.run.counting_qubits:
         raise ConfigurationError(
@@ -286,7 +298,7 @@ def decode(hist: Histogram, config: QpeConfig) -> DecodeResult:
             f"counts {config.run.counting_qubits}"
         )
     bins = expected_bins(config)
-    window = 0 if bins.dyadic_exact else LEAKY_WINDOW
+    window = bins.window
     size = 1 << hist.num_bits
     window_plus = {(bins.m_plus + d) % size for d in range(-window, window + 1)}
     window_minus = {(bins.m_minus + d) % size for d in range(-window, window + 1)}
@@ -296,25 +308,14 @@ def decode(hist: Histogram, config: QpeConfig) -> DecodeResult:
             f"overlap (window={window}); the two eigencomponents are not "
             "separable in this configuration"
         )
-    p_plus = _window_mass(hist, window_plus)
-    p_minus = _window_mass(hist, window_minus)
-    coverage = p_plus + p_minus
-    notes = []
-    if coverage < COVERAGE_THRESHOLD:
-        notes.append(
-            f"leakage: decoded windows cover {coverage:.6f} "
+    result = DecodeResult(**vars(bins), p_plus=_window_mass(hist, window_plus),
+                          p_minus=_window_mass(hist, window_minus))
+    if result.coverage < COVERAGE_THRESHOLD:
+        result.warnings.append(
+            f"leakage: decoded windows cover {result.coverage:.6f} "
             f"< threshold {COVERAGE_THRESHOLD}"
         )
-    return DecodeResult(
-        m_plus=bins.m_plus,
-        m_minus=bins.m_minus,
-        dyadic_exact=bins.dyadic_exact,
-        window=window,
-        p_plus=p_plus,
-        p_minus=p_minus,
-        coverage=coverage,
-        warnings=notes,
-    )
+    return result
 
 
 def format_binary(outcome: int, num_bits: int) -> str:

@@ -74,6 +74,13 @@ _INTEGER = {"type": "integer"}
 _NUMBER = {"type": "number"}
 _STRING = {"type": "string"}
 
+#: the scalar keys of `decoded.<run>`, in record order, with their schemas;
+#: each value is the DecodeResult attribute of that name
+_DECODE_FIELDS = {
+    "m_plus": _INTEGER, "m_minus": _INTEGER, "dyadic_exact": {"type": "boolean"},
+    "window": _INTEGER, "p_plus": _NUMBER, "p_minus": _NUMBER, "coverage": _NUMBER,
+}
+
 
 def _value_schema(kind) -> dict:
     if isinstance(kind, str):
@@ -128,9 +135,7 @@ RUN_RECORD_SCHEMA = {
             optional=["count"],
         ),
         "decode": _object({
-            "m_plus": _INTEGER, "m_minus": _INTEGER, "dyadic_exact": {"type": "boolean"},
-            "window": _INTEGER, "p_plus": _NUMBER, "p_minus": _NUMBER, "coverage": _NUMBER,
-            "peaks": {"type": "array", "items": {"$ref": "#/$defs/peak"}},
+            **_DECODE_FIELDS, "peaks": {"type": "array", "items": {"$ref": "#/$defs/peak"}},
         }),
         "peak": _object({
             "m": _INTEGER, "bits": _STRING, "fraction": _NUMBER, "signed_angle": _NUMBER,
@@ -173,18 +178,12 @@ def _peak_payload(m: int, probability: float, num_bits: int) -> dict:
     }
 
 
-def decode_payload(result: DecodeResult, num_bits: int) -> dict:
+def decode_payload(result: DecodeResult) -> dict:
     return {
-        "m_plus": result.m_plus,
-        "m_minus": result.m_minus,
-        "dyadic_exact": result.dyadic_exact,
-        "window": result.window,
-        "p_plus": result.p_plus,
-        "p_minus": result.p_minus,
-        "coverage": result.coverage,
+        **{key: getattr(result, key) for key in _DECODE_FIELDS},
         "peaks": [
-            _peak_payload(result.m_plus, result.p_plus, num_bits),
-            _peak_payload(result.m_minus, result.p_minus, num_bits),
+            _peak_payload(result.m_plus, result.p_plus, result.num_bits),
+            _peak_payload(result.m_minus, result.p_minus, result.num_bits),
         ],
     }
 
@@ -215,15 +214,13 @@ def make_record(
 
 def extraction_payloads(result: ExtractionResult) -> tuple[dict, dict]:
     """(histograms, decoded) sections for a pipeline record."""
-    n_v = result.hist_v.num_bits
-    n_h = result.hist_h.num_bits
     histograms = {
         "qpev": histogram_payload(result.hist_v),
         "qpeh": histogram_payload(result.hist_h),
     }
     decoded = {
-        "qpev": decode_payload(result.decode_v, n_v),
-        "qpeh": decode_payload(result.decode_h, n_h),
+        "qpev": decode_payload(result.decode_v),
+        "qpeh": decode_payload(result.decode_h),
     }
     return histograms, decoded
 

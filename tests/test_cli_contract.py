@@ -6,6 +6,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import tempfile
 
@@ -63,6 +64,11 @@ def record_of(argv: list) -> dict:
     (["qpev", "--eta", "pi/3", "--aux", "1e305", "--n", "16", "--allow-leakage"], 3),
     # 2^n aux / (4 pi) has no fraction left in a float; the readout still leaks
     (["qpev", "--eta", "pi/3", "--aux", "3.3e15", "--n", "6"], 3),
+    (["sweep", "--eta-range", "0:1", "--delta-range", "0:1", "--steps", "0"], 3),
+    # every horizontal shot in the plus window, so |A| = sqrt(2), and the 20
+    # vertical shots put sin(delta) at 1.09: the readouts are inconsistent
+    (["pipeline", "--eta", "0.4", "--delta", "pi/2", "--aux-h", "1.0", "--n", "5",
+      "--shots", "20", "--seed", "24"], 3),
 ])
 def test_boundary_inputs_exit_with_contract_code(argv, code):
     got, out, err = invoke(argv)
@@ -279,6 +285,58 @@ def test_cli_keeps_its_contract(argv):
         assert len(rows) >= 2 and len({len(row) for row in rows}) == 1
     else:
         jsonschema.validate(strict_json(out), RUN_RECORD_SCHEMA)
+
+
+# -- few-shot leaky sampled runs ------------------------------------------
+
+#: runs at --n 5 --shots 20 --seed 24 in which every shot lands in the plus
+#: window, whose 20 rounded count/shots ratios add up to 1.0000000000000002
+WINDOW_HOLDS_EVERY_SHOT = [
+    ["qpev", "--eta", "pi/2", "--aux", "1.0", "--allow-leakage"],
+    ["qpeh", "--eta", "0.4", "--delta", "pi/2", "--aux", "1.0", "--allow-leakage"],
+    ["pipeline", "--eta", "0", "--delta", "pi/2", "--aux-h", "1.0"],
+]
+
+
+@pytest.mark.parametrize("argv", WINDOW_HOLDS_EVERY_SHOT, ids=lambda argv: argv[0])
+def test_window_holding_every_shot_has_mass_one(argv):
+    record = record_of([*argv, "--n", "5", "--shots", "20", "--seed", "24"])
+    assert record["decoded"]["qpev" if argv[0] == "qpev" else "qpeh"]["p_plus"] == 1.0
+    if argv[0] != "qpev":
+        assert record["estimates"]["absA"] == math.sqrt(2)
+
+
+#: angles that put the target on an axis eigenvector, so one window can
+#: hold every shot, and any others
+_FEW_SHOT_ANGLES = st.one_of(st.sampled_from(["0", "pi/2", "-pi/2", "pi", "pi/4"]),
+                             st.floats(-7.0, 7.0).map(repr))
+FEW_SHOT_LEAKY = st.one_of(
+    _argv(st.just(["qpev", "--allow-leakage"]), _set("eta", _FEW_SHOT_ANGLES),
+          _set("aux", _FEW_SHOT_ANGLES)),
+    _argv(st.just(["qpeh", "--allow-leakage"]), _set("eta", _FEW_SHOT_ANGLES),
+          _set("delta", _FEW_SHOT_ANGLES), _set("aux", _FEW_SHOT_ANGLES)),
+    _argv(st.just(["pipeline"]), _set("eta", _FEW_SHOT_ANGLES),
+          _set("delta", _FEW_SHOT_ANGLES), _set("aux-v", _FEW_SHOT_ANGLES),
+          _set("aux-h", _FEW_SHOT_ANGLES)),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(FEW_SHOT_LEAKY, st.integers(1, 8), st.integers(1, 40), st.integers(0, 2**32))
+@example(argv=WINDOW_HOLDS_EVERY_SHOT[0], n=5, shots=20, seed=24)
+@example(argv=WINDOW_HOLDS_EVERY_SHOT[1], n=5, shots=20, seed=24)
+@example(argv=WINDOW_HOLDS_EVERY_SHOT[2], n=5, shots=20, seed=24)
+@example(argv=["pipeline", "--eta", "0.4", "--delta", "pi/2", "--aux-h", "1.0"],
+         n=5, shots=20, seed=24)
+def test_few_shot_leaky_masses_stay_in_the_unit_interval(argv, n, shots, seed):
+    code, out, err = invoke([*argv, f"--n={n}", f"--shots={shots}", f"--seed={seed}"])
+    assert code in CONTRACT_CODES
+    if code:
+        assert_one_error_line(code, out, err)
+        return
+    masses = [run[key] for run in strict_json(out)["decoded"].values() if run is not None
+              for key in ("p_plus", "p_minus")]
+    assert masses and all(0.0 <= mass <= 1.0 for mass in masses)
 
 
 #: file names under a fresh directory: plain, a byte that is not UTF-8 (held

@@ -5,10 +5,13 @@ import pytest
 
 from spinqpe import (
     ConfigurationError,
+    IqftPlan,
+    PlanStep,
     StateVector,
     apply_iqft,
     build_iqft,
     dense_iqft_reference,
+    new_state,
     probabilities,
 )
 
@@ -45,6 +48,11 @@ class TestPlan:
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError):
             build_iqft([])
+
+    def test_unknown_step_rejected(self):
+        plan = IqftPlan((PlanStep("bogus", (0,)),))
+        with pytest.raises(ConfigurationError, match="unknown plan step"):
+            apply_iqft(new_state(2), plan)
 
 
 class TestDenseReference:

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from spinqpe import (
     AmplitudePair,
@@ -31,6 +33,12 @@ E0 = np.array([1.0, 0.0], dtype=complex)
 def evolve(eta: float, delta: float) -> np.ndarray:
     """Matrix-product oracle for the two-segment evolution."""
     return ry(delta) @ rx(-eta) @ E0
+
+
+#: angles within 1e-6 of a multiple of pi, where S + C, Re <0|psi2> or the
+#: overlap itself vanishes
+NEAR_SINGULAR = st.builds(lambda k, offset: k * PI + offset,
+                          st.integers(-3, 3), st.floats(-1e-6, 1e-6))
 
 
 def random_params(count, seed):
@@ -202,6 +210,23 @@ class TestTotalPhase:
             delta = rng.uniform(-PI / 2, PI / 2)
             tp = total_phase(PathParams(eta, delta))
             assert abs(tp.theta - tp.theta_arctan) <= 1e-10
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(st.floats(-1e3, 1e3), NEAR_SINGULAR),
+           st.one_of(st.floats(-1e3, 1e3), NEAR_SINGULAR))
+    @example(eta=PI - 1e-9, delta=PI / 3)
+    @example(eta=0.3, delta=PI - 1e-9)
+    def test_arctan_form_is_the_overlap_argument(self, eta, delta):
+        """Where Re <0|psi2> > 0 both forms take atan of one quotient of
+        the same S + C and S - C floats, so they agree to rounding."""
+        cs = amplitudes_CS(eta)
+        assume(abs(cs.S + cs.C) >= 1e-12)
+        try:
+            tp = total_phase(PathParams(eta, delta))
+        except UndefinedPhaseError:
+            assume(False)
+        assume(tp.magnitude * math.cos(tp.theta) > 1e-12)
+        assert abs(tp.theta - tp.theta_arctan) <= 1e-12
 
     def test_vanishing_overlap_is_an_error(self):
         with pytest.raises(UndefinedPhaseError):

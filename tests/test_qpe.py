@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from spinqpe import (
     Axis,
     ConfigurationError,
+    ExpectedBins,
     PathParams,
     QpeConfig,
     RotationSpec,
@@ -265,7 +266,7 @@ class TestDecode:
     def test_peaks_carry_table_notation(self):
         config = qpev_config()
         result = decode(run_qpe(config), config)
-        peak_plus, peak_minus = decode_payload(result, 10)["peaks"]
+        peak_plus, peak_minus = decode_payload(result)["peaks"]
         assert peak_plus["m"] == 960
         assert peak_plus["bits"] == "0.1111000000"
         assert peak_plus["fraction"] == 15 / 16
@@ -329,6 +330,27 @@ class TestDecode:
         leaky = qpev_config(aux=1.0, n=6)
         assert decode(run_qpe(leaky), leaky).window == 2
 
+    def test_result_is_its_bins_plus_the_measured_masses(self):
+        config = qpev_config(aux=1.0, n=6)
+        result = decode(run_qpe(config), config)
+        assert isinstance(result, ExpectedBins)
+        assert [f.name for f in dataclasses.fields(result)] == [
+            "num_bits", "m_plus", "m_minus", "dyadic_exact", "p_plus", "p_minus", "warnings"]
+        assert vars(expected_bins(config)).items() <= vars(result).items()
+        assert result.coverage == result.p_plus + result.p_minus
+        for name in ("num_bits", "p_plus", "window", "coverage"):
+            with pytest.raises(AttributeError):
+                setattr(result, name, 0)
+
+    def test_window_holding_every_shot_has_mass_one(self):
+        # the 20 rounded count/shots ratios of the plus window add up to
+        # 1.0000000000000002
+        config = QpeConfig(RunSettings(5, 20, 24), RotationSpec(Axis.X, 1.0),
+                           (rx(-0.4), ry(PI / 2)))
+        result = decode(run_qpe(config), config)
+        assert result.p_plus == 1.0
+        assert result.p_minus == 0.0
+
 
 class TestFormatBinary:
     def test_fraction_strings(self):
@@ -381,6 +403,10 @@ class TestQpeConfig:
         with pytest.raises(dataclasses.FrozenInstanceError):
             config.aux = RotationSpec(Axis.X, 1.0)
         assert config.aux is aux
+
+    def test_aux_must_be_a_rotation_spec(self):
+        with pytest.raises(ConfigurationError, match="aux must be a RotationSpec"):
+            QpeConfig(aux=0.3)
 
     def test_exact_config_drops_seed(self):
         assert RunSettings(seed=3).seed is None

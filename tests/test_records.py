@@ -159,8 +159,8 @@ def test_peak_angle_folds_every_bin():
     for n in range(1, 17):
         size = 1 << n
         for m in range(size):
-            decoded = DecodeResult(m, (size - m) % size, True, 0, 0.5, 0.5, 1.0)
-            for peak in decode_payload(decoded, n)["peaks"]:
+            decoded = DecodeResult(n, m, (size - m) % size, True, 0.5, 0.5)
+            for peak in decode_payload(decoded)["peaks"]:
                 fraction = peak["m"] / size
                 turn = 2.0 * math.pi * fraction
                 expected = turn if fraction <= 0.5 else turn - 2.0 * math.pi

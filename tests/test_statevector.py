@@ -61,6 +61,12 @@ class TestNewState:
         with pytest.raises(ValueError):
             StateVector(1, np.array([np.nan, 0.0]))
 
+    # the width is checked before the amplitudes are read
+    @pytest.mark.parametrize("n, length", [(0, 1), (25, 2)])
+    def test_width_out_of_range_rejected(self, n, length):
+        with pytest.raises(ValueError, match="num_qubits"):
+            StateVector(n, np.zeros(length))
+
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             StateVector(2, np.array([1.0, 0.0]))
