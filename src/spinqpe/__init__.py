@@ -10,9 +10,7 @@ the resulting histograms.
 from .angles import parse_angle
 from .errors import (
     AngleParseError,
-    BranchWarning,
     ConfigurationError,
-    EstimateClampedWarning,
     InconsistentAmplitudesError,
     SingularConfigurationError,
     UndefinedPhaseError,
@@ -84,11 +82,9 @@ __all__ = [
     "AngleParseError",
     "AmplitudePair",
     "Axis",
-    "BranchWarning",
     "ComplexPair",
     "ConfigurationError",
     "DecodeResult",
-    "EstimateClampedWarning",
     "ExpectedBins",
     "ExtractionResult",
     "HBAR",

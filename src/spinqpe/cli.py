@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .angles import parse_angle
 from .errors import AngleParseError, ConfigurationError
-from .extraction import capture_warnings, full_pipeline, reconstruct_CS, reconstruct_absA
+from .extraction import BRANCHES, full_pipeline, reconstruct_CS, reconstruct_absA
 from .gates import Axis, RotationSpec, rx, ry
 from .precession import PathParams, TotalPhase, amplitudes_AB, amplitudes_CS, total_phase
 from .qpe import QpeConfig, RunSettings, decode, expected_bins, run_qpe
@@ -124,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
                default=DEFAULT_AUX)
     _add_angle(p, "--aux-h", f"horizontal auxiliary angle, default {DEFAULT_AUX}", "-pi/4",
                default=DEFAULT_AUX)
-    p.add_argument("--branch", choices=["principal", "reflected"],
+    p.add_argument("--branch", choices=BRANCHES,
                    default="principal", help="delta branch for asin(sin delta)")
     _add_run_flags(p)
     _add_output_flags(p)
@@ -215,9 +215,9 @@ def _emit(args, **sections) -> int:
 def cmd_analytic(args) -> int:
     eta = parse_angle(args.eta)
     delta = parse_angle(args.delta)
-    phase, notes = capture_warnings(total_phase, PathParams(eta, delta))
+    phase = total_phase(PathParams(eta, delta))
     return _emit(args, config={"eta": eta, "delta": delta},
-                 analytic=_analytic_section(eta, delta, phase), warnings=notes)
+                 analytic=_analytic_section(eta, delta, phase), warnings=phase.warnings)
 
 
 def cmd_qpev(args) -> int:
@@ -240,13 +240,13 @@ def cmd_qpeh(args) -> int:
     run = RunSettings(args.n, args.shots, args.seed)
     hist, result = _readout(run, Axis.X, aux, (rx(-eta), ry(delta)), args.allow_leakage)
     absA = reconstruct_absA(result.p_plus)
-    phase, notes = capture_warnings(total_phase, PathParams(eta, delta))
+    phase = total_phase(PathParams(eta, delta))
     return _emit(args, config={"eta": eta, "delta": delta, "aux_h": aux, **_echo(run)},
                  histograms={"qpeh": histogram_payload(hist)},
                  decoded={"qpeh": decode_payload(result)},
                  estimates={"absA": absA},
                  analytic=_analytic_section(eta, delta, phase),
-                 warnings=result.warnings + notes)
+                 warnings=result.warnings + phase.warnings)
 
 
 def cmd_pipeline(args) -> int:

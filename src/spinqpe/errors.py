@@ -1,4 +1,8 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package.
+
+The package raises no Python warnings. A condition worth noting but not
+fatal is returned as a value, and a record carries it as a note in its
+`warnings` list."""
 
 
 class ConfigurationError(ValueError):
@@ -30,11 +34,3 @@ class AngleParseError(ValueError):
         self.position = position
         super().__init__(f"{message} (position {position} in {text!r})")
 
-
-class BranchWarning(UserWarning):
-    """A value was computed on a non-principal branch or folded back into
-    its reporting range."""
-
-
-class EstimateClampedWarning(UserWarning):
-    """An estimate slightly outside its mathematical range was clamped."""

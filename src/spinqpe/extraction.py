@@ -14,12 +14,10 @@ covers |delta| <= pi/2.
 """
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 from .errors import (
     ConfigurationError,
-    EstimateClampedWarning,
     InconsistentAmplitudesError,
     SingularConfigurationError,
     UndefinedPhaseError,
@@ -64,10 +62,10 @@ def infer_sin_delta(absA: float, cs: AmplitudePair) -> tuple[float, float]:
     """(sin(delta), raw) with raw = (|A|^2 - 1) / (2 S C).
 
     sin(delta) is raw, except that a raw value within TOL_CLAMP outside
-    [-1, 1] is clamped with a warning (sampling noise); anything further
-    out is an inconsistency error. A 2*S*C below SC_MIN (eta near pi/2,
-    where the first segment lands on an eigenvector) makes the inversion
-    uninformative and is an error.
+    [-1, 1] is clamped (sampling noise), so the two differ exactly when it
+    clamps; anything further out is an inconsistency error. A 2*S*C below
+    SC_MIN (eta near pi/2, where the first segment lands on an eigenvector)
+    makes the inversion uninformative and is an error.
     """
     twice_sc = 2.0 * cs.S * cs.C
     if abs(twice_sc) < SC_MIN:
@@ -82,21 +80,8 @@ def infer_sin_delta(absA: float, cs: AmplitudePair) -> tuple[float, float]:
             f"{TOL_CLAMP}; the readouts are mutually inconsistent"
         )
     if abs(raw) > 1.0:
-        clamped = math.copysign(1.0, raw)
-        warnings.warn(
-            f"sin(delta) = {raw!r} clamped to {clamped}",
-            EstimateClampedWarning,
-        )
-        return clamped, raw
+        return math.copysign(1.0, raw), raw
     return raw, raw
-
-
-def capture_warnings(fn, *args):
-    """(fn(*args), the text of each warning it raised, in order)."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        value = fn(*args)
-    return value, [str(w.message) for w in caught]
 
 
 def theta_from_estimates(cs: AmplitudePair, delta: float) -> float:
@@ -179,8 +164,9 @@ def full_pipeline(
 
     cs = reconstruct_CS(decode_v.p_plus, decode_v.p_minus)
     absA_est = reconstruct_absA(decode_h.p_plus)
-    (sin_delta_est, sin_delta_raw), clamped = capture_warnings(infer_sin_delta, absA_est, cs)
-    notes += clamped
+    sin_delta_est, sin_delta_raw = infer_sin_delta(absA_est, cs)
+    if sin_delta_est != sin_delta_raw:
+        notes.append(f"sin(delta) = {sin_delta_raw!r} clamped to {sin_delta_est}")
 
     if branch == "principal":
         delta_est = math.asin(sin_delta_est)
@@ -188,8 +174,8 @@ def full_pipeline(
         delta_est = math.pi - math.asin(sin_delta_est)
     theta_est = theta_from_estimates(cs, delta_est)
 
-    phase_analytic, phase_notes = capture_warnings(total_phase, params)
-    notes += phase_notes
+    phase_analytic = total_phase(params)
+    notes += phase_analytic.warnings
 
     return ExtractionResult(
         C_est=cs.C,

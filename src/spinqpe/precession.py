@@ -20,13 +20,12 @@ All functions here are pure.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BranchWarning, UndefinedPhaseError
+from .errors import UndefinedPhaseError
 
 #: reduced Planck constant, J s (2018 CODATA exact value)
 HBAR = 1.054571817e-34
@@ -175,7 +174,17 @@ def psi2(params: PathParams) -> np.ndarray:
 class TotalPhase(NamedTuple):
     magnitude: float
     theta: float  # arg <0|psi2>, principal value in (-pi, pi]
-    theta_arctan: float  # arctan form, principal branch in (-pi/2, pi/2)
+    theta_arctan: float  # arctan form, principal branch in (-pi/2, pi/2); NaN if undefined
+
+    @property
+    def warnings(self) -> list:
+        """The note a record carries when the arctan form is undefined, else none."""
+        if math.isnan(self.theta_arctan):
+            return [
+                "S + C vanishes (eta = pi mod 2 pi); the arctan form is "
+                "undefined, reporting the overlap argument only"
+            ]
+        return []
 
 
 def total_phase(params: PathParams) -> TotalPhase:
@@ -184,7 +193,7 @@ def total_phase(params: PathParams) -> TotalPhase:
     theta is the argument of <0|psi2> = (A+B)/2 and is authoritative; the
     arctan form is computed alongside from the same S + C and S - C, so
     the two agree wherever Re <0|psi2> > 0. When S + C vanishes the arctan
-    form is undefined: it is NaN, and a BranchWarning is issued.
+    form is undefined: it is NaN, and the result's `warnings` says so.
     """
     cs = amplitudes_CS(params.eta)
     half = params.delta / 2.0
@@ -199,11 +208,6 @@ def total_phase(params: PathParams) -> TotalPhase:
     theta = math.atan2(im, re)
     s_plus_c = cs.S + cs.C
     if abs(s_plus_c) < 1e-12:
-        warnings.warn(
-            "S + C vanishes (eta = pi mod 2 pi); the arctan form is "
-            "undefined, reporting the overlap argument only",
-            BranchWarning,
-        )
         theta_arctan = math.nan
     else:
         theta_arctan = math.atan((cs.S - cs.C) / s_plus_c * math.tan(half))
@@ -215,13 +219,7 @@ def path1_phase(eta: float) -> float:
 
     Identically zero while cos(eta/2) > 0: a single-axis precession
     accumulates no overlap phase. Beyond |eta| = pi the overlap goes
-    negative and the argument folds to pi (reported with a warning).
+    negative and the argument folds to pi; that return value is the only
+    signal of the fold.
     """
-    overlap = math.cos(eta / 2.0)
-    if overlap <= 0.0:
-        warnings.warn(
-            f"cos(eta/2) = {overlap!r} <= 0 at eta = {eta!r}; "
-            "the overlap argument folds to pi",
-            BranchWarning,
-        )
-    return math.atan2(0.0, overlap)
+    return math.atan2(0.0, math.cos(eta / 2.0))

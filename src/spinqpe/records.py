@@ -13,7 +13,7 @@ import json
 
 import numpy as np
 
-from .extraction import ExtractionResult
+from .extraction import BRANCHES, ExtractionResult
 from .precession import wrap_angle
 from .qpe import DecodeResult, format_binary
 from .statevector import Histogram
@@ -36,7 +36,7 @@ _FLAT_FIELDS = (
     ("config", "shots", "integer", True, "shots"),
     ("config", "seed", "integer", True, "seed"),
     ("config", "mode", _MODES, True, "mode"),
-    ("config", "branch", ("principal", "reflected"), True, "branch"),
+    ("config", "branch", BRANCHES, True, "branch"),
     ("estimates", "C", "number", True, "C"),
     ("estimates", "S", "number", True, "S"),
     ("estimates", "absA", "number", True, "absA"),

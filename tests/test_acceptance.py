@@ -6,7 +6,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 import spinqpe as sq
 from spinqpe.cli import main
@@ -231,9 +230,8 @@ def test_criterion_9_singular_handling(capsys):
     exit_ok = code == 3 and json.loads(err)["error"]["type"] == "SingularConfigurationError"
 
     cs = sq.AmplitudePair(math.cos(PI / 12), math.sin(PI / 12))  # 2*S*C = 1/2
-    with pytest.warns(sq.EstimateClampedWarning):
-        clamped, _ = sq.infer_sin_delta(math.sqrt(1.0 + 0.5 * 1.01), cs)
-    clamp_ok = clamped == 1.0
+    clamped, raw = sq.infer_sin_delta(math.sqrt(1.0 + 0.5 * 1.01), cs)
+    clamp_ok = clamped == 1.0 and raw > 1.0
     try:
         sq.infer_sin_delta(math.sqrt(1.0 + 0.5 * 1.05), cs)
         excess_ok = False

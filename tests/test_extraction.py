@@ -1,6 +1,5 @@
 import math
 import statistics
-import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from spinqpe import (
     AmplitudePair,
     Axis,
     ConfigurationError,
-    EstimateClampedWarning,
     InconsistentAmplitudesError,
     PathParams,
     QpeConfig,
@@ -115,8 +113,7 @@ class TestInferSinDelta:
     def test_marginal_excess_clamped_with_warning(self):
         cs = AmplitudePair(math.cos(PI / 12), math.sin(PI / 12))
         absA = math.sqrt(1.0 + 0.5 * 1.01)  # sin(delta) would be 1.01
-        with pytest.warns(EstimateClampedWarning):
-            value, raw = infer_sin_delta(absA, cs)
+        value, raw = infer_sin_delta(absA, cs)
         assert value == 1.0
         assert raw == pytest.approx(1.01, abs=1e-12)
 
@@ -281,11 +278,9 @@ class TestSharedKernel:
             decode_v, decode_h = decode(hist_v, config_v), decode(hist_h, config_h)
             cs = reconstruct_CS(decode_v.p_plus, decode_v.p_minus)
             absA = reconstruct_absA(decode_h.p_plus)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                sin_delta, raw = infer_sin_delta(absA, cs)
-                theta = theta_from_estimates(cs, math.asin(sin_delta))
-                total_phase(params)
+            sin_delta, raw = infer_sin_delta(absA, cs)
+            theta = theta_from_estimates(cs, math.asin(sin_delta))
+            phase = total_phase(params)
         except ConfigurationError as err:  # the pipeline stops where these do
             with pytest.raises(type(err)):
                 full_pipeline(params, run, aux_v, aux_h)
@@ -298,6 +293,9 @@ class TestSharedKernel:
         assert (result.C_est, result.S_est, result.absA_est) == (cs.C, cs.S, absA)
         assert (result.sin_delta_est, result.sin_delta_raw) == (sin_delta, raw)
         assert result.theta_est == theta
+        notes = " | ".join(result.warnings)
+        assert ("clamped to" in notes) == (sin_delta != raw)
+        assert ("S + C vanishes" in notes) == math.isnan(phase.theta_arctan)
 
     @pytest.mark.parametrize("shots", [None, 1000])
     @pytest.mark.parametrize("aux_h, builds", [(PI / 4, 1), (PI / 2, 2), (1.0, 2)])

@@ -52,6 +52,11 @@ CASES = {
     "pipeline-branch-note": ["pipeline", "--eta", "2", "--delta", "0.3", "--n", "6"],
     "pipeline-csv": ["pipeline", "--eta", "pi/3", "--delta", "pi/3", "--n", "6",
                      "--shots", "1000", "--seed", "5", "--format", "csv"],
+    "pipeline-clamp-note": ["pipeline", "--eta", "1.3", "--delta", "pi/2", "--n", "6"],
+    "pipeline-eta-pi": ["pipeline", "--eta", "pi", "--delta", "pi/2", "--n", "6"],
+    "qpeh-eta-pi-csv": ["qpeh", "--eta", "pi", "--delta", "pi/2", "--n", "6",
+                        "--format", "csv"],
+    "analytic-eta-pi": ["analytic", "--eta", "pi", "--delta", "pi/3"],
     "sweep": ["sweep", "--eta-range", "0.2:1.3", "--delta-range", "pi/12:pi/3",
               "--steps", "3", "--n", "6"],
     "sweep-exact-flat": ["sweep", "--eta-range=-0.5:0.5", "--delta-range", "0.3:0.3",
