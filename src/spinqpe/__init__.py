@@ -1,10 +1,13 @@
-"""Statevector phase-estimation toolkit for two-segment spin-precession
-phase readout.
+"""Quantum phase estimation for two-segment spin-precession phase readout.
 
-The package simulates small quantum registers, runs quantum phase
-estimation against single-qubit axis rotations, and reconstructs the
-phase a spin accumulates along two non-commuting precession segments from
-the resulting histograms.
+The package runs quantum phase estimation against single-qubit axis
+rotations and reconstructs the phase a spin accumulates along two
+non-commuting precession segments from the resulting histograms.
+
+The gate-level reference engine that the tests check the spectral
+`run_qpe` against is not exported here: it is `spinqpe.qpe.run_circuit`,
+with the simulator in `spinqpe.statevector` and the inverse Fourier
+transform plan in `spinqpe.iqft`.
 """
 
 from .angles import parse_angle
@@ -23,20 +26,7 @@ from .extraction import (
     reconstruct_CS,
     theta_from_estimates,
 )
-from .gates import (
-    Axis,
-    RotationSpec,
-    axis_eigenvectors,
-    hadamard,
-    identity,
-    pauli_x,
-    phase,
-    rotation,
-    rotation_power,
-    rx,
-    ry,
-)
-from .iqft import IqftPlan, PlanStep, apply_iqft, build_iqft, dense_iqft_reference
+from .gates import Axis, RotationSpec, axis_eigenvectors, rx, ry
 from .precession import (
     HBAR,
     AmplitudePair,
@@ -57,6 +47,7 @@ from .precession import (
 from .qpe import (
     DecodeResult,
     ExpectedBins,
+    Histogram,
     QpeConfig,
     RunSettings,
     decode,
@@ -65,16 +56,6 @@ from .qpe import (
     run_qpe,
 )
 from .records import RUN_RECORD_SCHEMA, TOOL_VERSION
-from .statevector import (
-    Histogram,
-    StateVector,
-    apply_controlled,
-    apply_single,
-    exact_histogram,
-    new_state,
-    probabilities,
-    sample,
-)
 
 __version__ = TOOL_VERSION
 
@@ -90,52 +71,34 @@ __all__ = [
     "HBAR",
     "Histogram",
     "InconsistentAmplitudesError",
-    "IqftPlan",
     "PathParams",
     "PhysicalParams",
-    "PlanStep",
     "QpeConfig",
     "RotationSpec",
     "RUN_RECORD_SCHEMA",
     "RunSettings",
     "SingularConfigurationError",
-    "StateVector",
     "TOOL_VERSION",
     "TotalPhase",
     "UndefinedPhaseError",
     "amplitudes_AB",
     "amplitudes_CS",
     "angles_from_physical",
-    "apply_controlled",
-    "apply_iqft",
-    "apply_single",
     "axis_eigenvectors",
-    "build_iqft",
     "decode",
-    "dense_iqft_reference",
-    "exact_histogram",
     "expected_bins",
     "format_binary",
     "full_pipeline",
-    "hadamard",
-    "identity",
     "infer_sin_delta",
-    "new_state",
     "parse_angle",
     "path1_phase",
-    "pauli_x",
-    "phase",
-    "probabilities",
     "psi1",
     "psi2",
     "reconstruct_absA",
     "reconstruct_CS",
-    "rotation",
-    "rotation_power",
     "run_qpe",
     "rx",
     "ry",
-    "sample",
     "theta_from_estimates",
     "time_for_angle",
     "total_phase",

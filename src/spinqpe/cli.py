@@ -42,6 +42,9 @@ DEFAULT_N = 10
 DEFAULT_AUX = "pi/4"
 DEFAULT_SEED = 0
 
+#: most sweep grid points per axis: a MAX_STEPS**2 grid is 10**6 pipelines
+MAX_STEPS = 1000
+
 
 def _add_angle(parser: argparse.ArgumentParser, flag: str, text: str,
                example: str = "-pi/3", **kwargs) -> None:
@@ -297,6 +300,8 @@ def _parse_range(text: str, flag: str) -> tuple[float, float]:
 def _grid(lo: float, hi: float, steps: int) -> list:
     if steps < 1:
         raise ConfigurationError(f"--steps must be >= 1, got {steps}")
+    if steps > MAX_STEPS:
+        raise ConfigurationError(f"--steps must be <= {MAX_STEPS}, got {steps}")
     if lo == hi or steps == 1:
         return [lo]
     width = (hi - lo) / (steps - 1)

@@ -24,8 +24,7 @@ from .errors import (
 )
 from .gates import Axis, RotationSpec, rx, ry
 from .precession import AmplitudePair, PathParams, TotalPhase, total_phase, wrap_angle
-from .qpe import DecodeResult, QpeConfig, RunSettings, decode, readout_kernel, run_qpe
-from .statevector import Histogram
+from .qpe import DecodeResult, Histogram, QpeConfig, RunSettings, decode, readout_kernel, run_qpe
 
 BRANCHES = ("principal", "reflected")
 

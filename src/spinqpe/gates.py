@@ -18,6 +18,9 @@ from enum import Enum
 
 import numpy as np
 
+# 2x2 gates must satisfy U+ U = I to this tolerance before being applied
+UNITARY_ATOL = 1e-12
+
 
 class Axis(Enum):
     X = "x"
@@ -54,6 +57,22 @@ def identity() -> np.ndarray:
 def phase(lam: float) -> np.ndarray:
     """diag(1, exp(i lam))"""
     return np.array([[1.0, 0.0], [0.0, np.exp(1j * lam)]], dtype=np.complex128)
+
+
+def require_gate(gate) -> np.ndarray:
+    """`gate` as a complex128 2x2 array; ValueError unless it is finite and
+    unitary within UNITARY_ATOL."""
+    gate = np.asarray(gate, dtype=np.complex128)
+    if gate.shape != (2, 2):
+        raise ValueError(f"gate must be 2x2, got shape {gate.shape}")
+    if not np.all(np.isfinite(gate)):
+        raise ValueError("gate contains non-finite entries")
+    deviation = np.abs(gate.conj().T @ gate - np.eye(2)).max()
+    if deviation > UNITARY_ATOL:
+        raise ValueError(
+            f"gate is not unitary within {UNITARY_ATOL} (deviation {deviation:.3e})"
+        )
+    return gate
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
-"""Phase estimation of single-qubit axis rotations, plus readout decoding.
+"""Phase estimation of single-qubit axis rotations, its readouts and their
+decoding.
 
 Register layout: counting qubits 0..n-1 (qubit j carries weight 2^j in the
 measured outcome), target qubit n. The circuit applies the target
@@ -13,7 +14,17 @@ one rotation, the readout is the target's two squared eigen-overlaps,
 each spread by the textbook QPE kernel (readout_kernel; Cleve, Ekert,
 Macchiavello & Mosca 1998; Nielsen & Chuang sec. 5.2), so it costs O(2^n)
 and never forms the (n+1)-qubit state. run_circuit is the reference
-engine: it simulates that circuit gate by gate on the full statevector.
+engine: it simulates that circuit gate by gate on the full statevector,
+and only it and its two readouts use spinqpe.statevector and spinqpe.iqft.
+
+Both engines read out a Histogram from an outcome probability vector:
+histogram_from_probabilities builds the exact histogram and
+sample_probabilities the seeded draw; exact_histogram and sample apply
+them to a state's marginal. A Histogram holds one array: that length-2^n
+vector with its dust set to 0, or the drawn counts. Sampling uses numpy's
+default_rng, i.e. the PCG64 generator. The generator identity is part of
+the reproducibility contract: the same (probabilities, shots, seed)
+always yields the same histogram.
 
 Bin map: with R(a)|-> = exp(+i a/2)|->, the estimated phase of the |-axis>
 eigencomponent is a/(4 pi) mod 1, so it lands in bin
@@ -25,24 +36,14 @@ prepared target state with the axis eigenvectors.
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .gates import Axis, RotationSpec, axis_eigenvectors, hadamard, rotation_power
+from .gates import Axis, RotationSpec, axis_eigenvectors, hadamard, require_gate, rotation_power
 from .iqft import build_iqft, apply_iqft
-from .statevector import (
-    Histogram,
-    apply_controlled,
-    apply_single,
-    exact_histogram,
-    histogram_from_probabilities,
-    is_integer,
-    new_state,
-    require_gate,
-    sample,
-    sample_probabilities,
-)
+from .statevector import StateVector, apply_controlled, apply_single, new_state, probabilities
 
 MAX_COUNTING_QUBITS = 16
 
@@ -56,6 +57,84 @@ LEAKY_WINDOW = 2
 COVERAGE_THRESHOLD = 0.98
 
 _DYADIC_ATOL = 1e-9
+
+# exact-mode histogram entries at or below this are numerical dust
+PROBABILITY_FLOOR = 1e-15
+
+
+def is_integer(value) -> bool:
+    """An integral number other than a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+@dataclass
+class Histogram:
+    """Readout over a measured qubit subset, one value per outcome.
+
+    `values` has length 2**num_bits. In exact mode (total_shots == 0) it
+    holds the outcome probabilities as floats, with dust at or below
+    PROBABILITY_FLOOR set to 0, and seed is None. In sampled mode it holds
+    the int64 counts of `total_shots` draws made with `seed`, an integer
+    >= 0 that reproduces them. A bool counts as no integer.
+    """
+
+    values: np.ndarray
+    total_shots: int = 0
+    seed: int | None = None
+
+    def __post_init__(self) -> None:
+        self.values = np.asarray(self.values)
+        size = self.values.size
+        if self.values.ndim != 1 or size == 0 or size & (size - 1):
+            raise ValueError(
+                f"expected one value per outcome of a 2**k register, "
+                f"got shape {self.values.shape}"
+            )
+        if self.values.min() < 0:
+            raise ValueError("a histogram value is negative")
+        if isinstance(self.total_shots, bool):
+            raise ValueError(f"total_shots must be an integer, got {self.total_shots!r}")
+        total = self.values.sum().item()
+        if self.total_shots:
+            if not np.issubdtype(self.values.dtype, np.integer):
+                raise ValueError(
+                    f"sampled counts must be integers, got dtype {self.values.dtype}"
+                )
+            if total != self.total_shots:
+                raise ValueError(
+                    f"counts sum to {total}, expected total_shots={self.total_shots}"
+                )
+            if not (is_integer(self.seed) and self.seed >= 0):
+                raise ValueError(
+                    f"a sampled histogram needs an integral seed >= 0, got {self.seed!r}"
+                )
+        elif self.seed is not None:
+            raise ValueError(f"an exact-mode histogram has no seed, got {self.seed!r}")
+        elif not np.issubdtype(self.values.dtype, np.floating):
+            raise ValueError(
+                f"exact-mode probabilities must be floats, got dtype {self.values.dtype}"
+            )
+        elif not abs(total - 1.0) <= 1e-10:  # a NaN sum fails as well
+            raise ValueError(
+                f"exact-mode probabilities sum to {total!r}, expected 1 within 1e-10"
+            )
+
+    @property
+    def num_bits(self) -> int:
+        return len(self.values).bit_length() - 1
+
+    @property
+    def is_sampled(self) -> bool:
+        return self.total_shots > 0
+
+    def probabilities(self, outcomes) -> list:
+        """The probability of each listed outcome, as Python floats; a
+        sampled one is count / total_shots, rounded once from the exact
+        integer ratio."""
+        picked = self.values[outcomes].tolist()
+        if self.is_sampled:
+            return [count / self.total_shots for count in picked]
+        return picked
 
 
 @dataclass(frozen=True)
@@ -223,6 +302,26 @@ def _target_overlaps(config: QpeConfig) -> tuple[float, float]:
     return tuple(abs(b0 * t0 + b1 * t1) ** 2 for b0, b1 in bras)
 
 
+def histogram_from_probabilities(probs: np.ndarray) -> Histogram:
+    """Exact-mode histogram of a length-2**k outcome distribution;
+    probabilities at or below PROBABILITY_FLOOR become 0."""
+    return Histogram(probs * (probs > PROBABILITY_FLOOR))
+
+
+def sample_probabilities(probs: np.ndarray, shots: int, seed: int) -> Histogram:
+    """Draw `shots` outcomes multinomially from a length-2**k distribution.
+
+    The draw is a single multinomial from numpy's default_rng (PCG64)
+    seeded with `seed`; identical inputs give identical histograms. Kept
+    single-threaded so the draw sequence stays deterministic.
+    """
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
+    probs = probs / probs.sum()  # remove float drift before drawing
+    counts = np.random.default_rng(seed).multinomial(shots, probs)
+    return Histogram(counts, total_shots=shots, seed=seed)
+
+
 def run_qpe(config: QpeConfig, *, kernel: np.ndarray | None = None) -> Histogram:
     """The counting-register readout (exact probabilities or a seeded
     sample) of the estimation circuit, computed in O(2^n) from the
@@ -270,6 +369,16 @@ def run_circuit(config: QpeConfig) -> Histogram:
     if config.run.shots is None:
         return exact_histogram(state, counting)
     return sample(state, counting, config.run.shots, config.run.seed)
+
+
+def exact_histogram(state: StateVector, qubits) -> Histogram:
+    """histogram_from_probabilities of the marginal over `qubits`."""
+    return histogram_from_probabilities(probabilities(state, qubits))
+
+
+def sample(state: StateVector, qubits, shots: int, seed: int) -> Histogram:
+    """sample_probabilities of the marginal over `qubits`."""
+    return sample_probabilities(probabilities(state, qubits), shots, seed)
 
 
 def _window_mass(hist: Histogram, window: set) -> float:

@@ -15,8 +15,7 @@ import numpy as np
 
 from .extraction import BRANCHES, ExtractionResult
 from .precession import wrap_angle
-from .qpe import DecodeResult, format_binary
-from .statevector import Histogram
+from .qpe import DecodeResult, Histogram, format_binary
 
 TOOL_VERSION = "0.1.0"
 

@@ -1,5 +1,4 @@
-"""Dense statevector simulation for small qubit registers, and the
-histogram readouts of an outcome distribution.
+"""Dense statevector simulation for small qubit registers.
 
 Indexing convention, fixed package-wide: qubit q is the bit of weight 2**q
 in the amplitude index, so qubit 0 is the least significant bit and the
@@ -13,36 +12,16 @@ length-2 axis that is sliced at 1. All operations return fresh StateVector
 values and never mutate their input, so states can be handed between
 threads freely. The numpy kernel is vectorized but sequential-equivalent:
 results are bit-identical to a pair by pair loop.
-
-Readouts start from an outcome probability vector, whichever engine made
-it: histogram_from_probabilities builds the exact histogram and
-sample_probabilities the seeded draw; exact_histogram and sample apply
-them to a state's marginal. A Histogram holds one array: that length-2**k
-vector with its dust set to 0, or the drawn counts. Sampling uses numpy's
-default_rng, i.e. the PCG64 generator. The generator identity is part of
-the reproducibility contract: the same (probabilities, shots, seed)
-always yields the same histogram.
 """
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
 from .errors import ConfigurationError
+from .gates import require_gate
 
 MAX_QUBITS = 24
-
-# 2x2 gates must satisfy U+ U = I to this tolerance before being applied
-UNITARY_ATOL = 1e-12
-
-# exact-mode histogram entries at or below this are numerical dust
-PROBABILITY_FLOOR = 1e-15
-
-
-def is_integer(value) -> bool:
-    """An integral number other than a bool."""
-    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 @dataclass
@@ -70,76 +49,6 @@ class StateVector:
         return float(np.linalg.norm(self.amplitudes))
 
 
-@dataclass
-class Histogram:
-    """Readout over a measured qubit subset, one value per outcome.
-
-    `values` has length 2**num_bits. In exact mode (total_shots == 0) it
-    holds the outcome probabilities as floats, with dust at or below
-    PROBABILITY_FLOOR set to 0, and seed is None. In sampled mode it holds
-    the int64 counts of `total_shots` draws made with `seed`, an integer
-    >= 0 that reproduces them. A bool counts as no integer.
-    """
-
-    values: np.ndarray
-    total_shots: int = 0
-    seed: int | None = None
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values)
-        size = self.values.size
-        if self.values.ndim != 1 or size == 0 or size & (size - 1):
-            raise ValueError(
-                f"expected one value per outcome of a 2**k register, "
-                f"got shape {self.values.shape}"
-            )
-        if self.values.min() < 0:
-            raise ValueError("a histogram value is negative")
-        if isinstance(self.total_shots, bool):
-            raise ValueError(f"total_shots must be an integer, got {self.total_shots!r}")
-        total = self.values.sum().item()
-        if self.total_shots:
-            if not np.issubdtype(self.values.dtype, np.integer):
-                raise ValueError(
-                    f"sampled counts must be integers, got dtype {self.values.dtype}"
-                )
-            if total != self.total_shots:
-                raise ValueError(
-                    f"counts sum to {total}, expected total_shots={self.total_shots}"
-                )
-            if not (is_integer(self.seed) and self.seed >= 0):
-                raise ValueError(
-                    f"a sampled histogram needs an integral seed >= 0, got {self.seed!r}"
-                )
-        elif self.seed is not None:
-            raise ValueError(f"an exact-mode histogram has no seed, got {self.seed!r}")
-        elif not np.issubdtype(self.values.dtype, np.floating):
-            raise ValueError(
-                f"exact-mode probabilities must be floats, got dtype {self.values.dtype}"
-            )
-        elif not abs(total - 1.0) <= 1e-10:  # a NaN sum fails as well
-            raise ValueError(
-                f"exact-mode probabilities sum to {total!r}, expected 1 within 1e-10"
-            )
-
-    @property
-    def num_bits(self) -> int:
-        return len(self.values).bit_length() - 1
-
-    @property
-    def is_sampled(self) -> bool:
-        return self.total_shots > 0
-
-    def probabilities(self, outcomes) -> list:
-        """The probability of each listed outcome, as Python floats; a
-        sampled one is count / total_shots, rounded once from the exact
-        integer ratio."""
-        picked = self.values[outcomes].tolist()
-        if self.is_sampled:
-            return [count / self.total_shots for count in picked]
-        return picked
-
-
 def new_state(num_qubits: int) -> StateVector:
     """The all-zeros register |0...0>."""
     if not 1 <= num_qubits <= MAX_QUBITS:
@@ -147,22 +56,6 @@ def new_state(num_qubits: int) -> StateVector:
     amps = np.zeros(1 << num_qubits, dtype=np.complex128)
     amps[0] = 1.0
     return StateVector(num_qubits, amps)
-
-
-def require_gate(gate) -> np.ndarray:
-    """`gate` as a complex128 2x2 array; ValueError unless it is finite and
-    unitary within UNITARY_ATOL."""
-    gate = np.asarray(gate, dtype=np.complex128)
-    if gate.shape != (2, 2):
-        raise ValueError(f"gate must be 2x2, got shape {gate.shape}")
-    if not np.all(np.isfinite(gate)):
-        raise ValueError("gate contains non-finite entries")
-    deviation = np.abs(gate.conj().T @ gate - np.eye(2)).max()
-    if deviation > UNITARY_ATOL:
-        raise ValueError(
-            f"gate is not unitary within {UNITARY_ATOL} (deviation {deviation:.3e})"
-        )
-    return gate
 
 
 def _check_qubit(state: StateVector, qubit: int, role: str = "target") -> None:
@@ -235,33 +128,3 @@ def probabilities(state: StateVector, qubits) -> np.ndarray:
         tensor = tensor.sum(axis=other)
     order = [sorted(axes).index(a) for a in axes]
     return tensor.transpose(order).reshape(-1)
-
-
-def histogram_from_probabilities(probs: np.ndarray) -> Histogram:
-    """Exact-mode histogram of a length-2**k outcome distribution;
-    probabilities at or below PROBABILITY_FLOOR become 0."""
-    return Histogram(probs * (probs > PROBABILITY_FLOOR))
-
-
-def sample_probabilities(probs: np.ndarray, shots: int, seed: int) -> Histogram:
-    """Draw `shots` outcomes multinomially from a length-2**k distribution.
-
-    The draw is a single multinomial from numpy's default_rng (PCG64)
-    seeded with `seed`; identical inputs give identical histograms. Kept
-    single-threaded so the draw sequence stays deterministic.
-    """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    probs = probs / probs.sum()  # remove float drift before drawing
-    counts = np.random.default_rng(seed).multinomial(shots, probs)
-    return Histogram(counts, total_shots=shots, seed=seed)
-
-
-def exact_histogram(state: StateVector, qubits) -> Histogram:
-    """histogram_from_probabilities of the marginal over `qubits`."""
-    return histogram_from_probabilities(probabilities(state, qubits))
-
-
-def sample(state: StateVector, qubits, shots: int, seed: int) -> Histogram:
-    """sample_probabilities of the marginal over `qubits`."""
-    return sample_probabilities(probabilities(state, qubits), shots, seed)

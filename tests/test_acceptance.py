@@ -9,6 +9,9 @@ import numpy as np
 
 import spinqpe as sq
 from spinqpe.cli import main
+from spinqpe.gates import phase
+from spinqpe.iqft import apply_iqft, build_iqft, dense_iqft_reference
+from spinqpe.statevector import StateVector, apply_controlled, apply_single, new_state
 
 PI = math.pi
 C2 = math.cos(PI / 12) ** 2          # 0.93301270...
@@ -159,12 +162,12 @@ def test_criterion_6_iqft_dense_equivalence():
     worst = 0.0
     for n in range(1, 9):
         dim = 1 << n
-        reference = sq.dense_iqft_reference(n)
-        plan = sq.build_iqft(list(range(n - 1, -1, -1)))
+        reference = dense_iqft_reference(n)
+        plan = build_iqft(list(range(n - 1, -1, -1)))
         for j in range(dim):
             basis = np.zeros(dim, dtype=complex)
             basis[j] = 1.0
-            out = sq.apply_iqft(sq.StateVector(n, basis), plan).amplitudes
+            out = apply_iqft(StateVector(n, basis), plan).amplitudes
             worst = max(worst, np.abs(out - reference[:, j]).max())
     ok = worst <= 1e-12
     report("criterion 6: circuit IQFT equals dense inverse DFT for n <= 8", ok,
@@ -183,18 +186,18 @@ def test_criterion_7_single_segment_phase():
 def test_criterion_8_invariant_suites():
     # norm conservation over a random 100-gate circuit
     rng = np.random.default_rng(2718)
-    state = sq.new_state(10)
+    state = new_state(10)
     for _ in range(100):
         theta = rng.uniform(-2 * PI, 2 * PI)
         target = int(rng.integers(10))
         pick = rng.integers(3)
         if pick == 0:
-            state = sq.apply_single(state, sq.rx(theta), target)
+            state = apply_single(state, sq.rx(theta), target)
         elif pick == 1:
-            state = sq.apply_single(state, sq.ry(theta), target)
+            state = apply_single(state, sq.ry(theta), target)
         else:
             control = (target + 1 + int(rng.integers(9))) % 10
-            state = sq.apply_controlled(state, sq.phase(theta), control, target)
+            state = apply_controlled(state, phase(theta), control, target)
     norm_ok = abs(state.norm() ** 2 - 1.0) <= 1e-10
 
     # auxiliary-angle irrelevance across two dyadic-exact angles

@@ -65,6 +65,10 @@ def record_of(argv: list) -> dict:
     # 2^n aux / (4 pi) has no fraction left in a float; the readout still leaks
     (["qpev", "--eta", "pi/3", "--aux", "3.3e15", "--n", "6"], 3),
     (["sweep", "--eta-range", "0:1", "--delta-range", "0:1", "--steps", "0"], 3),
+    # refused before any grid is built
+    (["sweep", "--eta-range", "0:1", "--delta-range", "0:1", "--steps", "1001"], 3),
+    (["sweep", "--eta-range", "0.2:1.3", "--delta-range", "0.2:1.3", "--steps", "300000000",
+      "--n", "2"], 3),
     # every horizontal shot in the plus window, so |A| = sqrt(2), and the 20
     # vertical shots put sin(delta) at 1.09: the readouts are inconsistent
     (["pipeline", "--eta", "0.4", "--delta", "pi/2", "--aux-h", "1.0", "--n", "5",

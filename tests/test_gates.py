@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spinqpe import (
+from spinqpe.gates import (
     Axis,
     RotationSpec,
     axis_eigenvectors,

@@ -3,17 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from spinqpe import (
-    ConfigurationError,
-    IqftPlan,
-    PlanStep,
-    StateVector,
-    apply_iqft,
-    build_iqft,
-    dense_iqft_reference,
-    new_state,
-    probabilities,
-)
+from spinqpe import ConfigurationError
+from spinqpe.iqft import IqftPlan, PlanStep, apply_iqft, build_iqft, dense_iqft_reference
+from spinqpe.statevector import StateVector, new_state, probabilities
 
 
 def run_circuit(vector: np.ndarray, qubits_msb_first) -> np.ndarray:

@@ -12,9 +12,8 @@ from hypothesis import strategies as st
 
 from spinqpe import Axis, QpeConfig, RotationSpec, RunSettings, rx, ry
 from spinqpe.cli import main
-from spinqpe.qpe import DecodeResult, format_binary, run_qpe
+from spinqpe.qpe import PROBABILITY_FLOOR, DecodeResult, Histogram, format_binary, run_qpe
 from spinqpe.records import decode_payload, histogram_payload, make_record, to_json
-from spinqpe.statevector import PROBABILITY_FLOOR, Histogram
 
 #: exact-mode probabilities whose reprs stress the writer: just above the
 #: floor, subnormal, tiny and short decimal reprs

@@ -6,24 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinqpe import (
-    ConfigurationError,
-    Histogram,
+from spinqpe import ConfigurationError, Histogram, rx, ry
+from spinqpe.gates import hadamard, identity, pauli_x, phase
+from spinqpe.qpe import exact_histogram, histogram_from_probabilities, sample
+from spinqpe.statevector import (
     StateVector,
     apply_controlled,
     apply_single,
-    exact_histogram,
-    hadamard,
-    identity,
     new_state,
-    pauli_x,
-    phase,
     probabilities,
-    rx,
-    ry,
-    sample,
 )
-from spinqpe.statevector import histogram_from_probabilities
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
