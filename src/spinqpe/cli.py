@@ -22,7 +22,7 @@ from .errors import AngleParseError, ConfigurationError
 from .extraction import BRANCHES, full_pipeline, reconstruct_CS, reconstruct_absA
 from .gates import Axis, RotationSpec, rx, ry
 from .precession import PathParams, TotalPhase, amplitudes_AB, amplitudes_CS, total_phase
-from .qpe import QpeConfig, RunSettings, decode, expected_bins, run_qpe
+from .qpe import QpeConfig, RunSettings, decode, expected_bins, readout_kernel, run_qpe
 from .records import (
     decode_payload,
     extraction_payloads,
@@ -139,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_angle(p, "--delta-range", "segment-2 range", "-pi/3:0",
                required=True, metavar="LO:HI")
     p.add_argument("--steps", type=int, default=12,
-                   help="grid points per axis (default 12)")
+                   help=f"grid points per axis, 1 to {MAX_STEPS} (default 12)")
     p.add_argument("--exact", action="store_true",
                    help="exact probabilities (sweeps always run exact)")
     p.add_argument("--n", type=int, default=DEFAULT_N,
@@ -313,10 +313,13 @@ def cmd_sweep(args) -> int:
     delta_lo, delta_hi = _parse_range(args.delta_range, "--delta-range")
     aux = parse_angle(DEFAULT_AUX)
     run = RunSettings(args.n)
+    etas, deltas = _grid(eta_lo, eta_hi, args.steps), _grid(delta_lo, delta_hi, args.steps)
+    # every grid point runs both circuits at this width and angle
+    kernel = readout_kernel(run.counting_qubits, aux, run.mode)
     rows = []
-    for eta in _grid(eta_lo, eta_hi, args.steps):
-        for delta in _grid(delta_lo, delta_hi, args.steps):
-            result = full_pipeline(PathParams(eta, delta), run, aux, aux)
+    for eta in etas:
+        for delta in deltas:
+            result = full_pipeline(PathParams(eta, delta), run, aux, aux, kernel=kernel)
             analytic = _analytic_section(eta, delta, result.phase_analytic)
             rows.append({
                 "eta": eta,

@@ -24,7 +24,8 @@ from .errors import (
 )
 from .gates import Axis, RotationSpec, rx, ry
 from .precession import AmplitudePair, PathParams, TotalPhase, total_phase, wrap_angle
-from .qpe import DecodeResult, Histogram, QpeConfig, RunSettings, decode, readout_kernel, run_qpe
+from .qpe import (DecodeResult, Histogram, QpeConfig, ReadoutKernel, RunSettings, decode,
+                  readout_kernel, run_qpe)
 
 BRANCHES = ("principal", "reflected")
 
@@ -122,6 +123,8 @@ def full_pipeline(
     aux_v: float,
     aux_h: float,
     branch: str = "principal",
+    *,
+    kernel: ReadoutKernel | None = None,
 ) -> ExtractionResult:
     """Run both estimation circuits and reconstruct delta and theta.
 
@@ -130,9 +133,14 @@ def full_pipeline(
     auxiliary about Y by aux_v on the target rx(-eta)|0>, the horizontal
     run about X by aux_h on ry(delta) rx(-eta)|0>; both configs are
     checked by QpeConfig, which refuses a `run` that is not a
-    RunSettings. The readout kernel depends only on the width and the
-    angle, so it is built once per distinct angle: one shared, read-only
-    kernel when aux_h == aux_v (the default), two otherwise. Both readouts
+    RunSettings. The readout kernel depends only on the width, the angle
+    and the run mode, so it is built once per distinct angle: one shared,
+    read-only kernel when aux_h == aux_v (the default), two otherwise.
+    `kernel`, when given, is readout_kernel(n, aux_v, run.mode), and
+    serves the horizontal run too when aux_h == aux_v; a caller that runs
+    many pipelines at one width and angle, as a sweep does, builds it
+    once. A kernel for another width, angle or mode raises
+    ConfigurationError. Both readouts
     are decoded with decode's window and coverage threshold; the warnings
     of decoding, clamping and the closed form are collected into the
     result's `warnings`.
@@ -143,10 +151,11 @@ def full_pipeline(
     config_v = QpeConfig(run, RotationSpec(Axis.Y, aux_v), (rx(-params.eta),))
     config_h = QpeConfig(run, RotationSpec(Axis.X, aux_h), (rx(-params.eta), ry(params.delta)))
 
-    kernel = readout_kernel(run.counting_qubits, aux_v)
+    if kernel is None:
+        kernel = readout_kernel(run.counting_qubits, aux_v, run.mode)
     hist_v = run_qpe(config_v, kernel=kernel)
     if aux_h != aux_v:
-        kernel = readout_kernel(run.counting_qubits, aux_h)
+        kernel = readout_kernel(run.counting_qubits, aux_h, run.mode)
     hist_h = run_qpe(config_h, kernel=kernel)
     decode_v = decode(hist_v, config_v)
     decode_h = decode(hist_h, config_h)

@@ -12,10 +12,16 @@ rotation and the target preparation.
 run_qpe is the spectral engine: with one target and controlled powers of
 one rotation, the readout is the target's two squared eigen-overlaps,
 each spread by the textbook QPE kernel (readout_kernel; Cleve, Ekert,
-Macchiavello & Mosca 1998; Nielsen & Chuang sec. 5.2), so it costs O(2^n)
-and never forms the (n+1)-qubit state. run_circuit is the reference
-engine: it simulates that circuit gate by gate on the full statevector,
-and only it and its two readouts use spinqpe.statevector and spinqpe.iqft.
+Macchiavello & Mosca 1998; Nielsen & Chuang sec. 5.2), so it never forms
+the (n+1)-qubit state. The kernel is grown only at the outcomes a run can
+need: it drops a pair of outcomes m, -m once both their values are at or
+below the cut of the run mode, where the exact histogram would set the
+pair's probabilities to 0 or the sampler would draw nothing from them. A
+dyadic angle, whose readout fills two bins, keeps at most two outcomes
+and costs a few cosines per bit, not about 2 * 2^n in all. run_circuit is
+the reference engine: it simulates that circuit gate by gate on the full
+statevector, and only it and its two readouts use spinqpe.statevector and
+spinqpe.iqft.
 
 Both engines read out a Histogram from an outcome probability vector:
 histogram_from_probabilities builds the exact histogram and
@@ -60,6 +66,13 @@ _DYADIC_ATOL = 1e-9
 
 # exact-mode histogram entries at or below this are numerical dust
 PROBABILITY_FLOOR = 1e-15
+
+#: run mode -> the value at or below which readout_kernel drops an outcome
+#: pair. With w_plus + w_minus = 1, an exact bin whose K(m) and K(-m) are
+#: both at most PROBABILITY_FLOOR / 2 reads at most the floor, which the
+#: histogram sets to 0; a sampled bin whose two values are 0 has
+#: probability 0, from which the multinomial draws nothing.
+_CUTS = {"exact": PROBABILITY_FLOOR / 2, "sampled": 0.0}
 
 
 def is_integer(value) -> bool:
@@ -260,36 +273,92 @@ def expected_bins(config: QpeConfig) -> ExpectedBins:
     return ExpectedBins(n, m_plus, m_minus, dyadic)
 
 
-def readout_kernel(n: int, angle: float) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class ReadoutKernel:
+    """readout_kernel's K for one register width, angle and run mode.
+
+    `values` holds K(m) for each outcome m of `bins`, an ascending int64
+    array closed under m -> -m mod 2^num_bits; bins is None when the
+    kernel kept every outcome, and `values` is then K itself. Each outcome
+    left out has K(m) and K(-m) at or below the mode's cut. Both arrays
+    are read-only.
+    """
+
+    num_bits: int
+    angle: float
+    mode: str
+    values: np.ndarray
+    bins: np.ndarray | None
+
+
+def _at_mirror(values: np.ndarray, bins: np.ndarray | None) -> np.ndarray:
+    """`values` over the outcomes -m mod 2^n, for m running over `bins`
+    (ascending and closed under m -> -m; None means every outcome). On
+    such a set, m -> -m fixes 0 and reverses the order of the others."""
+    if bins is not None and bins[0] != 0:
+        return values[::-1]
+    return np.concatenate((values[:1], values[:0:-1]))
+
+
+def readout_kernel(n: int, angle: float, mode: str) -> ReadoutKernel:
     """Counting-register distribution of the |-axis> eigencomponent of an
-    `angle` rotation, K(m) for m in [0, 2^n).
+    `angle` rotation, K(m) for the outcomes m in [0, 2^n) that a run in
+    `mode` ("exact" or "sampled") can need.
 
     Summing the register's geometric series bit by bit gives
     K(m) = prod_l cos^2(phi_l - pi m / 2^(n-l)) over l = 0..n-1, with
     phi_l = 2^(l-2) angle reduced into (-pi, pi]; the |+axis> component
     reads K(-m mod 2^n). Factor l depends only on m mod 2^(n-l), so K is
-    grown from the top bit down: each bit's factor array takes the kernel
-    so far into both of its halves in place and becomes the kernel, so a
-    bit allocates nothing beyond its factor; about 2 * 2^n cosines.
+    grown from the top bit down over the residues r of the span 2^(n-l):
+    each bit's factor array takes the kernel so far into both of its
+    halves in place (residues r and r + span/2) and becomes the kernel.
 
-    K depends only on n and the angle, not on the axis or the target, so
-    one kernel serves every run of that width and angle (run_qpe's
-    `kernel`). It is returned read-only, so no run can change a shared one.
+    Once the kernel so far is at or below the mode's cut (_CUTS) at a
+    residue r and at its mirror -r mod span, that pair is dropped, and
+    later bits compute factors only at the residues kept. Every factor is
+    at most 1, and a float product with a factor at most 1 never rounds
+    up, so each outcome of a dropped residue has K(m) and K(-m) at or
+    below the cut: its exact probability is dust that the histogram sets
+    to 0, or, in sampled mode, exactly 0. Until the first drop every
+    residue of the span is computed; a leaky angle never drops one, and
+    an exact kernel at a dyadic angle ends with at most two outcomes. The
+    values kept are those of the full kernel bit for bit: each is made by
+    the same float operations in the same order.
+
+    K depends only on n and the angle, and the outcomes kept also on the
+    mode, not on the axis or the target, so one kernel serves every run of
+    that width, angle and mode (run_qpe's `kernel`). It is read-only, so
+    no run can change a shared one.
     """
-    ramp = np.arange(1 << n, dtype=np.float64)
-    kernel = np.ones(1)
+    cut = _CUTS[mode]
+    ramp = np.arange(2.0)  # grown to all 2^n outcomes once a dense span needs more
+    kernel, bins = np.ones(1), None
     for l in range(n - 1, -1, -1):
         c = math.ldexp(angle, l - 2)
         span = 1 << (n - l)
-        factor = ramp[:span] * (-math.pi / span)
+        if bins is not None:
+            bins = np.concatenate((bins, bins + span // 2))
+            factor = bins * (-math.pi / span)
+        else:
+            if span > ramp.size:
+                ramp = np.arange(1 << n, dtype=np.float64)
+            factor = ramp[:span] * (-math.pi / span)
         factor += math.atan2(math.sin(c), math.cos(c))
         np.cos(factor, out=factor)
         factor *= factor
         halves = factor.reshape(2, -1)
         halves *= kernel
         kernel = factor
-    kernel.flags.writeable = False
-    return kernel
+        if kernel.min() <= cut:
+            kept = kernel > cut
+            kept |= _at_mirror(kept, bins)
+            if not kept.all():
+                bins = np.flatnonzero(kept) if bins is None else bins[kept]
+                kernel = kernel[kept]
+    for array in (kernel, bins):
+        if array is not None:
+            array.flags.writeable = False
+    return ReadoutKernel(n, angle, mode, kernel, bins)
 
 
 def _target_overlaps(config: QpeConfig) -> tuple[float, float]:
@@ -302,10 +371,15 @@ def _target_overlaps(config: QpeConfig) -> tuple[float, float]:
     return tuple(abs(b0 * t0 + b1 * t1) ** 2 for b0, b1 in bras)
 
 
+def _dust_free(probs: np.ndarray) -> np.ndarray:
+    """`probs` with each value at or below PROBABILITY_FLOOR set to 0."""
+    return probs * (probs > PROBABILITY_FLOOR)
+
+
 def histogram_from_probabilities(probs: np.ndarray) -> Histogram:
     """Exact-mode histogram of a length-2**k outcome distribution;
     probabilities at or below PROBABILITY_FLOOR become 0."""
-    return Histogram(probs * (probs > PROBABILITY_FLOOR))
+    return Histogram(_dust_free(probs))
 
 
 def sample_probabilities(probs: np.ndarray, shots: int, seed: int) -> Histogram:
@@ -322,33 +396,54 @@ def sample_probabilities(probs: np.ndarray, shots: int, seed: int) -> Histogram:
     return Histogram(counts, total_shots=shots, seed=seed)
 
 
-def run_qpe(config: QpeConfig, *, kernel: np.ndarray | None = None) -> Histogram:
+def run_qpe(config: QpeConfig, *, kernel: ReadoutKernel | None = None) -> Histogram:
     """The counting-register readout (exact probabilities or a seeded
-    sample) of the estimation circuit, computed in O(2^n) from the
-    target's two eigen-overlaps and readout_kernel:
-    P(m) = w_minus K(m) + w_plus K(-m mod 2^n).
+    sample) of the estimation circuit, from the target's two eigen-overlaps
+    and readout_kernel: P(m) = w_minus K(m) + w_plus K(-m mod 2^n).
 
-    `kernel` is readout_kernel(n, config.aux.angle), built here when None.
-    It depends only on the width and the angle, so runs that share both
-    may share one kernel; it is only read. A kernel that is not a float64
-    array of shape (2^n,) raises ConfigurationError.
+    P is computed only at the outcomes the kernel kept and is 0 at the
+    others; there it would be dust at or below PROBABILITY_FLOOR (exact
+    mode), which the histogram sets to 0 anyway, or exactly 0 (sampled
+    mode). So the histogram equals the one read from the full kernel,
+    byte for byte.
+
+    `kernel` is readout_kernel(n, config.aux.angle, config.run.mode),
+    built here when None. It depends only on the width, the angle and the
+    mode, so runs that share all three may share one kernel; it is only
+    read. A kernel built for another width, angle or mode, or anything
+    else, raises ConfigurationError.
     """
-    n = config.run.counting_qubits
+    n, angle, mode = config.run.counting_qubits, config.aux.angle, config.run.mode
     if kernel is None:
-        kernel = readout_kernel(n, config.aux.angle)
-    elif not (isinstance(kernel, np.ndarray) and kernel.dtype == np.float64
-              and kernel.shape == (1 << n,)):
+        kernel = readout_kernel(n, angle, mode)
+    elif not (isinstance(kernel, ReadoutKernel)
+              and (kernel.num_bits, kernel.angle, kernel.mode) == (n, angle, mode)):
         raise ConfigurationError(
-            f"kernel must be a float64 array of shape ({1 << n},) for {n} counting qubits"
+            f"kernel must be readout_kernel({n}, {angle!r}, {mode!r})"
         )
     w_plus, w_minus = _target_overlaps(config)
-    probs = w_minus * kernel
-    # K(-m mod 2^n) is kernel[0] at m = 0 and kernel[2^n - m] after it
-    probs[0] += w_plus * kernel[0]
-    probs[1:] += w_plus * kernel[:0:-1]
+    probs = w_minus * kernel.values
+    if kernel.bins is None:
+        # K(-m mod 2^n) is kernel[0] at m = 0 and kernel[2^n - m] after it
+        probs[0] += w_plus * kernel.values[0]
+        probs[1:] += w_plus * kernel.values[:0:-1]
+    else:
+        probs += w_plus * _at_mirror(kernel.values, kernel.bins)
     if config.run.shots is None:
-        return histogram_from_probabilities(probs)
-    return sample_probabilities(probs, config.run.shots, config.run.seed)
+        # the floor is applied before the spread, to the kept outcomes only
+        return Histogram(_spread(_dust_free(probs), kernel.bins, n))
+    return sample_probabilities(_spread(probs, kernel.bins, n), config.run.shots,
+                                config.run.seed)
+
+
+def _spread(values: np.ndarray, bins: np.ndarray | None, n: int) -> np.ndarray:
+    """The length-2^n vector that holds `values` at `bins` and 0 at every
+    other outcome; `values` itself when bins is None (every outcome)."""
+    if bins is None:
+        return values
+    spread = np.zeros(1 << n)
+    spread[bins] = values
+    return spread
 
 
 def run_circuit(config: QpeConfig) -> Histogram:

@@ -7,6 +7,9 @@ import os
 import jsonschema
 import pytest
 
+import spinqpe.cli as cli
+import spinqpe.extraction as extraction
+import spinqpe.qpe as qpe
 from spinqpe import RUN_RECORD_SCHEMA, TOOL_VERSION
 from spinqpe.cli import main
 
@@ -189,6 +192,27 @@ class TestSweep:
         assert float(rows[0]["theta_est"]) == pytest.approx(
             record["estimates"]["theta"], abs=1e-12)
         assert float(rows[0]["C2"]) == pytest.approx(C2, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [4, 10])
+    def test_one_kernel_per_invocation(self, capsys, monkeypatch, n):
+        """Every grid point runs at one width and angle, so the sweep
+        builds its readout kernel once and its CSV is unchanged by it."""
+        code, before, _ = run(capsys, "sweep", "--eta-range", "0.2:1.3",
+                              "--delta-range=-1.3:1.3", "--steps", "4", "--n", str(n))
+        assert code == 0
+        calls = []
+        build = qpe.readout_kernel
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        for module in (qpe, extraction, cli):
+            monkeypatch.setattr(module, "readout_kernel", counted)
+        code, after, _ = run(capsys, "sweep", "--eta-range", "0.2:1.3",
+                             "--delta-range=-1.3:1.3", "--steps", "4", "--n", str(n))
+        assert code == 0 and after == before
+        assert calls == [(n, PI / 4, "exact")]
 
     def test_range_outside_half_pi_rejected(self, capsys):
         code, _, err = run(capsys, "sweep", "--eta-range", "0.2:1.6",

@@ -17,7 +17,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spinqpe import RUN_RECORD_SCHEMA, ConfigurationError, Histogram, RunSettings
-from spinqpe.cli import main
+from spinqpe.cli import MAX_STEPS, main
 
 CONTRACT_CODES = {0, 2, 3, 4}
 
@@ -111,6 +111,12 @@ def test_help_still_exits_zero():
     code, out, err = invoke_parser(["qpev", "--help"])
     assert code == 0
     assert out.startswith("usage:") and err == ""
+
+
+def test_sweep_help_names_the_steps_bound():
+    code, out, err = invoke_parser(["sweep", "--help"])
+    assert code == 0 and err == ""
+    assert f"1 to {MAX_STEPS}" in " ".join(out.split())
 
 
 def test_largest_shot_count_is_sampled():

@@ -300,15 +300,46 @@ class TestSharedKernel:
     @pytest.mark.parametrize("shots", [None, 1000])
     @pytest.mark.parametrize("aux_h, builds", [(PI / 4, 1), (PI / 2, 2), (1.0, 2)])
     def test_one_kernel_per_distinct_angle(self, monkeypatch, shots, aux_h, builds):
-        calls = []
-
-        def counted(n, angle):
-            calls.append((n, angle))
-            return build(n, angle)
-
-        build = qpe.readout_kernel
-        monkeypatch.setattr(qpe, "readout_kernel", counted)
-        monkeypatch.setattr(extraction, "readout_kernel", counted)
-        full_pipeline(PathParams(0.4, -0.7), RunSettings(8, shots, 3), PI / 4, aux_h)
+        calls = count_kernel_builds(monkeypatch)
+        run = RunSettings(8, shots, 3)
+        full_pipeline(PathParams(0.4, -0.7), run, PI / 4, aux_h)
         assert len(calls) == builds
-        assert {angle for _, angle in calls} == {PI / 4, aux_h}
+        assert {angle for _, angle, _ in calls} == {PI / 4, aux_h}
+        assert {(n, mode) for n, _, mode in calls} == {(8, run.mode)}
+
+    @pytest.mark.parametrize("shots", [None, 1000])
+    @pytest.mark.parametrize("aux", [PI / 4, 1.0], ids=["dyadic", "leaky"])
+    def test_passed_kernel_gives_the_same_result(self, monkeypatch, shots, aux):
+        params, run = PathParams(0.4, -0.7), RunSettings(8, shots, 3)
+        kernel = qpe.readout_kernel(8, aux, run.mode)
+        own = full_pipeline(params, run, aux, aux)
+        calls = count_kernel_builds(monkeypatch)
+        shared = full_pipeline(params, run, aux, aux, kernel=kernel)
+        assert calls == []
+        for got, want in ((shared.hist_v, own.hist_v), (shared.hist_h, own.hist_h)):
+            assert got.values.tobytes() == want.values.tobytes()
+        assert (shared.decode_v, shared.decode_h) == (own.decode_v, own.decode_h)
+        assert shared.theta_est == own.theta_est
+
+    @pytest.mark.parametrize("n, angle, mode", [(7, PI / 4, "exact"), (8, PI / 2, "exact"),
+                                                (8, PI / 4, "sampled")],
+                             ids=["width", "angle", "mode"])
+    def test_kernel_for_another_run_refused(self, n, angle, mode):
+        with pytest.raises(ConfigurationError, match="kernel"):
+            full_pipeline(PathParams(0.4, -0.7), RunSettings(8), PI / 4, PI / 4,
+                          kernel=qpe.readout_kernel(n, angle, mode))
+
+
+def count_kernel_builds(monkeypatch) -> list:
+    """Record (n, angle, mode) of every readout_kernel call the pipeline
+    makes from here on."""
+    calls = []
+    build = qpe.readout_kernel
+
+    def counted(n, angle, mode):
+        calls.append((n, angle, mode))
+        return build(n, angle, mode)
+
+    monkeypatch.setattr(qpe, "readout_kernel", counted)
+    monkeypatch.setattr(extraction, "readout_kernel", counted)
+    return calls

@@ -23,7 +23,14 @@ from spinqpe import (
     rx,
     ry,
 )
-from spinqpe.qpe import readout_kernel, run_circuit
+from spinqpe.qpe import (
+    PROBABILITY_FLOOR,
+    _target_overlaps,
+    histogram_from_probabilities,
+    readout_kernel,
+    run_circuit,
+    sample_probabilities,
+)
 from spinqpe.records import decode_payload
 
 PI = math.pi
@@ -107,7 +114,7 @@ class TestExpectedBins:
             config = qpev_config(n=n, aux=aux)
         except ConfigurationError:
             assume(False)
-        kernel = readout_kernel(n, aux)
+        kernel = dense(readout_kernel(n, aux, "exact"))
         second, first = np.sort(kernel)[-2:]
         assume(first - second >= 1e-9)
         bins = expected_bins(config)
@@ -438,8 +445,8 @@ class TestQpeConfig:
 
 
 def broadcast_kernel(n, angle):
-    """readout_kernel as a fresh broadcast product per bit: the form the
-    in-place build must reproduce bit for bit."""
+    """readout_kernel as a fresh broadcast product per bit over every
+    outcome: the form the kept values must reproduce bit for bit."""
     ramp = np.arange(1 << n, dtype=np.float64)
     kernel = np.ones(1)
     for l in range(n - 1, -1, -1):
@@ -453,6 +460,31 @@ def broadcast_kernel(n, angle):
     return kernel
 
 
+def dense(kernel):
+    """A readout kernel over every outcome: its values at the outcomes it
+    kept and 0 at those it dropped."""
+    if kernel.bins is None:
+        return kernel.values
+    full = np.zeros(1 << kernel.num_bits)
+    full[kernel.bins] = kernel.values
+    return full
+
+
+def reference_probabilities(config):
+    """P(m) = w_minus K(m) + w_plus K(-m) over every outcome, from the
+    full kernel."""
+    kernel = broadcast_kernel(config.run.counting_qubits, config.aux.angle)
+    w_plus, w_minus = _target_overlaps(config)
+    probs = w_minus * kernel
+    probs[0] += w_plus * kernel[0]
+    probs[1:] += w_plus * kernel[:0:-1]
+    return probs
+
+
+#: run mode -> the value at or below which a kernel may drop an outcome pair
+CUTS = {"exact": PROBABILITY_FLOOR / 2, "sampled": 0.0}
+
+
 @st.composite
 def aux_angles(draw, n):
     """A dyadic angle (4 pi k / 2^n, a bin centre) or an arbitrary one."""
@@ -462,8 +494,20 @@ def aux_angles(draw, n):
     return draw(st.floats(-4 * PI, 4 * PI))
 
 
+@st.composite
+def kernel_angles(draw, n):
+    """A dyadic angle, one near it, an arbitrary (leaky) one or a huge one."""
+    k = draw(st.integers(-(1 << 20), 1 << 20))
+    return draw(st.sampled_from([
+        4 * PI * k / (1 << n),
+        4 * PI * k / (1 << n) + draw(st.floats(-1e-6, 1e-6)),
+        draw(st.floats(-4 * PI, 4 * PI)),
+        draw(st.sampled_from([1, -1])) * 10.0 ** draw(st.floats(3, 15)),
+    ]))
+
+
 class TestSharedKernel:
-    """One readout kernel serves every run of its width and angle."""
+    """One readout kernel serves every run of its width, angle and mode."""
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(data=st.data(), n=st.integers(2, 16), axis=st.sampled_from(Axis),
@@ -474,7 +518,7 @@ class TestSharedKernel:
         aux = data.draw(aux_angles(n))
         run = RunSettings(n, 10_000, seed) if sampled else RunSettings(n)
         config = QpeConfig(run, RotationSpec(axis, aux), tuple(g(a) for g, a in prep))
-        kernel = readout_kernel(n, aux)
+        kernel = readout_kernel(n, aux, run.mode)
         shared = run_qpe(config, kernel=kernel).values
         own = run_qpe(config).values
         assert np.array_equal(shared, own)
@@ -483,32 +527,101 @@ class TestSharedKernel:
     @pytest.mark.parametrize("n", [1, 2, 10, 16])
     @pytest.mark.parametrize("aux", [PI / 4, 0.3, -0.0, 3.3e5])
     def test_in_place_build_is_bit_identical(self, n, aux):
-        kernel = readout_kernel(n, aux)
         reference = broadcast_kernel(n, aux)
-        assert kernel.dtype == reference.dtype and np.array_equal(kernel, reference)
+        for mode in ("exact", "sampled"):
+            kernel = readout_kernel(n, aux, mode)
+            kept = slice(None) if kernel.bins is None else kernel.bins
+            assert kernel.values.dtype == reference.dtype
+            assert np.array_equal(kernel.values, reference[kept])
 
     def test_kernel_is_read_only(self):
-        kernel = readout_kernel(6, PI / 4)
-        assert not kernel.flags.writeable
-        with pytest.raises(ValueError):
-            kernel[0] = 2.0
+        dyadic, leaky = readout_kernel(6, PI / 4, "exact"), readout_kernel(6, 1.0, "exact")
+        assert leaky.bins is None and dyadic.bins is not None
+        for array in (dyadic.values, dyadic.bins, leaky.values):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 2
+        for kernel in (dyadic, leaky):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                kernel.values = np.ones(64)
 
     @pytest.mark.parametrize("shots", [None, 500])
     def test_run_leaves_a_passed_kernel_unchanged(self, shots):
-        config = qpeh_config(n=8, aux=1.0, shots=shots, seed=4)
-        kernel = readout_kernel(8, 1.0)
-        before = kernel.copy()
-        run_qpe(config, kernel=kernel)
-        assert np.array_equal(kernel, before)
-        assert not kernel.flags.writeable
+        for aux in (1.0, PI / 4):
+            config = qpeh_config(n=8, aux=aux, shots=shots, seed=4)
+            kernel = readout_kernel(8, aux, config.run.mode)
+            before = dense(kernel).copy()
+            run_qpe(config, kernel=kernel)
+            assert np.array_equal(dense(kernel), before)
+            assert not kernel.values.flags.writeable
 
     @pytest.mark.parametrize("kernel", [
-        readout_kernel(5, PI / 4),
-        readout_kernel(7, PI / 4),
-        readout_kernel(6, PI / 4).reshape(8, 8),
-        readout_kernel(6, PI / 4).astype(np.float32),
-        readout_kernel(6, PI / 4).tolist(),
-    ], ids=["2^(n-1)", "2^(n+1)", "2-d", "float32", "list"])
+        readout_kernel(5, PI / 4, "exact"),
+        readout_kernel(7, PI / 4, "exact"),
+        readout_kernel(6, PI / 2, "exact"),
+        readout_kernel(6, PI / 4, "sampled"),
+        broadcast_kernel(6, PI / 4),
+        broadcast_kernel(6, PI / 4).reshape(8, 8),
+        broadcast_kernel(6, PI / 4).astype(np.float32),
+        broadcast_kernel(6, PI / 4).tolist(),
+    ], ids=["2^(n-1)", "2^(n+1)", "angle", "mode", "array", "2-d", "float32", "list"])
     def test_wrong_kernel_refused(self, kernel):
         with pytest.raises(ConfigurationError, match="kernel"):
             run_qpe(qpev_config(n=6), kernel=kernel)
+
+
+class TestKeptOutcomes:
+    """A kernel keeps only the outcomes a run of its mode can need, and
+    the readout equals the one from the full kernel byte for byte."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), n=st.integers(1, 16), mode=st.sampled_from(["exact", "sampled"]))
+    def test_kept_values_are_the_full_kernel(self, data, n, mode):
+        aux = data.draw(kernel_angles(n))
+        kernel = readout_kernel(n, aux, mode)
+        reference = broadcast_kernel(n, aux)
+        size = 1 << n
+        assert (kernel.num_bits, kernel.angle, kernel.mode) == (n, aux, mode)
+        assert kernel.values.dtype == reference.dtype
+        if kernel.bins is None:  # nothing dropped
+            assert np.array_equal(kernel.values, reference)
+            return
+        bins = kernel.bins
+        assert bins.dtype == np.int64 and 0 < bins.size < size
+        assert np.all(np.diff(bins) > 0) and 0 <= bins[0] and bins[-1] < size
+        assert np.array_equal(np.sort(-bins % size), bins)
+        assert np.array_equal(kernel.values, reference[bins])
+        dropped = np.delete(reference, bins)
+        assert np.all(dropped <= CUTS[mode])
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), n=st.integers(1, 16), axis=st.sampled_from(Axis),
+           prep=st.lists(st.tuples(st.sampled_from([rx, ry]), st.floats(-2 * PI, 2 * PI)),
+                         max_size=3),
+           shots=st.one_of(st.none(), st.integers(1, 10**5)), seed=st.integers(0, 2**32))
+    def test_readout_equals_the_full_kernel_readout(self, data, n, axis, prep, shots, seed):
+        aux = data.draw(kernel_angles(n))
+        try:
+            config = QpeConfig(RunSettings(n, shots, seed), RotationSpec(axis, aux),
+                               tuple(g(a) for g, a in prep))
+        except ConfigurationError:
+            assume(False)
+        probs = reference_probabilities(config)
+        if shots is None:
+            want = histogram_from_probabilities(probs)
+        else:
+            want = sample_probabilities(probs, shots, seed)
+        got = run_qpe(config)
+        assert got.values.dtype == want.values.dtype
+        assert got.values.tobytes() == want.values.tobytes()
+        assert (got.total_shots, got.seed) == (want.total_shots, want.seed)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 16), k=st.integers(-(1 << 20), 1 << 20))
+    @example(n=16, k=1 << 12)  # pi/4, the default auxiliary angle
+    @example(n=1, k=1)
+    def test_dyadic_angle_keeps_at_most_two_outcomes(self, n, k):
+        """The readout of a dyadic angle fills two bins, and the exact
+        kernel grows only those: no 2^n-wide work."""
+        kernel = readout_kernel(n, 4 * PI * k / (1 << n), "exact")
+        assert kernel.values.size <= 2
