@@ -12,6 +12,7 @@ eigenvector phase conventions are the reference for every statement about
 phases encoded in eigenvectors.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -65,9 +66,16 @@ def require_gate(gate) -> np.ndarray:
     gate = np.asarray(gate, dtype=np.complex128)
     if gate.shape != (2, 2):
         raise ValueError(f"gate must be 2x2, got shape {gate.shape}")
-    if not np.all(np.isfinite(gate)):
+    # checked on Python complex numbers: on a 2x2, one numpy call costs
+    # more than the whole sum
+    (a, b), (c, d) = gate.tolist()
+    if not all(map(cmath.isfinite, (a, b, c, d))):
         raise ValueError("gate contains non-finite entries")
-    deviation = np.abs(gate.conj().T @ gate - np.eye(2)).max()
+    a_, b_, c_, d_ = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
+    # the entries of U+ U - I, diagonal first: a product that overflows
+    # makes a diagonal entry inf, and max then reads inf, never a NaN
+    deviation = max(math.hypot(z.real, z.imag) for z in (
+        a_ * a + c_ * c - 1, b_ * b + d_ * d - 1, a_ * b + c_ * d, b_ * a + d_ * c))
     if deviation > UNITARY_ATOL:
         raise ValueError(
             f"gate is not unitary within {UNITARY_ATOL} (deviation {deviation:.3e})"

@@ -23,11 +23,15 @@ the reference engine: it simulates that circuit gate by gate on the full
 statevector, and only it and its two readouts use spinqpe.statevector and
 spinqpe.iqft.
 
-Both engines read out a Histogram from an outcome probability vector:
-histogram_from_probabilities builds the exact histogram and
-sample_probabilities the seeded draw; exact_histogram and sample apply
-them to a state's marginal. A Histogram holds one array: that length-2^n
-vector with its dust set to 0, or the drawn counts. Sampling uses numpy's
+A Histogram holds only its support: the ascending outcomes whose
+probability is above the dust floor, or that were drawn at least once,
+and the value of each; every other outcome reads 0. Two builders read one
+out of a full outcome probability vector: histogram_from_probabilities
+the exact histogram and sample_probabilities the seeded draw;
+exact_histogram and sample apply them to a state's marginal. run_qpe
+builds an exact histogram straight from the outcomes its kernel kept,
+with no length-2^n vector, and draws a sampled one with
+sample_probabilities from the full vector. Sampling uses numpy's
 default_rng, i.e. the PCG64 generator. The generator identity is part of
 the reproducibility contract: the same (probabilities, shots, seed)
 always yields the same histogram.
@@ -80,38 +84,60 @@ def is_integer(value) -> bool:
     return isinstance(value, Integral) and not isinstance(value, bool)
 
 
-@dataclass
-class Histogram:
-    """Readout over a measured qubit subset, one value per outcome.
+#: the widest register a Histogram holds: every outcome fits an int64
+MAX_HISTOGRAM_BITS = 63
 
-    `values` has length 2**num_bits. In exact mode (total_shots == 0) it
-    holds the outcome probabilities as floats, with dust at or below
-    PROBABILITY_FLOOR set to 0, and seed is None. In sampled mode it holds
-    the int64 counts of `total_shots` draws made with `seed`, an integer
-    >= 0 that reproduces them. A bool counts as no integer.
+
+@dataclass(frozen=True, eq=False)
+class Histogram:
+    """Readout over a measured register of `num_bits` qubits, held as its
+    support: the outcomes with a nonzero value, and the value of each.
+
+    `outcomes` is a strictly ascending, nonempty int64 array of outcomes in
+    [0, 2**num_bits) and `weights` the value at each; every other outcome
+    reads 0. In exact mode (total_shots == 0) the weights are the outcome
+    probabilities as floats, and seed is None; the readouts hold none at
+    or below PROBABILITY_FLOOR.
+    In sampled mode they are the int64 counts of `total_shots` draws made
+    with `seed`, an integer >= 0 that reproduces them. A bool counts as no
+    integer. Every rule is checked at construction, and a histogram is
+    frozen: both arrays are read-only copies, so changing the caller's
+    arrays later changes no histogram.
     """
 
-    values: np.ndarray
+    num_bits: int
+    outcomes: np.ndarray
+    weights: np.ndarray
     total_shots: int = 0
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        self.values = np.asarray(self.values)
-        size = self.values.size
-        if self.values.ndim != 1 or size == 0 or size & (size - 1):
+        if not (is_integer(self.num_bits) and 0 <= self.num_bits <= MAX_HISTOGRAM_BITS):
             raise ValueError(
-                f"expected one value per outcome of a 2**k register, "
-                f"got shape {self.values.shape}"
+                f"num_bits must be an integer in [0, {MAX_HISTOGRAM_BITS}], "
+                f"got {self.num_bits!r}"
             )
-        if self.values.min() < 0:
-            raise ValueError("a histogram value is negative")
+        outcomes, weights = np.array(self.outcomes), np.array(self.weights)
+        if outcomes.ndim != 1 or outcomes.shape != weights.shape or outcomes.size == 0:
+            raise ValueError(
+                f"expected two equal nonempty 1-d arrays of outcomes and weights, "
+                f"got shapes {outcomes.shape} and {weights.shape}"
+            )
+        if outcomes.dtype.kind not in "iu":  # numpy's integer kinds; a bool is "b"
+            raise ValueError(f"outcomes must be integers, got dtype {outcomes.dtype}")
+        if not (0 <= outcomes[0].item() and outcomes[-1].item() < 1 << self.num_bits):
+            raise ValueError(f"an outcome is outside [0, 2**{self.num_bits})")
+        if not (outcomes[1:] > outcomes[:-1]).all():
+            raise ValueError("outcomes must be strictly ascending")
+        if not weights.min() > 0:  # a NaN fails as well
+            raise ValueError("a histogram weight is not positive")
         if isinstance(self.total_shots, bool):
             raise ValueError(f"total_shots must be an integer, got {self.total_shots!r}")
-        total = self.values.sum().item()
+        total = weights.sum().item()
         if self.total_shots:
-            if not np.issubdtype(self.values.dtype, np.integer):
+            if weights.dtype.kind not in "iu":
                 raise ValueError(
-                    f"sampled counts must be integers, got dtype {self.values.dtype}"
+                    f"sampled counts must be integers, got dtype {weights.dtype}"
                 )
             if total != self.total_shots:
                 raise ValueError(
@@ -123,28 +149,31 @@ class Histogram:
                 )
         elif self.seed is not None:
             raise ValueError(f"an exact-mode histogram has no seed, got {self.seed!r}")
-        elif not np.issubdtype(self.values.dtype, np.floating):
+        elif weights.dtype.kind != "f":
             raise ValueError(
-                f"exact-mode probabilities must be floats, got dtype {self.values.dtype}"
+                f"exact-mode probabilities must be floats, got dtype {weights.dtype}"
             )
-        elif not abs(total - 1.0) <= 1e-10:  # a NaN sum fails as well
+        elif not abs(total - 1.0) <= 1e-10:
             raise ValueError(
                 f"exact-mode probabilities sum to {total!r}, expected 1 within 1e-10"
             )
-
-    @property
-    def num_bits(self) -> int:
-        return len(self.values).bit_length() - 1
+        outcomes = outcomes.astype(np.int64, copy=False)
+        for name, array in (("outcomes", outcomes), ("weights", weights)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @property
     def is_sampled(self) -> bool:
         return self.total_shots > 0
 
     def probabilities(self, outcomes) -> list:
-        """The probability of each listed outcome, as Python floats; a
-        sampled one is count / total_shots, rounded once from the exact
-        integer ratio."""
-        picked = self.values[outcomes].tolist()
+        """The probability of each listed outcome, as Python floats, 0.0
+        for an outcome the histogram does not hold; a sampled one is
+        count / total_shots, rounded once from the exact integer ratio."""
+        held, size = self.outcomes, self.outcomes.size
+        # a binary search per outcome: a decode window lists a few
+        picked = [self.weights[i].item() if i < size and held[i] == m else 0.0
+                  for m, i in zip(outcomes, held.searchsorted(outcomes).tolist())]
         if self.is_sampled:
             return [count / self.total_shots for count in picked]
         return picked
@@ -376,24 +405,43 @@ def _dust_free(probs: np.ndarray) -> np.ndarray:
     return probs * (probs > PROBABILITY_FLOOR)
 
 
+def _width(probs: np.ndarray) -> int:
+    """The register width k of a length-2**k outcome vector."""
+    size = probs.size
+    if probs.ndim != 1 or size == 0 or size & (size - 1):
+        raise ValueError(
+            f"expected one value per outcome of a 2**k register, got shape {probs.shape}"
+        )
+    return size.bit_length() - 1
+
+
+def _held(values: np.ndarray, bins: np.ndarray | None = None) -> tuple:
+    """(outcomes, weights): the nonzero entries of `values` and their
+    outcomes, entry i being outcome bins[i], or i when bins is None."""
+    kept = np.flatnonzero(values)
+    return kept if bins is None else bins[kept], values[kept]
+
+
 def histogram_from_probabilities(probs: np.ndarray) -> Histogram:
     """Exact-mode histogram of a length-2**k outcome distribution;
-    probabilities at or below PROBABILITY_FLOOR become 0."""
-    return Histogram(_dust_free(probs))
+    probabilities at or below PROBABILITY_FLOOR are not held."""
+    return Histogram(_width(probs), *_held(_dust_free(probs)))
 
 
 def sample_probabilities(probs: np.ndarray, shots: int, seed: int) -> Histogram:
     """Draw `shots` outcomes multinomially from a length-2**k distribution.
 
-    The draw is a single multinomial from numpy's default_rng (PCG64)
-    seeded with `seed`; identical inputs give identical histograms. Kept
-    single-threaded so the draw sequence stays deterministic.
+    The draw is a single multinomial over the whole vector from numpy's
+    default_rng (PCG64) seeded with `seed`; identical inputs give
+    identical histograms, which hold the outcomes drawn at least once.
+    Kept single-threaded so the draw sequence stays deterministic.
     """
+    n = _width(probs)
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     probs = probs / probs.sum()  # remove float drift before drawing
     counts = np.random.default_rng(seed).multinomial(shots, probs)
-    return Histogram(counts, total_shots=shots, seed=seed)
+    return Histogram(n, *_held(counts), total_shots=shots, seed=seed)
 
 
 def run_qpe(config: QpeConfig, *, kernel: ReadoutKernel | None = None) -> Histogram:
@@ -403,9 +451,12 @@ def run_qpe(config: QpeConfig, *, kernel: ReadoutKernel | None = None) -> Histog
 
     P is computed only at the outcomes the kernel kept and is 0 at the
     others; there it would be dust at or below PROBABILITY_FLOOR (exact
-    mode), which the histogram sets to 0 anyway, or exactly 0 (sampled
-    mode). So the histogram equals the one read from the full kernel,
-    byte for byte.
+    mode), which the histogram does not hold anyway, or exactly 0
+    (sampled mode). So the histogram equals the one read from the full
+    kernel, byte for byte. An exact histogram is built straight from the
+    kept outcomes above the floor. A sampled one is drawn from P spread
+    over all 2^n outcomes, the vector the seed contract draws from, and
+    holds the outcomes drawn.
 
     `kernel` is readout_kernel(n, config.aux.angle, config.run.mode),
     built here when None. It depends only on the width, the angle and the
@@ -430,15 +481,16 @@ def run_qpe(config: QpeConfig, *, kernel: ReadoutKernel | None = None) -> Histog
     else:
         probs += w_plus * _at_mirror(kernel.values, kernel.bins)
     if config.run.shots is None:
-        # the floor is applied before the spread, to the kept outcomes only
-        return Histogram(_spread(_dust_free(probs), kernel.bins, n))
+        # the floor is applied to the kept outcomes only: no 2^n vector
+        return Histogram(n, *_held(_dust_free(probs), kernel.bins))
     return sample_probabilities(_spread(probs, kernel.bins, n), config.run.shots,
                                 config.run.seed)
 
 
 def _spread(values: np.ndarray, bins: np.ndarray | None, n: int) -> np.ndarray:
     """The length-2^n vector that holds `values` at `bins` and 0 at every
-    other outcome; `values` itself when bins is None (every outcome)."""
+    other outcome, for the sampled draw; `values` itself when bins is None
+    (every outcome)."""
     if bins is None:
         return values
     spread = np.zeros(1 << n)

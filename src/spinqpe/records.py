@@ -10,8 +10,7 @@ echoed command reproduces the record byte for byte.
 import csv
 import io
 import json
-
-import numpy as np
+import math
 
 from .extraction import BRANCHES, ExtractionResult
 from .precession import wrap_angle
@@ -155,8 +154,8 @@ SWEEP_COLUMNS = [
 
 def histogram_payload(hist: Histogram) -> dict:
     """The histogram section of a record. Its `entries` value is the
-    Histogram itself; `to_json` writes it as the nonzero bins sorted by
-    outcome."""
+    Histogram itself; `to_json` writes it as the bins the histogram holds,
+    sorted by outcome."""
     return {
         "num_bits": hist.num_bits,
         "mode": "sampled" if hist.is_sampled else "exact",
@@ -172,7 +171,7 @@ def _peak_payload(m: int, probability: float, num_bits: int) -> dict:
         "m": m,
         "bits": format_binary(m, num_bits),
         "fraction": fraction,
-        "signed_angle": wrap_angle(2.0 * np.pi * fraction),
+        "signed_angle": wrap_angle(2.0 * math.pi * fraction),
         "probability": probability,
     }
 
@@ -242,24 +241,24 @@ _SAMPLED_ENTRY = (
 
 
 def _entries_json(hist: Histogram) -> str:
-    """`_ENTRIES_SLOT` filled with the nonzero bins of `hist`, sorted by
-    outcome, written as `json.dumps(indent=2)` writes a list of bin dicts."""
-    kept = np.flatnonzero(hist.values > 0)
-    outcomes = kept.tolist()
+    """`_ENTRIES_SLOT` filled with the bins `hist` holds, in its ascending
+    outcome order, written as `json.dumps(indent=2)` writes a list of bin
+    dicts."""
+    outcomes = hist.outcomes.tolist()
     spec = f"0{hist.num_bits}b"
-    probabilities = hist.probabilities(kept)
     if hist.is_sampled:
-        entries = [_SAMPLED_ENTRY % (m, format(m, spec), count, p) for m, count, p
-                   in zip(outcomes, hist.values[kept].tolist(), probabilities)]
+        entries = [_SAMPLED_ENTRY % (m, format(m, spec), count, count / hist.total_shots)
+                   for m, count in zip(outcomes, hist.weights.tolist())]
     else:
         entries = [_EXACT_ENTRY % (m, format(m, spec), p)
-                   for m, p in zip(outcomes, probabilities)]
+                   for m, p in zip(outcomes, hist.weights.tolist())]
     return '\n      "entries": [\n' + ",\n".join(entries) + "\n      ]"
 
 
 def to_json(record: dict) -> str:
     """The record as `json.dumps(record, indent=2)` plus a newline, with
-    each histogram's entries written straight from its outcome array."""
+    each histogram's entries written straight from its outcome and weight
+    arrays."""
     sections = record["histograms"]
     hists = [section["entries"] for section in sections.values() if section is not None]
     shell = {**record, "histograms": {

@@ -13,6 +13,8 @@ from spinqpe.gates import phase
 from spinqpe.iqft import apply_iqft, build_iqft, dense_iqft_reference
 from spinqpe.statevector import StateVector, apply_controlled, apply_single, new_state
 
+from histograms import identical
+
 PI = math.pi
 C2 = math.cos(PI / 12) ** 2          # 0.93301270...
 S2 = math.sin(PI / 12) ** 2          # 0.06698729...
@@ -211,7 +213,7 @@ def test_criterion_8_invariant_suites():
 
     # sampling determinism under a fixed seed
     config = vertical_config(target_prep=prep, shots=4000, seed=5)
-    det_ok = np.array_equal(sq.run_qpe(config).values, sq.run_qpe(config).values)
+    det_ok = identical(sq.run_qpe(config), sq.run_qpe(config))
 
     # eigenvalue conventions for both axes
     conv_ok = True

@@ -408,7 +408,7 @@ def test_run_settings_and_histogram_accept_the_same_seeds(seed):
     except ConfigurationError:
         settings_accept = False
     try:
-        Histogram(np.array([1, 0]), total_shots=1, seed=seed)
+        Histogram(1, np.array([0]), np.array([1]), total_shots=1, seed=seed)
         histogram_accepts = True
     except ValueError:
         histogram_accepts = False

@@ -1,5 +1,6 @@
 import math
 import statistics
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,8 @@ from spinqpe import (
     theta_from_estimates,
     total_phase,
 )
+
+from histograms import identical
 
 PI = math.pi
 THETA_PI_THIRD = math.atan(-1 / 3)
@@ -229,8 +232,8 @@ class TestFullPipeline:
             RunSettings(shots=5000, seed=11), PI / 4, PI / 4,
         )
         assert a.theta_est == b.theta_est
-        assert np.array_equal(a.hist_v.values, b.hist_v.values)
-        assert np.array_equal(a.hist_h.values, b.hist_h.values)
+        assert identical(a.hist_v, b.hist_v)
+        assert identical(a.hist_h, b.hist_h)
         assert a.warnings == b.warnings
 
     def test_analytic_reference_uses_overlap_argument(self):
@@ -287,8 +290,7 @@ class TestSharedKernel:
             return
         result = full_pipeline(params, run, aux_v, aux_h)
         for got, want in ((result.hist_v, hist_v), (result.hist_h, hist_h)):
-            assert got.values.dtype == want.values.dtype
-            assert np.array_equal(got.values, want.values)
+            assert identical(got, want)
         assert (result.decode_v, result.decode_h) == (decode_v, decode_h)
         assert (result.C_est, result.S_est, result.absA_est) == (cs.C, cs.S, absA)
         assert (result.sin_delta_est, result.sin_delta_raw) == (sin_delta, raw)
@@ -317,7 +319,7 @@ class TestSharedKernel:
         shared = full_pipeline(params, run, aux, aux, kernel=kernel)
         assert calls == []
         for got, want in ((shared.hist_v, own.hist_v), (shared.hist_h, own.hist_h)):
-            assert got.values.tobytes() == want.values.tobytes()
+            assert identical(got, want)
         assert (shared.decode_v, shared.decode_h) == (own.decode_v, own.decode_h)
         assert shared.theta_est == own.theta_est
 
@@ -343,3 +345,18 @@ def count_kernel_builds(monkeypatch) -> list:
     monkeypatch.setattr(qpe, "readout_kernel", counted)
     monkeypatch.setattr(extraction, "readout_kernel", counted)
     return calls
+
+
+def test_exact_dyadic_pipeline_allocates_no_register_vector():
+    """An exact run at a dyadic angle holds two outcomes, so an exact
+    n = 16 pipeline allocates no vector over its 2^16 outcomes: the traced
+    peak stays far below the 512 KiB of one float64 vector of that size."""
+    args = (PathParams(PI / 3, PI / 3), RunSettings(16), PI / 4, PI / 4)
+    full_pipeline(*args)  # imports and first-call caches are not the pipeline's
+    tracemalloc.start()
+    try:
+        full_pipeline(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinqpe.gates import (
+    UNITARY_ATOL,
     Axis,
     RotationSpec,
     axis_eigenvectors,
@@ -11,6 +14,7 @@ from spinqpe.gates import (
     identity,
     pauli_x,
     phase,
+    require_gate,
     rotation,
     rotation_power,
     rx,
@@ -136,3 +140,70 @@ class TestRotationSpec:
 
     def test_raw_angle_preserved(self):
         assert RotationSpec(Axis.X, 5 * math.pi).angle == 5 * math.pi
+
+
+def numpy_gate_check(gate):
+    """require_gate's predicate as numpy array operations, the form it had
+    before it moved to Python complex numbers: (error text or None, the
+    deviation max |U+ U - I| or None)."""
+    gate = np.asarray(gate, dtype=np.complex128)
+    if gate.shape != (2, 2):
+        return f"gate must be 2x2, got shape {gate.shape}", None
+    if not np.all(np.isfinite(gate)):
+        return "gate contains non-finite entries", None
+    deviation = np.abs(gate.conj().T @ gate - np.eye(2)).max()
+    if deviation > UNITARY_ATOL:
+        return f"gate is not unitary within {UNITARY_ATOL}", deviation
+    return None, deviation
+
+
+_ANGLE = st.floats(-2 * math.pi, 2 * math.pi)
+
+
+@st.composite
+def unitaries(draw):
+    """exp(i a) [[cos t e^(i p), sin t e^(i q)], [-sin t e^(-i q), cos t e^(-i p)]]"""
+    a, t, p, q = (draw(_ANGLE) for _ in range(4))
+    c, s = math.cos(t), math.sin(t)
+    return np.exp(1j * a) * np.array([[c * np.exp(1j * p), s * np.exp(1j * q)],
+                                       [-s * np.exp(-1j * q), c * np.exp(-1j * p)]])
+
+
+@st.composite
+def candidate_gates(draw):
+    """A unitary, one perturbed by about 1e-16 to 1e-8 (so across the
+    tolerance), one with a non-finite entry, or an array of another shape."""
+    gate = draw(unitaries())
+    kind = draw(st.sampled_from(["unitary", "perturbed", "non-finite", "shape"]))
+    if kind == "perturbed":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+        direction = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        gate = gate + 10.0 ** draw(st.floats(-16, -8)) * direction
+    elif kind == "non-finite":
+        bad = draw(st.sampled_from([np.nan, np.inf, -np.inf, complex(0, np.inf),
+                                    complex(np.nan, 0)]))
+        gate[draw(st.integers(0, 1)), draw(st.integers(0, 1))] = bad
+    elif kind == "shape":
+        shape = draw(st.sampled_from([(2,), (4,), (3, 3), (2, 2, 1), (1, 2, 2), (2, 3)]))
+        gate = np.resize(gate, shape)
+    return gate
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(candidate_gates(), st.booleans())
+def test_gate_check_matches_the_numpy_form(gate, as_list):
+    """require_gate accepts and refuses as the numpy form does, with the
+    same error text, outside a +-1e-15 band around the tolerance, where
+    the two may round the deviation differently."""
+    want, deviation = numpy_gate_check(gate)
+    if deviation is not None and abs(deviation - UNITARY_ATOL) <= 1e-15:
+        return
+    candidate = gate.tolist() if as_list else gate
+    if want is None:
+        got = require_gate(candidate)
+        assert got.dtype == np.complex128
+        assert np.array_equal(got, gate)
+    else:
+        with pytest.raises(ValueError) as refused:
+            require_gate(candidate)
+        assert str(refused.value).startswith(want)

@@ -10,6 +10,7 @@ from spinqpe import (
     Axis,
     ConfigurationError,
     ExpectedBins,
+    Histogram,
     PathParams,
     QpeConfig,
     RotationSpec,
@@ -32,6 +33,8 @@ from spinqpe.qpe import (
     sample_probabilities,
 )
 from spinqpe.records import decode_payload
+
+from histograms import dense, identical
 
 PI = math.pi
 C2 = math.cos(PI / 12) ** 2  # 0.9330127...
@@ -114,7 +117,7 @@ class TestExpectedBins:
             config = qpev_config(n=n, aux=aux)
         except ConfigurationError:
             assume(False)
-        kernel = dense(readout_kernel(n, aux, "exact"))
+        kernel = dense_kernel(readout_kernel(n, aux, "exact"))
         second, first = np.sort(kernel)[-2:]
         assume(first - second >= 1e-9)
         bins = expected_bins(config)
@@ -125,15 +128,15 @@ class TestExpectedBins:
 
 class TestRunQpe:
     def test_vertical_exact_two_bins(self):
-        hist = run_qpe(qpev_config())
-        assert hist.values[960] == pytest.approx(C2, abs=1e-10)
-        assert hist.values[64] == pytest.approx(S2, abs=1e-10)
-        assert np.delete(hist.values, [960, 64]).sum() <= 1e-12
+        probs = dense(run_qpe(qpev_config()))
+        assert probs[960] == pytest.approx(C2, abs=1e-10)
+        assert probs[64] == pytest.approx(S2, abs=1e-10)
+        assert np.delete(probs, [960, 64]).sum() <= 1e-12
 
     def test_horizontal_exact_two_bins(self):
-        hist = run_qpe(qpeh_config())
-        assert hist.values[960] == pytest.approx(HALF_A2, abs=1e-10)
-        assert hist.values[64] == pytest.approx(HALF_B2, abs=1e-10)
+        probs = dense(run_qpe(qpeh_config()))
+        assert probs[960] == pytest.approx(HALF_A2, abs=1e-10)
+        assert probs[64] == pytest.approx(HALF_B2, abs=1e-10)
 
     def test_vertical_sampled_within_three_sigma(self):
         shots = 10000
@@ -161,7 +164,7 @@ class TestRunQpe:
             config = QpeConfig(RunSettings(8), RotationSpec(Axis.X, PI / 2), prep)
             hist = run_qpe(config)
             bins = expected_bins(config)
-            assert np.delete(hist.values, [bins.m_plus, bins.m_minus]).sum() <= 1e-12
+            assert np.delete(dense(hist), [bins.m_plus, bins.m_minus]).sum() <= 1e-12
 
     def test_decoded_masses_equal_eigenbasis_overlaps(self):
         rng = np.random.default_rng(37)
@@ -195,7 +198,7 @@ class TestRunQpe:
             aux=RotationSpec(Axis.Y, PI / 4),
             target_prep=(np.exp(0.7j) * rx(-PI / 3),),
         ))
-        np.testing.assert_allclose(phased.values, base.values, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dense(phased), dense(base), rtol=0, atol=1e-12)
 
     def test_eigencomponent_phase_transparency(self):
         # an extra rotation about the auxiliary axis only multiplies the
@@ -205,7 +208,7 @@ class TestRunQpe:
             aux=RotationSpec(Axis.X, PI / 4),
             target_prep=(rx(-PI / 3), ry(PI / 3), rx(0.913)),
         ))
-        np.testing.assert_allclose(dressed.values, base.values, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dense(dressed), dense(base), rtol=0, atol=1e-12)
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(
@@ -223,8 +226,8 @@ class TestRunQpe:
         the closed-form oracle, also at the large auxiliary angles where an
         FFT of the kickback phases drifts."""
         config = QpeConfig(RunSettings(n), RotationSpec(axis, aux), (rx(prep_x), ry(prep_y)))
-        probs = run_qpe(config).values
-        np.testing.assert_allclose(probs, run_circuit(config).values, rtol=0, atol=1e-12)
+        probs = dense(run_qpe(config))
+        np.testing.assert_allclose(probs, dense(run_circuit(config)), rtol=0, atol=1e-12)
         np.testing.assert_allclose(probs, estimation_distribution(config), rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("n", [4, 10])
@@ -232,7 +235,7 @@ class TestRunQpe:
     def test_sampled_readout_equals_circuit_per_seed(self, n, aux):
         for seed in range(50):
             config = qpev_config(n=n, aux=aux, shots=10_000, seed=seed)
-            assert np.array_equal(run_qpe(config).values, run_circuit(config).values)
+            assert identical(run_qpe(config), run_circuit(config))
 
     @pytest.mark.parametrize("engine", [run_qpe, run_circuit])
     @pytest.mark.parametrize("gate", [2 * rx(0.3), np.full((2, 2), np.nan), np.eye(3)],
@@ -349,6 +352,22 @@ class TestDecode:
             with pytest.raises(AttributeError):
                 setattr(result, name, 0)
 
+    @pytest.mark.parametrize("shots", [None, 20])
+    def test_window_bins_not_held_read_zero(self, shots):
+        # leaky, so window 2: the windows are bins 57..61 around m_plus 59
+        # and 3..7 around m_minus 5; the histogram holds one bin of each,
+        # and bins 0 and 63 outside both
+        config = qpev_config(aux=1.0, n=6)
+        assert (expected_bins(config).m_plus, expected_bins(config).m_minus) == (59, 5)
+        outcomes = np.array([0, 6, 60, 63])
+        if shots is None:
+            hist = Histogram(6, outcomes, np.array([0.125, 0.25, 0.5, 0.125]))
+        else:
+            hist = Histogram(6, outcomes, np.array([4, 5, 10, 1]), total_shots=20, seed=0)
+        result = decode(hist, config)
+        assert (result.p_plus, result.p_minus) == (0.5, 0.25)
+        assert result.warnings  # coverage 0.75
+
     def test_window_holding_every_shot_has_mass_one(self):
         # the 20 rounded count/shots ratios of the plus window add up to
         # 1.0000000000000002
@@ -428,20 +447,18 @@ class TestQpeConfig:
     def test_prep_gates_are_frozen_copies(self, shots):
         gate = np.array(rx(-PI / 3), dtype=np.complex128)
         config = QpeConfig(RunSettings(6, shots, 3), RotationSpec(Axis.Y, 1.0), (gate, ry(0.4)))
-        before = (run_qpe(config).values, run_circuit(config).values,
-                  decode(run_qpe(config), config))
+        before = (run_qpe(config), run_circuit(config), decode(run_qpe(config), config))
         gate[...] = 2 * rx(0.3)
-        after = (run_qpe(config).values, run_circuit(config).values,
-                 decode(run_qpe(config), config))
-        assert np.array_equal(after[0], before[0])
-        assert np.array_equal(after[1], before[1])
+        after = (run_qpe(config), run_circuit(config), decode(run_qpe(config), config))
+        assert identical(after[0], before[0])
+        assert identical(after[1], before[1])
         assert after[2] == before[2]
         assert all(not g.flags.writeable for g in config.target_prep)
         assert all(g.dtype == np.complex128 for g in config.target_prep)
 
     def test_sampling_determinism(self):
         config = qpev_config(shots=2000, seed=99)
-        assert np.array_equal(run_qpe(config).values, run_qpe(config).values)
+        assert identical(run_qpe(config), run_qpe(config))
 
 
 def broadcast_kernel(n, angle):
@@ -460,7 +477,7 @@ def broadcast_kernel(n, angle):
     return kernel
 
 
-def dense(kernel):
+def dense_kernel(kernel):
     """A readout kernel over every outcome: its values at the outcomes it
     kept and 0 at those it dropped."""
     if kernel.bins is None:
@@ -519,10 +536,7 @@ class TestSharedKernel:
         run = RunSettings(n, 10_000, seed) if sampled else RunSettings(n)
         config = QpeConfig(run, RotationSpec(axis, aux), tuple(g(a) for g, a in prep))
         kernel = readout_kernel(n, aux, run.mode)
-        shared = run_qpe(config, kernel=kernel).values
-        own = run_qpe(config).values
-        assert np.array_equal(shared, own)
-        assert shared.dtype == own.dtype
+        assert identical(run_qpe(config, kernel=kernel), run_qpe(config))
 
     @pytest.mark.parametrize("n", [1, 2, 10, 16])
     @pytest.mark.parametrize("aux", [PI / 4, 0.3, -0.0, 3.3e5])
@@ -550,9 +564,9 @@ class TestSharedKernel:
         for aux in (1.0, PI / 4):
             config = qpeh_config(n=8, aux=aux, shots=shots, seed=4)
             kernel = readout_kernel(8, aux, config.run.mode)
-            before = dense(kernel).copy()
+            before = dense_kernel(kernel).copy()
             run_qpe(config, kernel=kernel)
-            assert np.array_equal(dense(kernel), before)
+            assert np.array_equal(dense_kernel(kernel), before)
             assert not kernel.values.flags.writeable
 
     @pytest.mark.parametrize("kernel", [
@@ -572,7 +586,8 @@ class TestSharedKernel:
 
 class TestKeptOutcomes:
     """A kernel keeps only the outcomes a run of its mode can need, and
-    the readout equals the one from the full kernel byte for byte."""
+    the readout equals the one from the full kernel byte for byte: the
+    histogram holds the outcomes of the dense readout that are not 0."""
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(data=st.data(), n=st.integers(1, 16), mode=st.sampled_from(["exact", "sampled"]))
@@ -609,12 +624,27 @@ class TestKeptOutcomes:
         probs = reference_probabilities(config)
         if shots is None:
             want = histogram_from_probabilities(probs)
+            vector = probs * (probs > PROBABILITY_FLOOR)
         else:
             want = sample_probabilities(probs, shots, seed)
+            vector = np.random.default_rng(seed).multinomial(shots, probs / probs.sum())
         got = run_qpe(config)
-        assert got.values.dtype == want.values.dtype
-        assert got.values.tobytes() == want.values.tobytes()
-        assert (got.total_shots, got.seed) == (want.total_shots, want.seed)
+        assert identical(got, want)
+        # spread over every outcome, the histogram is the dense readout
+        assert dense(got).dtype == vector.dtype
+        assert dense(got).tobytes() == vector.tobytes()
+        assert got.outcomes.tolist() == np.flatnonzero(vector).tolist()
+
+    @pytest.mark.parametrize("n", [2, 8, 16])
+    def test_dust_at_a_kept_outcome_is_not_held(self, n):
+        # the target is |+x> to about 1e-8, so its |-x> component puts about
+        # 2.5e-17 at m_minus, an outcome the kernel keeps: dust, not held
+        config = QpeConfig(RunSettings(n), RotationSpec(Axis.X, PI), (ry(PI / 2 + 1e-8),))
+        probs = reference_probabilities(config)
+        assert 0 < probs[expected_bins(config).m_minus] <= PROBABILITY_FLOOR
+        hist = run_qpe(config)
+        assert dense(hist).tobytes() == (probs * (probs > PROBABILITY_FLOOR)).tobytes()
+        assert hist.outcomes.tolist() == [expected_bins(config).m_plus]
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(n=st.integers(1, 16), k=st.integers(-(1 << 20), 1 << 20))

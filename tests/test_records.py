@@ -15,6 +15,8 @@ from spinqpe.cli import main
 from spinqpe.qpe import PROBABILITY_FLOOR, DecodeResult, Histogram, format_binary, run_qpe
 from spinqpe.records import decode_payload, histogram_payload, make_record, to_json
 
+from histograms import dense, from_dense
+
 #: exact-mode probabilities whose reprs stress the writer: just above the
 #: floor, subnormal, tiny and short decimal reprs
 TINY = [math.nextafter(PROBABILITY_FLOOR, 1.0), 1.0000000000000002e-15, 2e-15,
@@ -33,9 +35,10 @@ WORDS = st.one_of(
 def reference_entries(hist: Histogram) -> list:
     """One dict per nonzero bin, built as records were before the writer
     wrote entries from the array."""
-    kept = np.flatnonzero(hist.values > 0)
+    values = dense(hist)
+    kept = np.flatnonzero(values > 0)
     entries = []
-    for m, value, probability in zip(kept.tolist(), hist.values[kept].tolist(),
+    for m, value, probability in zip(kept.tolist(), values[kept].tolist(),
                                      hist.probabilities(kept)):
         entry = {"m": m, "bits": format_binary(m, hist.num_bits)}
         if hist.is_sampled:
@@ -55,7 +58,7 @@ def exact_histograms(draw):
     size = 1 << draw(st.integers(1, 12))
     if draw(st.booleans()):  # every bin nonzero
         values = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(size)
-        return Histogram(values / values.sum())
+        return from_dense(values / values.sum())
     heads = draw(st.one_of(
         st.sampled_from([head for head in HEADS if len(head) <= size]),
         st.lists(st.floats(0.01, 1.0), min_size=1, max_size=min(size, 8)).map(_normalised),
@@ -67,7 +70,7 @@ def exact_histograms(draw):
                          max_size=len(masses), unique=True))
     values = np.zeros(size)
     values[bins] = masses
-    return Histogram(values)
+    return from_dense(values)
 
 
 @st.composite
@@ -76,7 +79,7 @@ def sampled_histograms(draw):
     seed = draw(st.integers(0, 2**63 - 1))
     if draw(st.booleans()):  # every bin drawn
         counts = np.random.default_rng(seed).integers(1, 2**50, size)
-        return Histogram(counts, total_shots=int(counts.sum()), seed=seed)
+        return from_dense(counts, total_shots=int(counts.sum()), seed=seed)
     total = draw(st.one_of(st.just(2**63 - 1), st.integers(1, 2**63 - 1)))
     bins = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=min(size, 16),
                          unique=True))
@@ -84,7 +87,7 @@ def sampled_histograms(draw):
                                 min_size=len(bins) - 1, max_size=len(bins) - 1)))
     counts = np.zeros(size, dtype=np.int64)
     counts[bins] = [high - low for low, high in zip([0, *cuts], [*cuts, total])]
-    return Histogram(counts, total_shots=total, seed=seed)
+    return from_dense(counts, total_shots=total, seed=seed)
 
 
 @st.composite
@@ -111,9 +114,9 @@ def reference_record(record: dict) -> dict:
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(records())
 @example(make_record(["qpev"], {}, histograms={
-    "qpev": histogram_payload(Histogram(np.array([1, 2**63 - 2]),
-                                        total_shots=2**63 - 1, seed=0)),
-    "qpeh": histogram_payload(Histogram(np.array([0.0, TINY[0], 0.0, 1.0 - TINY[0]]))),
+    "qpev": histogram_payload(from_dense(np.array([1, 2**63 - 2]),
+                                         total_shots=2**63 - 1, seed=0)),
+    "qpeh": histogram_payload(from_dense(np.array([0.0, TINY[0], 0.0, 1.0 - TINY[0]]))),
 }))
 def test_writer_equals_reference(record):
     assert to_json(record) == json.dumps(reference_record(record), indent=2) + "\n"
@@ -123,7 +126,7 @@ def test_slot_count_mismatch_raises():
     # a second empty "entries" list at the histogram indent would be
     # mistaken for a slot, so the writer refuses the record
     record = make_record([], {},
-                         histograms={"qpev": histogram_payload(Histogram(np.array([1.0])))},
+                         histograms={"qpev": histogram_payload(from_dense(np.array([1.0])))},
                          decoded={"qpev": {"entries": []}})
     with pytest.raises(ValueError, match="1 histograms"):
         to_json(record)
@@ -148,7 +151,7 @@ def test_large_record_is_canonical_json(capsys, argv, config):
     assert out == json.dumps(record, indent=2) + "\n"
     (entries,) = [section["entries"] for section in record["histograms"].values()
                   if section is not None]
-    assert len(entries) == np.count_nonzero(run_qpe(config).values)
+    assert len(entries) == np.count_nonzero(dense(run_qpe(config)))
 
 
 def test_peak_angle_folds_every_bin():

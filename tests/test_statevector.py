@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from functools import reduce
 
@@ -8,7 +9,12 @@ from hypothesis import strategies as st
 
 from spinqpe import ConfigurationError, Histogram, rx, ry
 from spinqpe.gates import hadamard, identity, pauli_x, phase
-from spinqpe.qpe import exact_histogram, histogram_from_probabilities, sample
+from spinqpe.qpe import (
+    exact_histogram,
+    histogram_from_probabilities,
+    sample,
+    sample_probabilities,
+)
 from spinqpe.statevector import (
     StateVector,
     apply_controlled,
@@ -16,6 +22,8 @@ from spinqpe.statevector import (
     new_state,
     probabilities,
 )
+
+from histograms import dense, identical
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -221,7 +229,7 @@ class TestProbabilities:
 class TestSample:
     def test_deterministic_state(self):
         hist = sample(new_state(1), [0], 100, seed=42)
-        assert np.array_equal(hist.values, [100, 0])
+        assert np.array_equal(dense(hist), [100, 0])
         assert hist.total_shots == 100
         assert hist.seed == 42
 
@@ -229,13 +237,13 @@ class TestSample:
         s = apply_single(new_state(1), rx(-math.pi / 3), 0)
         a = sample(s, [0], 5000, seed=9)
         b = sample(s, [0], 5000, seed=9)
-        assert np.array_equal(a.values, b.values)
+        assert identical(a, b)
 
     def test_different_seed_differs(self):
         s = apply_single(new_state(1), rx(-math.pi / 3), 0)
         a = sample(s, [0], 5000, seed=9)
         b = sample(s, [0], 5000, seed=10)
-        assert not np.array_equal(a.values, b.values)
+        assert not np.array_equal(dense(a), dense(b))
 
     def test_counts_within_three_sigma_of_skewed_split(self):
         # a state carrying the 0.933/0.067 split on one qubit
@@ -244,8 +252,9 @@ class TestSample:
         shots = 10000
         hist = sample(s, [0], shots, seed=12345)
         sigma = math.sqrt(p0 * (1 - p0) * shots)
-        assert abs(hist.values[0] - p0 * shots) <= 3 * sigma
-        assert abs(hist.values[1] - (1 - p0) * shots) <= 3 * sigma
+        counts = dense(hist)
+        assert abs(counts[0] - p0 * shots) <= 3 * sigma
+        assert abs(counts[1] - (1 - p0) * shots) <= 3 * sigma
 
     def test_large_shot_convergence_five_sigma(self):
         rng = np.random.default_rng(77)
@@ -264,62 +273,138 @@ class TestSample:
 
 class TestHistogram:
     def test_sampled_counts_must_match_shots(self):
-        with pytest.raises(ValueError):
-            Histogram(np.array([3, 0]), total_shots=4)
+        with pytest.raises(ValueError, match="expected total_shots"):
+            Histogram(1, np.array([0]), np.array([3]), total_shots=4, seed=0)
 
     def test_exact_probabilities_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            Histogram(np.array([0.7, 0.0]))
+        with pytest.raises(ValueError, match="sum to"):
+            Histogram(1, np.array([0]), np.array([0.7]))
 
-    @pytest.mark.parametrize("values, shots, seed", [
-        ([1.5, -0.5], 0, None),
-        ([3, -1], 2, None),
-        ([0.5, 1.5], 2, None),
-        ([True, False], 0, None),
-        ([1 + 0j, 0j], 0, None),
-        ([1, 0], 0, None),
-        ([1, 0], True, 0),
-        ([1.0, 0.0], 0, 5),
-        ([1, 0], 1, True),
-        ([1, 0], 1, None),
-        ([1, 0], 1, -4),
-        ([1, 0], 1, 1.5),
+    @pytest.mark.parametrize("outcomes, weights, shots, seed", [
+        ([0, 1], [1.5, -0.5], 0, None),
+        ([0, 1], [3, -1], 2, 0),
+        ([0, 1], [0.5, 1.5], 2, 0),
+        ([0], [True], 0, None),
+        ([0], [1 + 0j], 0, None),
+        ([0], [1], 0, None),
+        ([0], [1], True, 0),
+        ([0], [1.0], 0, 5),
+        ([0], [1], 1, True),
+        ([0], [1], 1, None),
+        ([0], [1], 1, -4),
+        ([0], [1], 1, 1.5),
     ], ids=["negative-probability", "negative-count", "fractional-count",
             "bool-probability", "complex-probability", "integer-probability",
             "bool-shots", "exact-seed", "bool-seed", "sampled-no-seed",
             "negative-seed", "fractional-seed"])
-    def test_impossible_values_refused(self, values, shots, seed):
+    def test_impossible_values_refused(self, outcomes, weights, shots, seed):
         with pytest.raises(ValueError):
-            Histogram(np.array(values), total_shots=shots, seed=seed)
+            Histogram(1, np.array(outcomes), np.array(weights), total_shots=shots, seed=seed)
 
     def test_outcome_range_checked(self):
-        # one value per outcome of a 2**k register: a length check
+        # an outcome of a 1-bit register is 0 or 1
+        for outcome in (-1, 2):
+            with pytest.raises(ValueError, match="outside"):
+                Histogram(1, np.array([outcome]), np.array([1.0]))
+        # the builders take one value per outcome of a 2**k register
         for values in ([], [0.5, 0.25, 0.25], [[1.0, 0.0]]):
-            with pytest.raises(ValueError):
-                Histogram(np.array(values))
+            with pytest.raises(ValueError, match="2\\*\\*k register"):
+                histogram_from_probabilities(np.array(values))
+            with pytest.raises(ValueError, match="2\\*\\*k register"):
+                sample_probabilities(np.array(values), 5, 0)
+
+    @pytest.mark.parametrize("num_bits, outcomes, weights, match", [
+        (-1, [0], [1.0], "num_bits"),
+        (64, [0], [1.0], "num_bits"),
+        (True, [0], [1.0], "num_bits"),
+        (2.0, [0], [1.0], "num_bits"),
+        (None, [0], [1.0], "num_bits"),
+        (2, [0.0, 1.0], [0.5, 0.5], "integers"),
+        (2, [False, True], [0.5, 0.5], "integers"),
+        (2, [1, 0], [0.5, 0.5], "ascending"),
+        (2, [1, 1], [0.5, 0.5], "ascending"),
+        (2, [0, 4], [0.5, 0.5], "outside"),
+        (2, [0, 1], [1.0], "shapes"),
+        (2, [[0, 1]], [[0.5, 0.5]], "shapes"),
+        (2, [], [], "shapes"),
+        (2, [0, 1], [1.0, 0.0], "not positive"),
+        (2, [0, 1], [1.0, np.nan], "not positive"),
+    ], ids=["negative-width", "too-wide", "bool-width", "float-width", "no-width",
+            "float-outcome", "bool-outcome", "descending", "repeated", "out-of-range",
+            "length-mismatch", "2-d", "empty", "zero-weight", "nan-weight"])
+    def test_support_rules_refused(self, num_bits, outcomes, weights, match):
+        with pytest.raises(ValueError, match=match):
+            Histogram(num_bits, np.array(outcomes), np.array(weights))
 
     def test_num_bits_follows_length(self):
-        assert Histogram(np.array([0.0, 0.0, 0.0, 1.0])).num_bits == 2
+        assert histogram_from_probabilities(np.array([0.0, 0.0, 0.0, 1.0])).num_bits == 2
+        assert sample_probabilities(np.array([0.0, 0.0, 0.0, 1.0]), 5, 0).num_bits == 2
 
     def test_probability_lookup(self):
-        hist = Histogram(np.array([0, 25, 0, 75]), total_shots=100, seed=0)
+        hist = Histogram(2, np.array([1, 3]), np.array([25, 75]), total_shots=100, seed=0)
         assert hist.probabilities([1, 0]) == [0.25, 0.0]
         assert sum(hist.probabilities([1, 3])) == 1.0
+        # an outcome the histogram does not hold reads 0, at either end too
+        assert hist.probabilities([2, 0, 3, 1]) == [0.0, 0.0, 0.75, 0.25]
+        assert hist.probabilities([]) == []
+
+    def test_no_dense_values(self):
+        # the old one-value-per-outcome array is gone, so indexing it fails
+        # instead of reading the wrong bin
+        hist = Histogram(2, np.array([1, 3]), np.array([0.25, 0.75]))
+        with pytest.raises(AttributeError):
+            hist.values[1]
 
     def test_sampled_probability_is_exact_integer_ratio(self):
         # float64(count) / float64(shots) rounds the first ratio differently
         shots = 2**63 - 1
         counts = np.array([2**62 + 10752, shots - (2**62 + 10752)])
-        hist = Histogram(counts, total_shots=shots, seed=0)
+        hist = Histogram(1, np.array([0, 1]), counts, total_shots=shots, seed=0)
         assert hist.probabilities([0, 1]) == [int(c) / shots for c in counts]
 
     def test_exact_histogram_drops_dust(self):
         s = apply_single(new_state(2), hadamard(), 0)
         hist = exact_histogram(s, [1, 0])
-        assert np.flatnonzero(hist.values).tolist() == [0, 1]
+        assert hist.outcomes.tolist() == [0, 1]
         assert not hist.is_sampled
         dusty = histogram_from_probabilities(np.array([1.0 - 1e-16, 1e-16]))
-        assert dusty.values.tolist() == [1.0 - 1e-16, 0.0]
+        assert (dusty.outcomes.tolist(), dusty.weights.tolist()) == ([0], [1.0 - 1e-16])
+        assert dense(dusty).tolist() == [1.0 - 1e-16, 0.0]
+
+
+def _exact_and_sampled():
+    return [Histogram(2, np.array([0, 3]), np.array([0.25, 0.75])),
+            Histogram(2, np.array([0, 3]), np.array([1, 3]), total_shots=4, seed=2)]
+
+
+class TestFrozenHistogram:
+    """A Histogram keeps its checks for its whole life."""
+
+    @pytest.mark.parametrize("hist", _exact_and_sampled(), ids=["exact", "sampled"])
+    def test_fields_cannot_be_assigned(self, hist):
+        for name, value in (("num_bits", 3), ("outcomes", np.array([1])),
+                            ("weights", np.array([1.0])), ("total_shots", 0), ("seed", None)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(hist, name, value)
+
+    @pytest.mark.parametrize("hist", _exact_and_sampled(), ids=["exact", "sampled"])
+    def test_arrays_are_read_only(self, hist):
+        for array in (hist.outcomes, hist.weights):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 2
+
+    def test_caller_arrays_are_copied(self):
+        outcomes, weights = np.array([0, 3]), np.array([0.25, 0.75])
+        hist = Histogram(2, outcomes, weights)
+        outcomes[...] = [2, 1]
+        weights[...] = -1.0
+        assert (hist.outcomes.tolist(), hist.weights.tolist()) == ([0, 3], [0.25, 0.75])
+        assert outcomes.flags.writeable and weights.flags.writeable
+
+    def test_equality_is_identity(self):
+        a, b = _exact_and_sampled()[0], _exact_and_sampled()[0]
+        assert a == a and a != b
 
 
 class TestInvariants:
