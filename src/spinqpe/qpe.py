@@ -133,12 +133,12 @@ class Histogram:
             raise ValueError("a histogram weight is not positive")
         if isinstance(self.total_shots, bool):
             raise ValueError(f"total_shots must be an integer, got {self.total_shots!r}")
-        total = weights.sum().item()
         if self.total_shots:
             if weights.dtype.kind not in "iu":
                 raise ValueError(
                     f"sampled counts must be integers, got dtype {weights.dtype}"
                 )
+            total = sum(weights.tolist())  # Python ints: an int64 sum could wrap
             if total != self.total_shots:
                 raise ValueError(
                     f"counts sum to {total}, expected total_shots={self.total_shots}"
@@ -153,10 +153,12 @@ class Histogram:
             raise ValueError(
                 f"exact-mode probabilities must be floats, got dtype {weights.dtype}"
             )
-        elif not abs(total - 1.0) <= 1e-10:
-            raise ValueError(
-                f"exact-mode probabilities sum to {total!r}, expected 1 within 1e-10"
-            )
+        else:
+            total = weights.sum().item()
+            if not abs(total - 1.0) <= 1e-10:
+                raise ValueError(
+                    f"exact-mode probabilities sum to {total!r}, expected 1 within 1e-10"
+                )
         outcomes = outcomes.astype(np.int64, copy=False)
         for name, array in (("outcomes", outcomes), ("weights", weights)):
             array.flags.writeable = False

@@ -227,38 +227,45 @@ def extraction_payloads(result: ExtractionResult) -> tuple[dict, dict]:
 #: no JSON string holds a raw newline, so only that key can match
 _ENTRIES_SLOT = '\n      "entries": []'
 
-#: one bin of `histograms.<run>.entries` at the indent `json.dumps(indent=2)`
-#: gives it; bits are `format_binary(m, num_bits)`, and %r is float.__repr__,
-#: which is what json writes for a float
-_EXACT_ENTRY = (
-    '        {\n          "m": %d,\n          "bits": "0.%s",\n'
-    '          "probability": %r\n        }'
-)
-_SAMPLED_ENTRY = (
-    '        {\n          "m": %d,\n          "bits": "0.%s",\n'
-    '          "count": %d,\n          "probability": %r\n        }'
-)
+#: the text around the bins of a filled slot, at the indent
+#: `json.dumps(indent=2)` gives them: `_FIRST_BIN` opens the list and its
+#: first bin, up to the value of "m"; `_NEXT_BIN` follows each probability
+#: but the last, closing its bin and opening the next up to the same point;
+#: `_LAST_BIN` follows the last probability and closes the list
+_FIRST_BIN = '\n      "entries": [\n        {\n          "m": '
+_NEXT_BIN = '\n        },\n        {\n          "m": '
+_LAST_BIN = "\n        }\n      ]"
 
 
-def _entries_json(hist: Histogram) -> str:
-    """`_ENTRIES_SLOT` filled with the bins `hist` holds, in its ascending
-    outcome order, written as `json.dumps(indent=2)` writes a list of bin
-    dicts."""
+def _entries_json(hist: Histogram) -> list:
+    """The pieces whose join is `_ENTRIES_SLOT` filled with the bins `hist`
+    holds, in its ascending outcome order, as `json.dumps(indent=2)` writes
+    a list of bin dicts. Each bin is three pieces: its head, from the "m"
+    value to the "probability" key; the probability's repr, which is what
+    json writes for a float; and the shared text that follows it."""
     outcomes = hist.outcomes.tolist()
     spec = f"0{hist.num_bits}b"
     if hist.is_sampled:
-        entries = [_SAMPLED_ENTRY % (m, format(m, spec), count, count / hist.total_shots)
-                   for m, count in zip(outcomes, hist.weights.tolist())]
+        counts, total = hist.weights.tolist(), hist.total_shots
+        heads = [f'{m},\n          "bits": "0.{m:{spec}}",\n          "count": {count},'
+                 f'\n          "probability": ' for m, count in zip(outcomes, counts)]
+        probabilities = [count / total for count in counts]
     else:
-        entries = [_EXACT_ENTRY % (m, format(m, spec), p)
-                   for m, p in zip(outcomes, hist.weights.tolist())]
-    return '\n      "entries": [\n' + ",\n".join(entries) + "\n      ]"
+        heads = [f'{m},\n          "bits": "0.{m:{spec}}",\n          "probability": '
+                 for m in outcomes]
+        probabilities = hist.weights.tolist()
+    pieces = [_NEXT_BIN] * (3 * len(heads) + 1)
+    pieces[0] = _FIRST_BIN
+    pieces[1::3] = heads
+    pieces[2::3] = map(repr, probabilities)
+    pieces[-1] = _LAST_BIN
+    return pieces
 
 
 def to_json(record: dict) -> str:
     """The record as `json.dumps(record, indent=2)` plus a newline, with
     each histogram's entries written straight from its outcome and weight
-    arrays."""
+    arrays, and the whole text joined once."""
     sections = record["histograms"]
     hists = [section["entries"] for section in sections.values() if section is not None]
     shell = {**record, "histograms": {
@@ -270,9 +277,12 @@ def to_json(record: dict) -> str:
         raise ValueError(
             f"found {len(pieces) - 1} histogram entry slots for {len(hists)} histograms"
         )
-    return pieces[0] + "".join(
-        _entries_json(hist) + piece for hist, piece in zip(hists, pieces[1:])
-    ) + "\n"
+    parts = pieces[:1]
+    for hist, piece in zip(hists, pieces[1:]):
+        parts += _entries_json(hist)
+        parts.append(piece)
+    parts.append("\n")
+    return "".join(parts)
 
 
 def _flatten(record: dict) -> dict:

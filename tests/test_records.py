@@ -2,8 +2,10 @@
 the outcome array, and its output must equal `json.dumps(record,
 indent=2)` of the same record with one dict per entry, byte for byte."""
 
+import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +14,8 @@ from hypothesis import strategies as st
 
 from spinqpe import Axis, QpeConfig, RotationSpec, RunSettings, rx, ry
 from spinqpe.cli import main
-from spinqpe.qpe import PROBABILITY_FLOOR, DecodeResult, Histogram, format_binary, run_qpe
+from spinqpe.qpe import (MAX_HISTOGRAM_BITS, PROBABILITY_FLOOR, DecodeResult, Histogram,
+                         format_binary, run_qpe)
 from spinqpe.records import decode_payload, histogram_payload, make_record, to_json
 
 from histograms import dense, from_dense
@@ -33,13 +36,13 @@ WORDS = st.one_of(
 
 
 def reference_entries(hist: Histogram) -> list:
-    """One dict per nonzero bin, built as records were before the writer
-    wrote entries from the array."""
-    values = dense(hist)
-    kept = np.flatnonzero(values > 0)
+    """One dict per bin the histogram holds, in ascending outcome order,
+    built as records were before the writer wrote entries from the
+    arrays."""
+    outcomes = hist.outcomes.tolist()
     entries = []
-    for m, value, probability in zip(kept.tolist(), values[kept].tolist(),
-                                     hist.probabilities(kept)):
+    for m, value, probability in zip(outcomes, hist.weights.tolist(),
+                                     hist.probabilities(outcomes)):
         entry = {"m": m, "bits": format_binary(m, hist.num_bits)}
         if hist.is_sampled:
             entry["count"] = value
@@ -55,7 +58,7 @@ def _normalised(parts: list) -> list:
 
 @st.composite
 def exact_histograms(draw):
-    size = 1 << draw(st.integers(1, 12))
+    size = 1 << draw(st.integers(0, 12))
     if draw(st.booleans()):  # every bin nonzero
         values = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(size)
         return from_dense(values / values.sum())
@@ -75,7 +78,7 @@ def exact_histograms(draw):
 
 @st.composite
 def sampled_histograms(draw):
-    size = 1 << draw(st.integers(1, 12))
+    size = 1 << draw(st.integers(0, 12))
     seed = draw(st.integers(0, 2**63 - 1))
     if draw(st.booleans()):  # every bin drawn
         counts = np.random.default_rng(seed).integers(1, 2**50, size)
@@ -90,10 +93,33 @@ def sampled_histograms(draw):
     return from_dense(counts, total_shots=total, seed=seed)
 
 
+#: sampled counts near 2**63, where an int64 sum wraps around
+HUGE_COUNTS = st.integers(2**63 - 2**20, 2**63 - 1)
+
+
+@st.composite
+def sparse_histograms(draw):
+    """A few bins, at times one, of a register up to MAX_HISTOGRAM_BITS
+    wide, which no dense vector could hold; sampled counts are often near
+    2**63."""
+    num_bits = draw(st.integers(0, MAX_HISTOGRAM_BITS))
+    outcomes = sorted(draw(st.lists(st.integers(0, (1 << num_bits) - 1), min_size=1,
+                                    max_size=draw(st.sampled_from([1, 6])), unique=True)))
+    if draw(st.booleans()):
+        masses = draw(st.lists(st.floats(0.01, 1.0), min_size=len(outcomes),
+                               max_size=len(outcomes)).map(_normalised))
+        return Histogram(num_bits, np.array(outcomes), np.array(masses))
+    counts = draw(st.lists(st.one_of(HUGE_COUNTS, st.integers(1, 2**63 - 1)),
+                           min_size=len(outcomes), max_size=len(outcomes)))
+    return Histogram(num_bits, np.array(outcomes), np.array(counts),
+                     total_shots=sum(counts), seed=draw(st.integers(0, 2**63 - 1)))
+
+
 @st.composite
 def records(draw):
     runs = draw(st.sampled_from([(), ("qpev",), ("qpeh",), ("qpev", "qpeh")]))
-    hists = {run: draw(st.one_of(exact_histograms(), sampled_histograms()))
+    hists = {run: draw(st.one_of(exact_histograms(), sampled_histograms(),
+                                 sparse_histograms()))
              for run in runs}
     return make_record(
         command=draw(st.lists(WORDS, max_size=6)),
@@ -117,6 +143,17 @@ def reference_record(record: dict) -> dict:
     "qpev": histogram_payload(from_dense(np.array([1, 2**63 - 2]),
                                          total_shots=2**63 - 1, seed=0)),
     "qpeh": histogram_payload(from_dense(np.array([0.0, TINY[0], 0.0, 1.0 - TINY[0]]))),
+}))
+@example(make_record(["qpev"], {}, histograms={  # width 0: bits "0.0"
+    "qpev": histogram_payload(from_dense(np.array([1.0]))),
+    "qpeh": histogram_payload(from_dense(np.array([2**63 - 1]), total_shots=2**63 - 1, seed=0)),
+}))
+@example(make_record(["qpeh"], {}, histograms={  # the widest register, one bin each
+    "qpev": histogram_payload(Histogram(MAX_HISTOGRAM_BITS, np.array([2**63 - 1]),
+                                        np.array([1.0]))),
+    "qpeh": histogram_payload(Histogram(MAX_HISTOGRAM_BITS, np.array([0, 2**63 - 1]),
+                                        np.array([2**63 - 1, 2**63 - 2]),
+                                        total_shots=2**64 - 3, seed=7)),
 }))
 def test_writer_equals_reference(record):
     assert to_json(record) == json.dumps(reference_record(record), indent=2) + "\n"
@@ -152,6 +189,49 @@ def test_large_record_is_canonical_json(capsys, argv, config):
     (entries,) = [section["entries"] for section in record["histograms"].values()
                   if section is not None]
     assert len(entries) == np.count_nonzero(dense(run_qpe(config)))
+
+
+#: the slowest request of the leaky-n12 benchmark workload, an exact
+#: n = 12 record that holds all 4096 bins, for each run, and a sampled
+#: record of the same request, with the sha256 of each record's bytes
+TAIL_RECORDS = [
+    (["qpev", "--eta", "0.7", "--aux", "2.5", "--n", "12", "--allow-leakage", "--exact"],
+     "b80ea3f8e9498224634c9bff34298079346585e636a7c7c0c88a2064f34d7d74"),
+    (["qpeh", "--eta", "0.7", "--delta", "0.4", "--aux", "2.5", "--n", "12",
+      "--allow-leakage", "--exact"],
+     "e2bec903b15b4c2641aa7211e8442fbb62d943f530a36c2ad69db74806eb2dbd"),
+    (["qpev", "--eta", "0.7", "--aux", "2.5", "--n", "12", "--allow-leakage",
+      "--shots", "100000", "--seed", "5"],
+     "39490e77b5618f10c26426db68ee8e3aae065935bc623a3012c76f79500ac5b4"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", TAIL_RECORDS, ids=["qpev-exact", "qpeh-exact",
+                                                            "qpev-sampled"])
+def test_tail_records_pinned(capsys, argv, digest):
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+#: the tracemalloc peak, in bytes, of writing the exact qpeh record of
+#: TAIL_RECORDS with the per-bin `%` template writer that the one-join
+#: writer replaced (Python 3.11, numpy 2.4); the one-join writer makes no
+#: more copies of the text, so it must not peak higher
+TEMPLATE_WRITER_PEAK = 1_926_506
+
+
+def test_large_record_peak_memory():
+    config = QpeConfig(RunSettings(12), RotationSpec(Axis.X, 2.5), (rx(-0.7), ry(0.4)))
+    record = make_record(["qpeh"], {}, histograms={"qpeh": histogram_payload(run_qpe(config))})
+    assert record["histograms"]["qpeh"]["entries"].outcomes.size == 4096
+    to_json(record)  # the first call warms caches that later ones reuse
+    tracemalloc.start()
+    try:
+        to_json(record)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= TEMPLATE_WRITER_PEAK
 
 
 def test_peak_angle_folds_every_bin():

@@ -276,6 +276,16 @@ class TestHistogram:
         with pytest.raises(ValueError, match="expected total_shots"):
             Histogram(1, np.array([0]), np.array([3]), total_shots=4, seed=0)
 
+    @pytest.mark.parametrize("counts, shots", [
+        ([2**62] * 3 + [2**62 + 5], 5),
+        ([2**63 - 1] * 3 + [2], 2**63 - 1),
+    ], ids=["wraps-to-small", "wraps-to-int64-max"])
+    def test_count_sum_is_exact(self, counts, shots):
+        # both int64 sums wrap around to total_shots; the true sum does not
+        assert np.array(counts).sum().item() == shots
+        with pytest.raises(ValueError, match=f"counts sum to {sum(counts)},"):
+            Histogram(2, np.array([0, 1, 2, 3]), np.array(counts), total_shots=shots, seed=0)
+
     def test_exact_probabilities_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum to"):
             Histogram(1, np.array([0]), np.array([0.7]))
