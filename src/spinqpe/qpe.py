@@ -14,11 +14,12 @@ one rotation, the readout is the target's two squared eigen-overlaps,
 each spread by the textbook QPE kernel (readout_kernel; Cleve, Ekert,
 Macchiavello & Mosca 1998; Nielsen & Chuang sec. 5.2), so it never forms
 the (n+1)-qubit state. The kernel is grown only at the outcomes a run can
-need: it drops a pair of outcomes m, -m once both their values are at or
-below the cut of the run mode, where the exact histogram would set the
-pair's probabilities to 0 or the sampler would draw nothing from them. A
-dyadic angle, whose readout fills two bins, keeps at most two outcomes
-and costs a few cosines per bit, not about 2 * 2^n in all. run_circuit is
+need, and lists those it kept: it drops a pair of outcomes m, -m once
+both their values are at or below the cut of the run mode, where the
+exact histogram would set the pair's probabilities to 0 or the sampler
+would draw nothing from them. A dyadic angle, whose readout fills two
+bins, keeps at most two outcomes and costs a few cosines per bit, not
+about 2 * 2^n in all. run_circuit is
 the reference engine: it simulates that circuit gate by gate on the full
 statevector, and only it and its two readouts use spinqpe.statevector and
 spinqpe.iqft.
@@ -75,7 +76,9 @@ PROBABILITY_FLOOR = 1e-15
 #: pair. With w_plus + w_minus = 1, an exact bin whose K(m) and K(-m) are
 #: both at most PROBABILITY_FLOOR / 2 reads at most the floor, which the
 #: histogram sets to 0; a sampled bin whose two values are 0 has
-#: probability 0, from which the multinomial draws nothing.
+#: probability 0, from which the multinomial draws nothing. A sampled
+#: kernel has kept every outcome in all traffic measured, so the sampled
+#: draw always scatters into the full vector.
 _CUTS = {"exact": PROBABILITY_FLOOR / 2, "sampled": 0.0}
 
 
@@ -308,25 +311,25 @@ def expected_bins(config: QpeConfig) -> ExpectedBins:
 class ReadoutKernel:
     """readout_kernel's K for one register width, angle and run mode.
 
-    `values` holds K(m) for each outcome m of `bins`, an ascending int64
-    array closed under m -> -m mod 2^num_bits; bins is None when the
-    kernel kept every outcome, and `values` is then K itself. Each outcome
-    left out has K(m) and K(-m) at or below the mode's cut. Both arrays
-    are read-only.
+    `values` holds K(m) for each outcome m of `bins`, which always lists
+    the outcomes kept: an ascending int64 array closed under
+    m -> -m mod 2^num_bits, arange(2^num_bits) when none was dropped. Each
+    outcome left out has K(m) and K(-m) at or below the mode's cut. Both
+    arrays are read-only.
     """
 
     num_bits: int
     angle: float
     mode: str
     values: np.ndarray
-    bins: np.ndarray | None
+    bins: np.ndarray
 
 
-def _at_mirror(values: np.ndarray, bins: np.ndarray | None) -> np.ndarray:
-    """`values` over the outcomes -m mod 2^n, for m running over `bins`
-    (ascending and closed under m -> -m; None means every outcome). On
-    such a set, m -> -m fixes 0 and reverses the order of the others."""
-    if bins is not None and bins[0] != 0:
+def _at_mirror(values: np.ndarray, holds_zero: bool) -> np.ndarray:
+    """`values` over the outcomes -m mod 2^n, for m running over ascending
+    outcomes closed under m -> -m, with 0 among them or not. On such a
+    set, m -> -m fixes 0 and reverses the order of the others."""
+    if not holds_zero:
         return values[::-1]
     return np.concatenate((values[:1], values[:0:-1]))
 
@@ -334,7 +337,7 @@ def _at_mirror(values: np.ndarray, bins: np.ndarray | None) -> np.ndarray:
 def readout_kernel(n: int, angle: float, mode: str) -> ReadoutKernel:
     """Counting-register distribution of the |-axis> eigencomponent of an
     `angle` rotation, K(m) for the outcomes m in [0, 2^n) that a run in
-    `mode` ("exact" or "sampled") can need.
+    `mode` ("exact" or "sampled") can need, with the list of those outcomes.
 
     Summing the register's geometric series bit by bit gives
     K(m) = prod_l cos^2(phi_l - pi m / 2^(n-l)) over l = 0..n-1, with
@@ -351,8 +354,9 @@ def readout_kernel(n: int, angle: float, mode: str) -> ReadoutKernel:
     up, so each outcome of a dropped residue has K(m) and K(-m) at or
     below the cut: its exact probability is dust that the histogram sets
     to 0, or, in sampled mode, exactly 0. Until the first drop every
-    residue of the span is computed; a leaky angle never drops one, and
-    an exact kernel at a dyadic angle ends with at most two outcomes. The
+    residue of the span is computed, from a float ramp with no list of
+    outcomes; a leaky angle never drops one and lists all 2^n, and an
+    exact kernel at a dyadic angle ends with at most two outcomes. The
     values kept are those of the full kernel bit for bit: each is made by
     the same float operations in the same order.
 
@@ -363,7 +367,7 @@ def readout_kernel(n: int, angle: float, mode: str) -> ReadoutKernel:
     """
     cut = _CUTS[mode]
     ramp = np.arange(2.0)  # grown to all 2^n outcomes once a dense span needs more
-    kernel, bins = np.ones(1), None
+    kernel, bins = np.ones(1), None  # None: every residue so far is kept
     for l in range(n - 1, -1, -1):
         c = math.ldexp(angle, l - 2)
         span = 1 << (n - l)
@@ -382,13 +386,14 @@ def readout_kernel(n: int, angle: float, mode: str) -> ReadoutKernel:
         kernel = factor
         if kernel.min() <= cut:
             kept = kernel > cut
-            kept |= _at_mirror(kept, bins)
+            kept |= _at_mirror(kept, bins is None or bins[0] == 0)
             if not kept.all():
                 bins = np.flatnonzero(kept) if bins is None else bins[kept]
                 kernel = kernel[kept]
+    if bins is None:
+        bins = np.arange(1 << n, dtype=np.int64)
     for array in (kernel, bins):
-        if array is not None:
-            array.flags.writeable = False
+        array.flags.writeable = False
     return ReadoutKernel(n, angle, mode, kernel, bins)
 
 
@@ -402,11 +407,6 @@ def _target_overlaps(config: QpeConfig) -> tuple[float, float]:
     return tuple(abs(b0 * t0 + b1 * t1) ** 2 for b0, b1 in bras)
 
 
-def _dust_free(probs: np.ndarray) -> np.ndarray:
-    """`probs` with each value at or below PROBABILITY_FLOOR set to 0."""
-    return probs * (probs > PROBABILITY_FLOOR)
-
-
 def _width(probs: np.ndarray) -> int:
     """The register width k of a length-2**k outcome vector."""
     size = probs.size
@@ -417,17 +417,18 @@ def _width(probs: np.ndarray) -> int:
     return size.bit_length() - 1
 
 
-def _held(values: np.ndarray, bins: np.ndarray | None = None) -> tuple:
-    """(outcomes, weights): the nonzero entries of `values` and their
-    outcomes, entry i being outcome bins[i], or i when bins is None."""
-    kept = np.flatnonzero(values)
+def _held(values: np.ndarray, floor, bins: np.ndarray | None = None) -> tuple:
+    """(outcomes, weights): the entries of `values` not at or below
+    `floor` and their outcomes, entry i being outcome bins[i], or i when
+    bins is None. A NaN is held, so the Histogram refuses it."""
+    kept = np.flatnonzero(~(values <= floor))
     return kept if bins is None else bins[kept], values[kept]
 
 
 def histogram_from_probabilities(probs: np.ndarray) -> Histogram:
     """Exact-mode histogram of a length-2**k outcome distribution;
     probabilities at or below PROBABILITY_FLOOR are not held."""
-    return Histogram(_width(probs), *_held(_dust_free(probs)))
+    return Histogram(_width(probs), *_held(probs, PROBABILITY_FLOOR))
 
 
 def sample_probabilities(probs: np.ndarray, shots: int, seed: int) -> Histogram:
@@ -443,7 +444,7 @@ def sample_probabilities(probs: np.ndarray, shots: int, seed: int) -> Histogram:
         raise ValueError(f"shots must be >= 1, got {shots}")
     probs = probs / probs.sum()  # remove float drift before drawing
     counts = np.random.default_rng(seed).multinomial(shots, probs)
-    return Histogram(n, *_held(counts), total_shots=shots, seed=seed)
+    return Histogram(n, *_held(counts, 0), total_shots=shots, seed=seed)
 
 
 def run_qpe(config: QpeConfig, *, kernel: ReadoutKernel | None = None) -> Histogram:
@@ -451,12 +452,12 @@ def run_qpe(config: QpeConfig, *, kernel: ReadoutKernel | None = None) -> Histog
     sample) of the estimation circuit, from the target's two eigen-overlaps
     and readout_kernel: P(m) = w_minus K(m) + w_plus K(-m mod 2^n).
 
-    P is computed only at the outcomes the kernel kept and is 0 at the
-    others; there it would be dust at or below PROBABILITY_FLOOR (exact
-    mode), which the histogram does not hold anyway, or exactly 0
+    P is computed only at the outcomes the kernel lists as kept and is 0
+    at the others; there it would be dust at or below PROBABILITY_FLOOR
+    (exact mode), which the histogram does not hold anyway, or exactly 0
     (sampled mode). So the histogram equals the one read from the full
     kernel, byte for byte. An exact histogram is built straight from the
-    kept outcomes above the floor. A sampled one is drawn from P spread
+    kept outcomes above the floor. A sampled one is drawn from P scattered
     over all 2^n outcomes, the vector the seed contract draws from, and
     holds the outcomes drawn.
 
@@ -476,28 +477,13 @@ def run_qpe(config: QpeConfig, *, kernel: ReadoutKernel | None = None) -> Histog
         )
     w_plus, w_minus = _target_overlaps(config)
     probs = w_minus * kernel.values
-    if kernel.bins is None:
-        # K(-m mod 2^n) is kernel[0] at m = 0 and kernel[2^n - m] after it
-        probs[0] += w_plus * kernel.values[0]
-        probs[1:] += w_plus * kernel.values[:0:-1]
-    else:
-        probs += w_plus * _at_mirror(kernel.values, kernel.bins)
+    probs += w_plus * _at_mirror(kernel.values, kernel.bins[0] == 0)
     if config.run.shots is None:
         # the floor is applied to the kept outcomes only: no 2^n vector
-        return Histogram(n, *_held(_dust_free(probs), kernel.bins))
-    return sample_probabilities(_spread(probs, kernel.bins, n), config.run.shots,
-                                config.run.seed)
-
-
-def _spread(values: np.ndarray, bins: np.ndarray | None, n: int) -> np.ndarray:
-    """The length-2^n vector that holds `values` at `bins` and 0 at every
-    other outcome, for the sampled draw; `values` itself when bins is None
-    (every outcome)."""
-    if bins is None:
-        return values
+        return Histogram(n, *_held(probs, PROBABILITY_FLOOR, kernel.bins))
     spread = np.zeros(1 << n)
-    spread[bins] = values
-    return spread
+    spread[kernel.bins] = probs
+    return sample_probabilities(spread, config.run.shots, config.run.seed)
 
 
 def run_circuit(config: QpeConfig) -> Histogram:

@@ -480,8 +480,6 @@ def broadcast_kernel(n, angle):
 def dense_kernel(kernel):
     """A readout kernel over every outcome: its values at the outcomes it
     kept and 0 at those it dropped."""
-    if kernel.bins is None:
-        return kernel.values
     full = np.zeros(1 << kernel.num_bits)
     full[kernel.bins] = kernel.values
     return full
@@ -544,14 +542,13 @@ class TestSharedKernel:
         reference = broadcast_kernel(n, aux)
         for mode in ("exact", "sampled"):
             kernel = readout_kernel(n, aux, mode)
-            kept = slice(None) if kernel.bins is None else kernel.bins
             assert kernel.values.dtype == reference.dtype
-            assert np.array_equal(kernel.values, reference[kept])
+            assert np.array_equal(kernel.values, reference[kernel.bins])
 
     def test_kernel_is_read_only(self):
         dyadic, leaky = readout_kernel(6, PI / 4, "exact"), readout_kernel(6, 1.0, "exact")
-        assert leaky.bins is None and dyadic.bins is not None
-        for array in (dyadic.values, dyadic.bins, leaky.values):
+        assert np.array_equal(leaky.bins, np.arange(64)) and dyadic.bins.size == 2
+        for array in (dyadic.values, dyadic.bins, leaky.values, leaky.bins):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 2
@@ -598,16 +595,29 @@ class TestKeptOutcomes:
         size = 1 << n
         assert (kernel.num_bits, kernel.angle, kernel.mode) == (n, aux, mode)
         assert kernel.values.dtype == reference.dtype
-        if kernel.bins is None:  # nothing dropped
-            assert np.array_equal(kernel.values, reference)
-            return
         bins = kernel.bins
-        assert bins.dtype == np.int64 and 0 < bins.size < size
+        assert bins.dtype == np.int64 and 0 < bins.size <= size
         assert np.all(np.diff(bins) > 0) and 0 <= bins[0] and bins[-1] < size
         assert np.array_equal(np.sort(-bins % size), bins)
         assert np.array_equal(kernel.values, reference[bins])
         dropped = np.delete(reference, bins)
         assert np.all(dropped <= CUTS[mode])
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), n=st.integers(1, 16), mode=st.sampled_from(["exact", "sampled"]))
+    def test_kept_values_follow_the_fejer_closed_form(self, data, n, mode):
+        """K(m) = sin^2(2^n x / 2) / (4^n sin^2(x / 2)), x = h - 2 pi m / 2^n
+        with h the half angle reduced into (-pi, pi], and 1 where the
+        denominator is 0: an oracle for the kept values that needs no
+        engine and no product over the bits."""
+        aux = data.draw(kernel_angles(n))
+        kernel = readout_kernel(n, aux, mode)
+        x = math.atan2(math.sin(aux / 2), math.cos(aux / 2)) - 2 * PI * kernel.bins / (1 << n)
+        numerator = np.sin(math.ldexp(1.0, n - 1) * x) ** 2
+        denominator = 4.0**n * np.sin(x / 2) ** 2
+        with np.errstate(invalid="ignore", divide="ignore"):
+            fejer = np.where(denominator == 0, 1.0, numerator / denominator)
+        assert np.abs(kernel.values - fejer).max() <= 1e-10
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(data=st.data(), n=st.integers(1, 16), axis=st.sampled_from(Axis),

@@ -192,8 +192,10 @@ def test_large_record_is_canonical_json(capsys, argv, config):
 
 
 #: the slowest request of the leaky-n12 benchmark workload, an exact
-#: n = 12 record that holds all 4096 bins, for each run, and a sampled
-#: record of the same request, with the sha256 of each record's bytes
+#: n = 12 record that holds all 4096 bins, for each run, a sampled record
+#: of the same request, and the widest exact and sampled leaky records
+#: (n = 16, every one of 65536 bins kept by the kernel), with the sha256
+#: of each record's bytes
 TAIL_RECORDS = [
     (["qpev", "--eta", "0.7", "--aux", "2.5", "--n", "12", "--allow-leakage", "--exact"],
      "b80ea3f8e9498224634c9bff34298079346585e636a7c7c0c88a2064f34d7d74"),
@@ -203,11 +205,16 @@ TAIL_RECORDS = [
     (["qpev", "--eta", "0.7", "--aux", "2.5", "--n", "12", "--allow-leakage",
       "--shots", "100000", "--seed", "5"],
      "39490e77b5618f10c26426db68ee8e3aae065935bc623a3012c76f79500ac5b4"),
+    (["qpev", "--eta", "0.7", "--aux", "1.234", "--n", "16", "--exact", "--allow-leakage"],
+     "ac93c00478c7eee16d67323e47782bf16302c5b7d222234c5ae06815ffa34608"),
+    (["qpev", "--eta", "0.7", "--aux", "1.234", "--n", "16", "--shots", "100000",
+      "--seed", "5", "--allow-leakage"],
+     "b5ecd6f5774f53718a04e33939633e726c2ecacc284c47b13daba8a6ad3ccd4b"),
 ]
 
 
-@pytest.mark.parametrize("argv, digest", TAIL_RECORDS, ids=["qpev-exact", "qpeh-exact",
-                                                            "qpev-sampled"])
+@pytest.mark.parametrize("argv, digest", TAIL_RECORDS, ids=[
+    "qpev-exact", "qpeh-exact", "qpev-sampled", "qpev-exact-n16", "qpev-sampled-n16"])
 def test_tail_records_pinned(capsys, argv, digest):
     assert main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

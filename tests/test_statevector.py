@@ -346,6 +346,14 @@ class TestHistogram:
         with pytest.raises(ValueError, match=match):
             Histogram(num_bits, np.array(outcomes), np.array(weights))
 
+    def test_builders_refuse_nan(self):
+        # a NaN is not at or below the dust floor, so it reaches the
+        # Histogram, which refuses it, rather than drop out as dust
+        with pytest.raises(ValueError, match="not positive"):
+            histogram_from_probabilities(np.array([np.nan, 0.5, 0.5, 0.0]))
+        with pytest.raises(ValueError):
+            sample_probabilities(np.array([np.nan, 0.5, 0.5, 0.0]), 5, 0)
+
     def test_num_bits_follows_length(self):
         assert histogram_from_probabilities(np.array([0.0, 0.0, 0.0, 1.0])).num_bits == 2
         assert sample_probabilities(np.array([0.0, 0.0, 0.0, 1.0]), 5, 0).num_bits == 2
