@@ -13,16 +13,15 @@ run_qpe is the spectral engine: with one target and controlled powers of
 one rotation, the readout is the target's two squared eigen-overlaps,
 each spread by the textbook QPE kernel (readout_kernel; Cleve, Ekert,
 Macchiavello & Mosca 1998; Nielsen & Chuang sec. 5.2), so it never forms
-the (n+1)-qubit state. The kernel is grown only at the outcomes a run can
-need, and lists those it kept: it drops a pair of outcomes m, -m once
-both their values are at or below the cut of the run mode, where the
-exact histogram would set the pair's probabilities to 0 or the sampler
-would draw nothing from them. A dyadic angle, whose readout fills two
-bins, keeps at most two outcomes and costs a few cosines per bit, not
-about 2 * 2^n in all. run_circuit is
-the reference engine: it simulates that circuit gate by gate on the full
-statevector, and only it and its two readouts use spinqpe.statevector and
-spinqpe.iqft.
+the (n+1)-qubit state. The kernel is grown as one list of outcomes, and
+an exact kernel drops a pair of outcomes m, -m once both their values are
+at or below the dust cut, where the exact histogram would set the pair's
+probabilities to 0. A dyadic angle, whose readout fills two bins, keeps
+at most two outcomes and costs a few cosines per bit, not about 2 * 2^n in
+all. A sampled kernel keeps every outcome, as its draw needs the full
+vector. run_circuit is the reference engine: it simulates that circuit
+gate by gate on the full statevector, and only it and its two readouts
+use spinqpe.statevector and spinqpe.iqft.
 
 A Histogram holds only its support: the ascending outcomes whose
 probability is above the dust floor, or that were drawn at least once,
@@ -32,10 +31,10 @@ the exact histogram and sample_probabilities the seeded draw;
 exact_histogram and sample apply them to a state's marginal. run_qpe
 builds an exact histogram straight from the outcomes its kernel kept,
 with no length-2^n vector, and draws a sampled one with
-sample_probabilities from the full vector. Sampling uses numpy's
-default_rng, i.e. the PCG64 generator. The generator identity is part of
-the reproducibility contract: the same (probabilities, shots, seed)
-always yields the same histogram.
+sample_probabilities from the full vector its sampled kernel gives.
+Sampling uses numpy's default_rng, i.e. the PCG64 generator. The
+generator identity is part of the reproducibility contract: the same
+(probabilities, shots, seed) always yields the same histogram.
 
 Bin map: with R(a)|-> = exp(+i a/2)|->, the estimated phase of the |-axis>
 eigencomponent is a/(4 pi) mod 1, so it lands in bin
@@ -75,11 +74,14 @@ PROBABILITY_FLOOR = 1e-15
 #: run mode -> the value at or below which readout_kernel drops an outcome
 #: pair. With w_plus + w_minus = 1, an exact bin whose K(m) and K(-m) are
 #: both at most PROBABILITY_FLOOR / 2 reads at most the floor, which the
-#: histogram sets to 0; a sampled bin whose two values are 0 has
-#: probability 0, from which the multinomial draws nothing. A sampled
-#: kernel has kept every outcome in all traffic measured, so the sampled
-#: draw always scatters into the full vector.
-_CUTS = {"exact": PROBABILITY_FLOOR / 2, "sampled": 0.0}
+#: histogram sets to 0. A sampled kernel keeps every outcome, since none
+#: is ever 0: K(m) is a product of at most 16 factors cos^2(x), x a double
+#: in (-2 pi, pi], and no double is an odd multiple of pi / 2, so each
+#: factor is at least about 3.7e-33. The arguments of a bin double from
+#: one bit to the next (mod pi), so at most one factor is near 0 and the
+#: others are at least about sin^2(pi / 2^17); the product stays far above
+#: the smallest float.
+_CUTS = {"exact": PROBABILITY_FLOOR / 2, "sampled": -math.inf}
 
 
 def is_integer(value) -> bool:
@@ -291,16 +293,14 @@ class DecodeResult(ExpectedBins):
 def expected_bins(config: QpeConfig) -> ExpectedBins:
     """Readout bins for the two auxiliary-rotation eigencomponents.
 
-    Also reports whether 2^n * a / (4 pi) is an integer ("dyadic-exact"),
-    i.e. whether the run is free of spectral leakage.
+    Also reports whether x = 2^n * a / (4 pi) is an integer within
+    1e-9 ("dyadic-exact"), i.e. whether the run is free of spectral
+    leakage. x is taken from a/2 reduced into (-pi, pi], as readout_kernel
+    reduces its phases, so it keeps its fraction at any angle.
     """
     n, a = config.run.counting_qubits, config.aux.angle
     size = 1 << n
-    x = size * a / (4.0 * math.pi)
-    if math.ulp(x) > _DYADIC_ATOL:
-        # x has lost the fraction that places the bin; reduce a/2 exactly,
-        # as readout_kernel reduces its phases
-        x = math.ldexp(math.atan2(math.sin(a / 2), math.cos(a / 2)) / math.pi, n - 1)
+    x = math.ldexp(math.atan2(math.sin(a / 2), math.cos(a / 2)) / math.pi, n - 1)
     m_minus = round(x) % size
     m_plus = (size - m_minus) % size
     dyadic = math.isclose(x, round(x), rel_tol=0.0, abs_tol=_DYADIC_ATOL)
@@ -313,9 +313,9 @@ class ReadoutKernel:
 
     `values` holds K(m) for each outcome m of `bins`, which always lists
     the outcomes kept: an ascending int64 array closed under
-    m -> -m mod 2^num_bits, arange(2^num_bits) when none was dropped. Each
-    outcome left out has K(m) and K(-m) at or below the mode's cut. Both
-    arrays are read-only.
+    m -> -m mod 2^num_bits, arange(2^num_bits) when none was dropped, as
+    in every sampled kernel. Each outcome left out has K(m) and K(-m) at
+    or below the mode's cut. Both arrays are read-only.
     """
 
     num_bits: int
@@ -347,18 +347,19 @@ def readout_kernel(n: int, angle: float, mode: str) -> ReadoutKernel:
     each bit's factor array takes the kernel so far into both of its
     halves in place (residues r and r + span/2) and becomes the kernel.
 
-    Once the kernel so far is at or below the mode's cut (_CUTS) at a
-    residue r and at its mirror -r mod span, that pair is dropped, and
-    later bits compute factors only at the residues kept. Every factor is
-    at most 1, and a float product with a factor at most 1 never rounds
-    up, so each outcome of a dropped residue has K(m) and K(-m) at or
-    below the cut: its exact probability is dust that the histogram sets
-    to 0, or, in sampled mode, exactly 0. Until the first drop every
-    residue of the span is computed, from a float ramp with no list of
-    outcomes; a leaky angle never drops one and lists all 2^n, and an
-    exact kernel at a dyadic angle ends with at most two outcomes. The
-    values kept are those of the full kernel bit for bit: each is made by
-    the same float operations in the same order.
+    The residues kept are one ascending list, grown by each bit from r to
+    r and r + span/2; it is held as floats, so a bit's phases are the list
+    times -pi/span, and made int64 once at the end. Once the kernel so far
+    is at or below the mode's cut (_CUTS) at a residue r and at its mirror
+    -r mod span, that pair is dropped, and later bits compute factors only
+    at the residues kept. Every factor is at most 1, and a float product
+    with a factor at most 1 never rounds up, so each outcome of a dropped
+    residue has K(m) and K(-m) at or below the cut: its exact probability
+    is dust that the histogram sets to 0. A leaky angle never drops one
+    and lists all 2^n, an exact kernel at a dyadic angle ends with at most
+    two outcomes, and a sampled kernel, whose cut is -inf, keeps all 2^n.
+    The values kept are those of the full kernel bit for bit: each is made
+    by the same float operations in the same order.
 
     K depends only on n and the angle, and the outcomes kept also on the
     mode, not on the axis or the target, so one kernel serves every run of
@@ -366,18 +367,12 @@ def readout_kernel(n: int, angle: float, mode: str) -> ReadoutKernel:
     no run can change a shared one.
     """
     cut = _CUTS[mode]
-    ramp = np.arange(2.0)  # grown to all 2^n outcomes once a dense span needs more
-    kernel, bins = np.ones(1), None  # None: every residue so far is kept
+    kernel, bins = np.ones(1), np.zeros(1)  # the outcomes kept, as floats until the end
     for l in range(n - 1, -1, -1):
         c = math.ldexp(angle, l - 2)
         span = 1 << (n - l)
-        if bins is not None:
-            bins = np.concatenate((bins, bins + span // 2))
-            factor = bins * (-math.pi / span)
-        else:
-            if span > ramp.size:
-                ramp = np.arange(1 << n, dtype=np.float64)
-            factor = ramp[:span] * (-math.pi / span)
+        bins = np.concatenate((bins, bins + span // 2))
+        factor = bins * (-math.pi / span)
         factor += math.atan2(math.sin(c), math.cos(c))
         np.cos(factor, out=factor)
         factor *= factor
@@ -386,12 +381,9 @@ def readout_kernel(n: int, angle: float, mode: str) -> ReadoutKernel:
         kernel = factor
         if kernel.min() <= cut:
             kept = kernel > cut
-            kept |= _at_mirror(kept, bins is None or bins[0] == 0)
-            if not kept.all():
-                bins = np.flatnonzero(kept) if bins is None else bins[kept]
-                kernel = kernel[kept]
-    if bins is None:
-        bins = np.arange(1 << n, dtype=np.int64)
+            kept |= _at_mirror(kept, bins[0] == 0)
+            bins, kernel = bins[kept], kernel[kept]
+    bins = bins.astype(np.int64)
     for array in (kernel, bins):
         array.flags.writeable = False
     return ReadoutKernel(n, angle, mode, kernel, bins)
@@ -452,13 +444,12 @@ def run_qpe(config: QpeConfig, *, kernel: ReadoutKernel | None = None) -> Histog
     sample) of the estimation circuit, from the target's two eigen-overlaps
     and readout_kernel: P(m) = w_minus K(m) + w_plus K(-m mod 2^n).
 
-    P is computed only at the outcomes the kernel lists as kept and is 0
-    at the others; there it would be dust at or below PROBABILITY_FLOOR
-    (exact mode), which the histogram does not hold anyway, or exactly 0
-    (sampled mode). So the histogram equals the one read from the full
-    kernel, byte for byte. An exact histogram is built straight from the
-    kept outcomes above the floor. A sampled one is drawn from P scattered
-    over all 2^n outcomes, the vector the seed contract draws from, and
+    An exact kernel lists only the outcomes it kept, and P is 0 at the
+    others, where it would be dust at or below PROBABILITY_FLOOR that the
+    histogram does not hold anyway; so the histogram, built straight from
+    the kept outcomes above the floor, equals the one read from the full
+    kernel, byte for byte. A sampled kernel keeps all 2^n outcomes, so its
+    P is the full vector the seed contract draws from, and the histogram
     holds the outcomes drawn.
 
     `kernel` is readout_kernel(n, config.aux.angle, config.run.mode),
@@ -481,9 +472,7 @@ def run_qpe(config: QpeConfig, *, kernel: ReadoutKernel | None = None) -> Histog
     if config.run.shots is None:
         # the floor is applied to the kept outcomes only: no 2^n vector
         return Histogram(n, *_held(probs, PROBABILITY_FLOOR, kernel.bins))
-    spread = np.zeros(1 << n)
-    spread[kernel.bins] = probs
-    return sample_probabilities(spread, config.run.shots, config.run.seed)
+    return sample_probabilities(probs, config.run.shots, config.run.seed)
 
 
 def run_circuit(config: QpeConfig) -> Histogram:

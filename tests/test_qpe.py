@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -37,6 +38,9 @@ from spinqpe.records import decode_payload
 from histograms import dense, identical
 
 PI = math.pi
+#: pi to 100 digits, exact as a rational
+EXACT_PI = Fraction("3.14159265358979323846264338327950288419716939937510"
+                    "58209749445923078164062862089986280348253421170679")
 C2 = math.cos(PI / 12) ** 2  # 0.9330127...
 S2 = math.sin(PI / 12) ** 2  # 0.0669872...
 HALF_A2 = 0.7165063509461096  # (1 + sqrt(3)/4) / 2
@@ -59,6 +63,18 @@ def prep_vector(gates) -> np.ndarray:
     for g in gates:
         v = g @ v
     return v
+
+
+@st.composite
+def kernel_angles(draw, n):
+    """A dyadic angle, one near it, an arbitrary (leaky) one or a huge one."""
+    k = draw(st.integers(-(1 << 20), 1 << 20))
+    return draw(st.sampled_from([
+        4 * PI * k / (1 << n),
+        4 * PI * k / (1 << n) + draw(st.floats(-1e-6, 1e-6)),
+        draw(st.floats(-4 * PI, 4 * PI)),
+        draw(st.sampled_from([1, -1])) * 10.0 ** draw(st.floats(3, 15)),
+    ]))
 
 
 def estimation_distribution(config: QpeConfig) -> np.ndarray:
@@ -124,6 +140,24 @@ class TestExpectedBins:
         assert bins.m_minus == int(np.argmax(kernel))
         if bins.dyadic_exact:
             assert kernel[bins.m_minus] >= 1 - 1e-9
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(case=st.integers(1, 16).flatmap(lambda n: st.tuples(st.just(n), kernel_angles(n))))
+    @example(case=(1, 6146664.256825195))  # 9.98e-10 from its bin: dyadic
+    @example(case=(1, 2690981.4529147884))  # 1.026e-9 from its bin: leaky
+    def test_bins_match_an_exact_rational_reference(self, case):
+        """m_minus is x = 2^n a / (4 pi) rounded, and the run is dyadic
+        exactly when x is within 1e-9 of it, with x computed in rationals.
+        Draws within float error of a half-integer or of the tolerance
+        are skipped: there a float x cannot decide."""
+        n, aux = case
+        x = Fraction(aux) * 2**n / (4 * EXACT_PI)
+        distance = abs(x - round(x))
+        margin = 2**n * 1e-15
+        assume(abs(distance - Fraction(1, 2)) > margin and abs(distance - 1e-9) > margin)
+        bins = expected_bins(qpev_config(n=n, aux=aux))
+        assert bins.m_minus == round(x) % 2**n
+        assert bins.dyadic_exact == (distance <= 1e-9)
 
 
 class TestRunQpe:
@@ -496,8 +530,9 @@ def reference_probabilities(config):
     return probs
 
 
-#: run mode -> the value at or below which a kernel may drop an outcome pair
-CUTS = {"exact": PROBABILITY_FLOOR / 2, "sampled": 0.0}
+#: run mode -> the value at or below which a kernel may drop an outcome
+#: pair; a sampled kernel drops none
+CUTS = {"exact": PROBABILITY_FLOOR / 2, "sampled": -math.inf}
 
 
 @st.composite
@@ -507,18 +542,6 @@ def aux_angles(draw, n):
         k = draw(st.integers(1, (1 << (n - 1)) - 1)) * draw(st.sampled_from([1, -1]))
         return 4 * PI * k / (1 << n)
     return draw(st.floats(-4 * PI, 4 * PI))
-
-
-@st.composite
-def kernel_angles(draw, n):
-    """A dyadic angle, one near it, an arbitrary (leaky) one or a huge one."""
-    k = draw(st.integers(-(1 << 20), 1 << 20))
-    return draw(st.sampled_from([
-        4 * PI * k / (1 << n),
-        4 * PI * k / (1 << n) + draw(st.floats(-1e-6, 1e-6)),
-        draw(st.floats(-4 * PI, 4 * PI)),
-        draw(st.sampled_from([1, -1])) * 10.0 ** draw(st.floats(3, 15)),
-    ]))
 
 
 class TestSharedKernel:
@@ -602,6 +625,8 @@ class TestKeptOutcomes:
         assert np.array_equal(kernel.values, reference[bins])
         dropped = np.delete(reference, bins)
         assert np.all(dropped <= CUTS[mode])
+        if mode == "sampled":
+            assert np.array_equal(bins, np.arange(size))
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(data=st.data(), n=st.integers(1, 16), mode=st.sampled_from(["exact", "sampled"]))

@@ -194,8 +194,9 @@ def test_large_record_is_canonical_json(capsys, argv, config):
 #: the slowest request of the leaky-n12 benchmark workload, an exact
 #: n = 12 record that holds all 4096 bins, for each run, a sampled record
 #: of the same request, and the widest exact and sampled leaky records
-#: (n = 16, every one of 65536 bins kept by the kernel), with the sha256
-#: of each record's bytes
+#: (n = 16, every one of 65536 bins kept by the kernel), the sweep-n10-cold
+#: request and a sampled n = 16 pipeline, with the sha256 of each
+#: record's bytes
 TAIL_RECORDS = [
     (["qpev", "--eta", "0.7", "--aux", "2.5", "--n", "12", "--allow-leakage", "--exact"],
      "b80ea3f8e9498224634c9bff34298079346585e636a7c7c0c88a2064f34d7d74"),
@@ -210,11 +211,18 @@ TAIL_RECORDS = [
     (["qpev", "--eta", "0.7", "--aux", "1.234", "--n", "16", "--shots", "100000",
       "--seed", "5", "--allow-leakage"],
      "b5ecd6f5774f53718a04e33939633e726c2ecacc284c47b13daba8a6ad3ccd4b"),
+    (["sweep", "--eta-range", "0.2:1.3", "--delta-range", "0.2:1.3", "--steps", "12",
+      "--n", "10"],
+     "b64b94a68065896e97c3b226d80ed8d3a01c8bbfbd62ecdfe97722c0c293af68"),
+    (["pipeline", "--eta", "0.4", "--delta=-0.7", "--n", "16", "--shots", "10000",
+      "--seed", "3"],
+     "24bd2b022d0dfbd293f6068b9f0146fe5d914001765e0498ebded6f6a6d46c06"),
 ]
 
 
 @pytest.mark.parametrize("argv, digest", TAIL_RECORDS, ids=[
-    "qpev-exact", "qpeh-exact", "qpev-sampled", "qpev-exact-n16", "qpev-sampled-n16"])
+    "qpev-exact", "qpeh-exact", "qpev-sampled", "qpev-exact-n16", "qpev-sampled-n16",
+    "sweep-n10", "pipeline-sampled-n16"])
 def test_tail_records_pinned(capsys, argv, digest):
     assert main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
