@@ -19,10 +19,10 @@ from pathlib import Path
 
 from .angles import parse_angle
 from .errors import AngleParseError, ConfigurationError
-from .extraction import BRANCHES, full_pipeline, reconstruct_CS, reconstruct_absA
+from .extraction import BRANCHES, full_pipeline, reconstruct_CS, reconstruct_absA, window_sweep
 from .gates import Axis, RotationSpec, rx, ry
 from .precession import PathParams, TotalPhase, amplitudes_AB, amplitudes_CS, total_phase
-from .qpe import QpeConfig, RunSettings, decode, expected_bins, readout_kernel, run_qpe
+from .qpe import QpeConfig, RunSettings, decode, expected_bins, run_qpe
 from .records import (
     decode_payload,
     extraction_payloads,
@@ -314,22 +314,19 @@ def cmd_sweep(args) -> int:
     aux = parse_angle(DEFAULT_AUX)
     run = RunSettings(args.n)
     etas, deltas = _grid(eta_lo, eta_hi, args.steps), _grid(delta_lo, delta_hi, args.steps)
-    # every grid point runs both circuits at this width and angle
-    kernel = readout_kernel(run.counting_qubits, aux, run.mode)
+    points = [PathParams(eta, delta) for eta in etas for delta in deltas]
     rows = []
-    for eta in etas:
-        for delta in deltas:
-            result = full_pipeline(PathParams(eta, delta), run, aux, aux, kernel=kernel)
-            analytic = _analytic_section(eta, delta, result.phase_analytic)
-            rows.append({
-                "eta": eta,
-                "delta": delta,
-                "C2": analytic["C2"],
-                "half_absA2": analytic["half_absA2"],
-                "theta_analytic": analytic["theta"],
-                "theta_est": result.theta_est,
-                "residual_theta": result.residual_theta,
-            })
+    for params, result in zip(points, window_sweep(points, run.counting_qubits, aux)):
+        analytic = _analytic_section(params.eta, params.delta, result["phase_analytic"])
+        rows.append({
+            "eta": params.eta,
+            "delta": params.delta,
+            "C2": analytic["C2"],
+            "half_absA2": analytic["half_absA2"],
+            "theta_analytic": analytic["theta"],
+            "theta_est": result["theta_est"],
+            "residual_theta": result["residual_theta"],
+        })
     _write(sweep_csv(rows), args.out)
     return EXIT_OK
 

@@ -11,6 +11,12 @@ ry(delta) rx(-eta)) measures |A|^2 / 2 and |B|^2 / 2. From those,
 sin(delta) only fixes delta up to the reflection delta <-> pi - delta, so
 the caller picks a branch explicitly; "principal" (delta = asin(...))
 covers |delta| <= pi/2.
+
+full_pipeline runs both circuits and decodes their histograms.
+window_sweep reads the same window masses at many (eta, delta) points of
+one width and auxiliary angle from the readout kernel's values at the
+window outcomes alone: no histogram, and no numpy. Both hand the masses
+to one function that makes the estimates, so the two agree bit for bit.
 """
 
 import math
@@ -24,8 +30,9 @@ from .errors import (
 )
 from .gates import Axis, RotationSpec, rx, ry
 from .precession import AmplitudePair, PathParams, TotalPhase, total_phase, wrap_angle
-from .qpe import (DecodeResult, Histogram, QpeConfig, ReadoutKernel, RunSettings, decode,
-                  readout_kernel, run_qpe)
+from .qpe import (PROBABILITY_FLOOR, DecodeResult, Histogram, QpeConfig, RunSettings,
+                  _target_overlaps, decode, expected_bins, kernel_at, leakage_warnings,
+                  readout_kernel, run_qpe, window_mass)
 
 BRANCHES = ("principal", "reflected")
 
@@ -123,8 +130,6 @@ def full_pipeline(
     aux_v: float,
     aux_h: float,
     branch: str = "principal",
-    *,
-    kernel: ReadoutKernel | None = None,
 ) -> ExtractionResult:
     """Run both estimation circuits and reconstruct delta and theta.
 
@@ -136,23 +141,16 @@ def full_pipeline(
     RunSettings. The readout kernel depends only on the width, the angle
     and the run mode, so it is built once per distinct angle: one shared,
     read-only kernel when aux_h == aux_v (the default), two otherwise.
-    `kernel`, when given, is readout_kernel(n, aux_v, run.mode), and
-    serves the horizontal run too when aux_h == aux_v; a caller that runs
-    many pipelines at one width and angle, as a sweep does, builds it
-    once. A kernel for another width, angle or mode raises
-    ConfigurationError. Both readouts
-    are decoded with decode's window and coverage threshold; the warnings
-    of decoding, clamping and the closed form are collected into the
-    result's `warnings`.
+    Both readouts are decoded with decode's window and coverage
+    threshold; the warnings of decoding, clamping and the closed form are
+    collected into the result's `warnings`.
     """
     if branch not in BRANCHES:
         raise ConfigurationError(f"branch must be one of {BRANCHES}, got {branch!r}")
 
-    config_v = QpeConfig(run, RotationSpec(Axis.Y, aux_v), (rx(-params.eta),))
-    config_h = QpeConfig(run, RotationSpec(Axis.X, aux_h), (rx(-params.eta), ry(params.delta)))
+    config_v, config_h = _configs(params, run, aux_v, aux_h)
 
-    if kernel is None:
-        kernel = readout_kernel(run.counting_qubits, aux_v, run.mode)
+    kernel = readout_kernel(run.counting_qubits, aux_v, run.mode)
     hist_v = run_qpe(config_v, kernel=kernel)
     if aux_h != aux_v:
         kernel = readout_kernel(run.counting_qubits, aux_h, run.mode)
@@ -160,9 +158,30 @@ def full_pipeline(
     decode_v = decode(hist_v, config_v)
     decode_h = decode(hist_h, config_h)
 
-    notes = [f"qpev: {w}" for w in decode_v.warnings]
-    notes += [f"qpeh: {w}" for w in decode_h.warnings]
+    estimates = _estimates(params, branch, decode_v.p_plus, decode_v.p_minus,
+                           decode_h.p_plus, _notes(decode_v.warnings, decode_h.warnings))
+    return ExtractionResult(**estimates, decode_v=decode_v, decode_h=decode_h,
+                            hist_v=hist_v, hist_h=hist_h)
 
+
+def _configs(params: PathParams, run: RunSettings, aux_v: float,
+             aux_h: float) -> tuple[QpeConfig, QpeConfig]:
+    """The vertical and horizontal runs of the pipeline at `params`."""
+    return (QpeConfig(run, RotationSpec(Axis.Y, aux_v), (rx(-params.eta),)),
+            QpeConfig(run, RotationSpec(Axis.X, aux_h), (rx(-params.eta), ry(params.delta))))
+
+
+def _notes(warnings_v: list, warnings_h: list) -> list:
+    """The two readouts' decode warnings as a result's first notes."""
+    return [f"qpev: {w}" for w in warnings_v] + [f"qpeh: {w}" for w in warnings_h]
+
+
+def _estimates(params: PathParams, branch: str, p_plus_v: float, p_minus_v: float,
+               p_plus_h: float, notes: list) -> dict:
+    """The estimates of an ExtractionResult, by field name, from the
+    vertical readout's two window masses and the horizontal readout's
+    plus-window mass. `notes` holds the readouts' notes; the branch,
+    clamp and closed-form notes are appended, and it becomes `warnings`."""
     canonical_eta = wrap_angle(params.eta)
     if not -math.pi / 2.0 <= canonical_eta <= math.pi / 2.0:
         notes.append(
@@ -170,8 +189,8 @@ def full_pipeline(
             "[-pi/2, pi/2], where the nonnegative C, S roots are not valid"
         )
 
-    cs = reconstruct_CS(decode_v.p_plus, decode_v.p_minus)
-    absA_est = reconstruct_absA(decode_h.p_plus)
+    cs = reconstruct_CS(p_plus_v, p_minus_v)
+    absA_est = reconstruct_absA(p_plus_h)
     sin_delta_est, sin_delta_raw = infer_sin_delta(absA_est, cs)
     if sin_delta_est != sin_delta_raw:
         notes.append(f"sin(delta) = {sin_delta_raw!r} clamped to {sin_delta_est}")
@@ -185,19 +204,60 @@ def full_pipeline(
     phase_analytic = total_phase(params)
     notes += phase_analytic.warnings
 
-    return ExtractionResult(
-        C_est=cs.C,
-        S_est=cs.S,
-        absA_est=absA_est,
-        sin_delta_raw=sin_delta_raw,
-        sin_delta_est=sin_delta_est,
-        delta_est=delta_est,
-        theta_est=theta_est,
-        phase_analytic=phase_analytic,
-        residual_theta=wrap_angle(theta_est - phase_analytic.theta),
-        decode_v=decode_v,
-        decode_h=decode_h,
-        hist_v=hist_v,
-        hist_h=hist_h,
-        warnings=notes,
-    )
+    return {
+        "C_est": cs.C,
+        "S_est": cs.S,
+        "absA_est": absA_est,
+        "sin_delta_raw": sin_delta_raw,
+        "sin_delta_est": sin_delta_est,
+        "delta_est": delta_est,
+        "theta_est": theta_est,
+        "phase_analytic": phase_analytic,
+        "residual_theta": wrap_angle(theta_est - phase_analytic.theta),
+        "warnings": notes,
+    }
+
+
+def window_sweep(points, n: int, aux: float):
+    """Yield, for each PathParams of `points` in order, the estimates that
+    the exact full_pipeline(params, RunSettings(n), aux, aux) makes, as a
+    dict keyed by the ExtractionResult fields, bit for bit, reading only
+    the decode windows.
+
+    Every point runs both circuits at one width and angle, so their bins,
+    windows and the readout kernel's values at the window outcomes
+    (kernel_at) are found once. At each point, the two
+    QpeConfigs are built and checked as full_pipeline builds them, and
+    the masses are read as _window_masses reads them. No Histogram is
+    built and numpy is not imported.
+    """
+    run = RunSettings(n)
+    windows = expected_bins(QpeConfig(run, RotationSpec(Axis.Y, aux))).windows()
+    # m_plus = -m_minus, so each window is the other's mirror image and
+    # together they list K(-m) for each of their outcomes m
+    outcomes = sorted(set().union(*windows))
+    kernel = dict(zip(outcomes, kernel_at(n, aux, outcomes)))
+    for params in points:
+        (p_plus_v, p_minus_v), (p_plus_h, p_minus_h) = (
+            _window_masses(config, kernel, windows)
+            for config in _configs(params, run, aux, aux))
+        notes = _notes(leakage_warnings(p_plus_v + p_minus_v),
+                       leakage_warnings(p_plus_h + p_minus_h))
+        yield _estimates(params, "principal", p_plus_v, p_minus_v, p_plus_h, notes)
+
+
+def _window_masses(config: QpeConfig, kernel: dict, windows: tuple) -> list:
+    """decode's mass in each of `windows` for the exact run `config`, from
+    `kernel`, its K(m) at every window outcome m. An outcome reads
+    P(m) = w_minus K(m) + w_plus K(-m mod 2^n), or 0 where that is at or
+    below PROBABILITY_FLOOR: what run_qpe's histogram holds there."""
+    size = 1 << config.run.counting_qubits
+    w_plus, w_minus = _target_overlaps(config)
+    masses = []
+    for window in windows:
+        readout = []
+        for m in window:
+            p = w_minus * kernel[m] + w_plus * kernel[-m % size]
+            readout.append(p if p > PROBABILITY_FLOOR else 0.0)
+        masses.append(window_mass(readout))
+    return masses

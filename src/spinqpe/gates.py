@@ -10,14 +10,18 @@ With this choice
 so a precession of +t about the negative x axis is written rx(-t). These
 eigenvector phase conventions are the reference for every statement about
 phases encoded in eigenvectors.
+
+A gate is a 2x2 tuple of rows and a state a length-2 tuple, of Python
+complex numbers: a single-qubit gate is too small for a numpy array to
+pay, and building one needs no numpy import. Each entry is made by the
+same float operations a complex128 array of the gate would hold.
 """
 
 import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
+from numbers import Number
 
 # 2x2 gates must satisfy U+ U = I to this tolerance before being applied
 UNITARY_ATOL = 1e-12
@@ -28,47 +32,73 @@ class Axis(Enum):
     Y = "y"
 
 
-def rx(theta: float) -> np.ndarray:
+#: two amplitudes: a single-qubit state, or a row of a gate
+Pair = tuple[complex, complex]
+
+#: a 2x2 gate, ((g00, g01), (g10, g11))
+Gate = tuple[Pair, Pair]
+
+
+def _pairs(a, b, c, d) -> tuple[Pair, Pair]:
+    """((a, b), (c, d)) as Python complex numbers."""
+    return ((complex(a), complex(b)), (complex(c), complex(d)))
+
+
+def rx(theta: float) -> Gate:
     """[[cos t/2, -i sin t/2], [-i sin t/2, cos t/2]]"""
     c = math.cos(theta / 2.0)
     s = math.sin(theta / 2.0)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)
+    return _pairs(c, -1j * s, -1j * s, c)
 
 
-def ry(theta: float) -> np.ndarray:
+def ry(theta: float) -> Gate:
     """[[cos t/2, -sin t/2], [sin t/2, cos t/2]]"""
     c = math.cos(theta / 2.0)
     s = math.sin(theta / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=np.complex128)
+    return _pairs(c, -s, s, c)
 
 
-def hadamard() -> np.ndarray:
+def hadamard() -> Gate:
     r = 1.0 / math.sqrt(2.0)
-    return np.array([[r, r], [r, -r]], dtype=np.complex128)
+    return _pairs(r, r, r, -r)
 
 
-def pauli_x() -> np.ndarray:
-    return np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
+def pauli_x() -> Gate:
+    return _pairs(0.0, 1.0, 1.0, 0.0)
 
 
-def identity() -> np.ndarray:
-    return np.eye(2, dtype=np.complex128)
+def identity() -> Gate:
+    return _pairs(1.0, 0.0, 0.0, 1.0)
 
 
-def phase(lam: float) -> np.ndarray:
+def phase(lam: float) -> Gate:
     """diag(1, exp(i lam))"""
-    return np.array([[1.0, 0.0], [0.0, np.exp(1j * lam)]], dtype=np.complex128)
+    return _pairs(1.0, 0.0, 0.0, cmath.exp(1j * lam))
 
 
-def require_gate(gate) -> np.ndarray:
-    """`gate` as a complex128 2x2 array; ValueError unless it is finite and
-    unitary within UNITARY_ATOL."""
-    gate = np.asarray(gate, dtype=np.complex128)
-    if gate.shape != (2, 2):
-        raise ValueError(f"gate must be 2x2, got shape {gate.shape}")
+def require_gate(gate) -> Gate:
+    """`gate`, a 2x2 array or nested sequence, as a Gate tuple; ValueError
+    unless it is 2x2, finite and unitary within UNITARY_ATOL.
+
+    Numbers are read as complex() reads them; anything else, such as an
+    array whose rows are not numbers, is read as numpy's complex128
+    conversion reads it, and only then is numpy imported."""
+    try:
+        (a, b), (c, d) = gate
+        # complex() would also read a one-element array, which the numpy
+        # conversion refuses as a third axis
+        if not all(isinstance(z, Number) for z in (a, b, c, d)):
+            raise TypeError("a gate entry is not a number")
+        a, b, c, d = complex(a), complex(b), complex(c), complex(d)
+    except (TypeError, ValueError, OverflowError):
+        import numpy as np
+
+        array = np.asarray(gate, dtype=np.complex128)
+        if array.shape != (2, 2):
+            raise ValueError(f"gate must be 2x2, got shape {array.shape}") from None
+        (a, b), (c, d) = array.tolist()
     # checked on Python complex numbers: on a 2x2, one numpy call costs
     # more than the whole sum
-    (a, b), (c, d) = gate.tolist()
     if not all(map(cmath.isfinite, (a, b, c, d))):
         raise ValueError("gate contains non-finite entries")
     a_, b_, c_, d_ = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
@@ -80,7 +110,7 @@ def require_gate(gate) -> np.ndarray:
         raise ValueError(
             f"gate is not unitary within {UNITARY_ATOL} (deviation {deviation:.3e})"
         )
-    return gate
+    return ((a, b), (c, d))
 
 
 @dataclass(frozen=True)
@@ -98,11 +128,11 @@ class RotationSpec:
             raise ValueError(f"angle must be finite, got {self.angle!r}")
 
 
-def rotation(spec: RotationSpec) -> np.ndarray:
+def rotation(spec: RotationSpec) -> Gate:
     return rx(spec.angle) if spec.axis is Axis.X else ry(spec.angle)
 
 
-def rotation_power(spec: RotationSpec, k: int) -> np.ndarray:
+def rotation_power(spec: RotationSpec, k: int) -> Gate:
     """The k-th power of an axis rotation, built by angle scaling.
 
     Rotations about a fixed axis commute and add angles, so R(a)**k is
@@ -114,11 +144,9 @@ def rotation_power(spec: RotationSpec, k: int) -> np.ndarray:
     return rotation(RotationSpec(spec.axis, k * spec.angle))
 
 
-def axis_eigenvectors(axis: Axis) -> tuple[np.ndarray, np.ndarray]:
+def axis_eigenvectors(axis: Axis) -> tuple[Pair, Pair]:
     """(|+axis>, |-axis>) with the phase conventions fixed above."""
     r = 1.0 / math.sqrt(2.0)
     if axis is Axis.X:
-        return (np.array([r, r], dtype=np.complex128),
-                np.array([r, -r], dtype=np.complex128))
-    return (np.array([r, 1j * r], dtype=np.complex128),
-            np.array([r, -1j * r], dtype=np.complex128))
+        return _pairs(r, r, r, -r)
+    return _pairs(r, 1j * r, r, -1j * r)

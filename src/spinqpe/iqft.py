@@ -10,14 +10,18 @@ Plans are immutable values; execution goes through the statevector kernels
 (swaps are expanded into three controlled-X applications).
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ConfigurationError
 from .gates import hadamard, pauli_x, phase
 from .statevector import StateVector, apply_controlled, apply_single
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -80,6 +84,8 @@ def apply_iqft(state: StateVector, plan: IqftPlan) -> StateVector:
 
 def dense_iqft_reference(n: int) -> np.ndarray:
     """The explicit F^-1 matrix, for equivalence testing only."""
+    import numpy as np
+
     if not 1 <= n <= 10:
         raise ValueError(f"dense reference supports 1..10 qubits, got {n}")
     dim = 1 << n

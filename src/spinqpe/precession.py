@@ -19,13 +19,16 @@ Closed forms used throughout (C = cos(pi/4 - eta/2), S = sin(pi/4 - eta/2)):
 All functions here are pure.
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import UndefinedPhaseError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: reduced Planck constant, J s (2018 CODATA exact value)
 HBAR = 1.054571817e-34
@@ -155,6 +158,8 @@ def psi1(eta: float) -> np.ndarray:
     In the x eigenbasis this is (e^{+i eta/2} |+x> + e^{-i eta/2} |-x>)
     / sqrt(2); in the computational basis (cos(eta/2), i sin(eta/2)).
     """
+    import numpy as np
+
     if not math.isfinite(eta):
         raise ValueError(f"eta must be finite, got {eta!r}")
     return np.array([math.cos(eta / 2.0), 1j * math.sin(eta / 2.0)], dtype=np.complex128)
@@ -163,6 +168,8 @@ def psi1(eta: float) -> np.ndarray:
 def psi2(params: PathParams) -> np.ndarray:
     """State after both segments, ry(delta) rx(-eta) |0> exactly with no
     global-phase slack, as a complex128 pair."""
+    import numpy as np
+
     cs = amplitudes_CS(params.eta)
     e_minus = np.exp(-0.5j * params.delta)
     e_plus = np.exp(+0.5j * params.delta)

@@ -19,9 +19,16 @@ at or below the dust cut, where the exact histogram would set the pair's
 probabilities to 0. A dyadic angle, whose readout fills two bins, keeps
 at most two outcomes and costs a few cosines per bit, not about 2 * 2^n in
 all. A sampled kernel keeps every outcome, as its draw needs the full
-vector. run_circuit is the reference engine: it simulates that circuit
-gate by gate on the full statevector, and only it and its two readouts
-use spinqpe.statevector and spinqpe.iqft.
+vector. kernel_at gives the same K at a few listed outcomes in pure
+Python, for a reader that needs only the decode windows. run_circuit is
+the reference engine: it simulates that circuit gate by gate on the full
+statevector, and only it and its two readouts use spinqpe.statevector and
+spinqpe.iqft.
+
+numpy is imported inside the functions that build or read an array (a
+Histogram, a readout kernel, a draw, the reference engine), never at
+import: a configuration, its bins and windows, kernel_at and the window
+masses need none.
 
 A Histogram holds only its support: the ascending outcomes whose
 probability is above the dust floor, or that were drawn at least once,
@@ -44,16 +51,20 @@ readout locations; the decoded masses equal the squared overlaps of the
 prepared target state with the axis eigenvectors.
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass, field
 from numbers import Integral
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ConfigurationError
 from .gates import Axis, RotationSpec, axis_eigenvectors, hadamard, require_gate, rotation_power
 from .iqft import build_iqft, apply_iqft
 from .statevector import StateVector, apply_controlled, apply_single, new_state, probabilities
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_COUNTING_QUBITS = 16
 
@@ -117,6 +128,8 @@ class Histogram:
     seed: int | None = None
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         if not (is_integer(self.num_bits) and 0 <= self.num_bits <= MAX_HISTOGRAM_BITS):
             raise ValueError(
                 f"num_bits must be an integer in [0, {MAX_HISTOGRAM_BITS}], "
@@ -231,10 +244,10 @@ class QpeConfig:
 
     target_prep is the gate sequence applied to the target qubit starting
     from |0>, first element first. Each gate is checked once, here, to be
-    a finite unitary 2x2 and stored as a read-only complex128 copy, so
-    changing the caller's array later changes no run. A bad field raises
-    ConfigurationError (a bad gate, ValueError) at construction, and the
-    config is frozen.
+    a finite unitary 2x2 and stored as the Gate tuple require_gate makes
+    of it, so changing the caller's array later changes no run. A bad
+    field raises ConfigurationError (a bad gate, ValueError) at
+    construction, and the config is frozen.
     """
 
     run: RunSettings = RunSettings()
@@ -250,14 +263,7 @@ class QpeConfig:
             raise ConfigurationError(
                 f"auxiliary angle {self.aux.angle!r} overflows its controlled powers"
             )
-        object.__setattr__(self, "target_prep", tuple(map(_frozen_gate, self.target_prep)))
-
-
-def _frozen_gate(gate) -> np.ndarray:
-    """A read-only complex128 copy of a checked 2x2 unitary."""
-    gate = require_gate(gate).copy()
-    gate.flags.writeable = False
-    return gate
+        object.__setattr__(self, "target_prep", tuple(map(require_gate, self.target_prep)))
 
 
 @dataclass(frozen=True)
@@ -275,6 +281,21 @@ class ExpectedBins:
         """Bins a decode window reaches to either side of its bin: 0 when
         dyadic-exact, LEAKY_WINDOW otherwise."""
         return 0 if self.dyadic_exact else LEAKY_WINDOW
+
+    def windows(self) -> tuple[set, set]:
+        """The decode windows around m_plus and m_minus: each reaches
+        `window` bins to either side of its bin, cyclic. Two windows that
+        overlap raise ConfigurationError."""
+        size, window = 1 << self.num_bits, self.window
+        plus = {(self.m_plus + d) % size for d in range(-window, window + 1)}
+        minus = {(self.m_minus + d) % size for d in range(-window, window + 1)}
+        if plus & minus:
+            raise ConfigurationError(
+                f"decode windows around bins {self.m_plus} and {self.m_minus} "
+                f"overlap (window={window}); the two eigencomponents are not "
+                "separable in this configuration"
+            )
+        return plus, minus
 
 
 @dataclass(frozen=True)
@@ -329,6 +350,8 @@ def _at_mirror(values: np.ndarray, holds_zero: bool) -> np.ndarray:
     """`values` over the outcomes -m mod 2^n, for m running over ascending
     outcomes closed under m -> -m, with 0 among them or not. On such a
     set, m -> -m fixes 0 and reverses the order of the others."""
+    import numpy as np
+
     if not holds_zero:
         return values[::-1]
     return np.concatenate((values[:1], values[:0:-1]))
@@ -366,6 +389,8 @@ def readout_kernel(n: int, angle: float, mode: str) -> ReadoutKernel:
     that width, angle and mode (run_qpe's `kernel`). It is read-only, so
     no run can change a shared one.
     """
+    import numpy as np
+
     cut = _CUTS[mode]
     kernel, bins = np.ones(1), np.zeros(1)  # the outcomes kept, as floats until the end
     for l in range(n - 1, -1, -1):
@@ -389,14 +414,39 @@ def readout_kernel(n: int, angle: float, mode: str) -> ReadoutKernel:
     return ReadoutKernel(n, angle, mode, kernel, bins)
 
 
+def kernel_at(n: int, angle: float, bins) -> list:
+    """readout_kernel's K(m) at each outcome m of `bins`, as Python floats,
+    with no array and no numpy.
+
+    Each value is made by readout_kernel's float operations in its order,
+    with math.cos for np.cos, so it equals that kernel's value at every
+    outcome the kernel keeps, bit for bit, wherever the two cosines agree;
+    at an outcome an exact kernel drops, it is at or below that kernel's
+    cut. A decode window lists a few outcomes, so this costs n cosines
+    each where readout_kernel costs about 2^(n+1) at a leaky angle.
+    """
+    levels = []  # (span, phase step, reduced phase) from the top bit down
+    for l in range(n - 1, -1, -1):
+        c = math.ldexp(angle, l - 2)
+        span = 1 << (n - l)
+        levels.append((span, -math.pi / span, math.atan2(math.sin(c), math.cos(c))))
+    values = []
+    for m in bins:
+        k = 1.0
+        for span, step, phi in levels:
+            factor = math.cos(float(m % span) * step + phi)
+            k = factor * factor * k
+        values.append(k)
+    return values
+
+
 def _target_overlaps(config: QpeConfig) -> tuple[float, float]:
     """(|<+axis|t>|^2, |<-axis|t>|^2) for the target t = prep applied to |0>."""
     t0, t1 = 1.0 + 0j, 0j
-    for gate in config.target_prep:
-        (g00, g01), (g10, g11) = gate.tolist()
+    for (g00, g01), (g10, g11) in config.target_prep:
         t0, t1 = g00 * t0 + g01 * t1, g10 * t0 + g11 * t1
-    bras = (v.conj().tolist() for v in axis_eigenvectors(config.aux.axis))
-    return tuple(abs(b0 * t0 + b1 * t1) ** 2 for b0, b1 in bras)
+    return tuple(abs(b0.conjugate() * t0 + b1.conjugate() * t1) ** 2
+                 for b0, b1 in axis_eigenvectors(config.aux.axis))
 
 
 def _width(probs: np.ndarray) -> int:
@@ -413,6 +463,8 @@ def _held(values: np.ndarray, floor, bins: np.ndarray | None = None) -> tuple:
     """(outcomes, weights): the entries of `values` not at or below
     `floor` and their outcomes, entry i being outcome bins[i], or i when
     bins is None. A NaN is held, so the Histogram refuses it."""
+    import numpy as np
+
     kept = np.flatnonzero(~(values <= floor))
     return kept if bins is None else bins[kept], values[kept]
 
@@ -431,6 +483,8 @@ def sample_probabilities(probs: np.ndarray, shots: int, seed: int) -> Histogram:
     identical histograms, which hold the outcomes drawn at least once.
     Kept single-threaded so the draw sequence stays deterministic.
     """
+    import numpy as np
+
     n = _width(probs)
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
@@ -505,15 +559,16 @@ def sample(state: StateVector, qubits, shots: int, seed: int) -> Histogram:
     return sample_probabilities(probabilities(state, qubits), shots, seed)
 
 
-def _window_mass(hist: Histogram, window: set) -> float:
-    """The window's probabilities added left to right in set iteration
-    order, at most 1. Records pin the decoded masses to the last bit, and
-    adding in ascending order, or compensated as `math.fsum` and the float
-    `sum()` of Python 3.12+ do, can change it. A sampled window that holds
-    every shot adds count/shots ratios that are each rounded, so their sum
-    can round above 1; the window's exact mass is then 1."""
+def window_mass(values) -> float:
+    """A window's probabilities `values`, listed in the iteration order of
+    its set (ExpectedBins.windows), added left to right, at most 1.
+    Records pin the decoded masses to the last bit, and adding in
+    ascending order, or compensated as `math.fsum` and the float `sum()`
+    of Python 3.12+ do, can change it. A sampled window that holds every
+    shot adds count/shots ratios that are each rounded, so their sum can
+    round above 1; the window's exact mass is then 1."""
     total = 0.0
-    for probability in hist.probabilities(list(window)):
+    for probability in values:
         total += probability
     return min(total, 1.0)
 
@@ -521,9 +576,9 @@ def _window_mass(hist: Histogram, window: set) -> float:
 def decode(hist: Histogram, config: QpeConfig) -> DecodeResult:
     """Total mass around the two expected bins.
 
-    Each window reaches the bins' `window` to either side of its bin,
-    cyclic, and the two windows must not overlap. Coverage below
-    COVERAGE_THRESHOLD is reported as a leakage warning, not an error.
+    The windows are the bins' `windows()`, which must not overlap, and
+    each mass is its window_mass. Coverage below COVERAGE_THRESHOLD is
+    reported as a leakage warning, not an error.
     """
     if hist.num_bits != config.run.counting_qubits:
         raise ConfigurationError(
@@ -531,24 +586,21 @@ def decode(hist: Histogram, config: QpeConfig) -> DecodeResult:
             f"counts {config.run.counting_qubits}"
         )
     bins = expected_bins(config)
-    window = bins.window
-    size = 1 << hist.num_bits
-    window_plus = {(bins.m_plus + d) % size for d in range(-window, window + 1)}
-    window_minus = {(bins.m_minus + d) % size for d in range(-window, window + 1)}
-    if window_plus & window_minus:
-        raise ConfigurationError(
-            f"decode windows around bins {bins.m_plus} and {bins.m_minus} "
-            f"overlap (window={window}); the two eigencomponents are not "
-            "separable in this configuration"
-        )
-    result = DecodeResult(**vars(bins), p_plus=_window_mass(hist, window_plus),
-                          p_minus=_window_mass(hist, window_minus))
-    if result.coverage < COVERAGE_THRESHOLD:
-        result.warnings.append(
-            f"leakage: decoded windows cover {result.coverage:.6f} "
-            f"< threshold {COVERAGE_THRESHOLD}"
-        )
+    plus, minus = bins.windows()
+    result = DecodeResult(**vars(bins),
+                          p_plus=window_mass(hist.probabilities(list(plus))),
+                          p_minus=window_mass(hist.probabilities(list(minus))))
+    result.warnings.extend(leakage_warnings(result.coverage))
     return result
+
+
+def leakage_warnings(coverage: float) -> list:
+    """decode's note on windows that cover less than COVERAGE_THRESHOLD of
+    a readout, or none."""
+    if coverage < COVERAGE_THRESHOLD:
+        return [f"leakage: decoded windows cover {coverage:.6f} "
+                f"< threshold {COVERAGE_THRESHOLD}"]
+    return []
 
 
 def format_binary(outcome: int, num_bits: int) -> str:

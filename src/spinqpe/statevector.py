@@ -14,12 +14,16 @@ threads freely. The numpy kernel is vectorized but sequential-equivalent:
 results are bit-identical to a pair by pair loop.
 """
 
-from dataclasses import dataclass
+from __future__ import annotations
 
-import numpy as np
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import ConfigurationError
-from .gates import require_gate
+from .gates import Gate, require_gate
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_QUBITS = 24
 
@@ -32,6 +36,8 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         if not 1 <= self.num_qubits <= MAX_QUBITS:
             raise ValueError(
                 f"num_qubits must be in [1, {MAX_QUBITS}], got {self.num_qubits}"
@@ -46,11 +52,15 @@ class StateVector:
             raise ValueError("amplitudes contain non-finite values")
 
     def norm(self) -> float:
+        import numpy as np
+
         return float(np.linalg.norm(self.amplitudes))
 
 
 def new_state(num_qubits: int) -> StateVector:
     """The all-zeros register |0...0>."""
+    import numpy as np
+
     if not 1 <= num_qubits <= MAX_QUBITS:
         raise ValueError(f"num_qubits must be in [1, {MAX_QUBITS}], got {num_qubits}")
     amps = np.zeros(1 << num_qubits, dtype=np.complex128)
@@ -66,10 +76,13 @@ def _check_qubit(state: StateVector, qubit: int, role: str = "target") -> None:
         )
 
 
-def _apply_gate(state: StateVector, gate: np.ndarray, control: int | None,
+def _apply_gate(state: StateVector, gate: Gate, control: int | None,
                 target: int) -> StateVector:
     """`gate` on `target`, restricted to where `control` reads 1 unless it
     is None. The target-bit halves are views into the returned copy."""
+    import numpy as np
+
+    (g00, g01), (g10, g11) = gate
     out = state.amplitudes.copy()
     if control is None:
         view, axis = out.reshape(-1, 2, 1 << target), 1
@@ -80,8 +93,7 @@ def _apply_gate(state: StateVector, gate: np.ndarray, control: int | None,
         axis = 1 if target == hi else 2
     b0, b1 = np.moveaxis(view, axis, 0)
     # both new halves are computed before either is written back
-    b0[...], b1[...] = (gate[0, 0] * b0 + gate[0, 1] * b1,
-                        gate[1, 0] * b0 + gate[1, 1] * b1)
+    b0[...], b1[...] = g00 * b0 + g01 * b1, g10 * b0 + g11 * b1
     return StateVector(state.num_qubits, out)
 
 
@@ -113,6 +125,8 @@ def probabilities(state: StateVector, qubits) -> np.ndarray:
     index; the result has length 2**len(qubits) and sums to the state's
     squared norm (1 for normalized states).
     """
+    import numpy as np
+
     qubits = list(qubits)
     if not qubits:
         raise ConfigurationError("at least one qubit must be measured")

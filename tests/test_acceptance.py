@@ -179,7 +179,7 @@ def test_criterion_6_iqft_dense_equivalence():
 def test_criterion_7_single_segment_phase():
     etas = np.linspace(-PI + 1e-6, PI - 1e-6, 100)
     values = [sq.path1_phase(float(eta)) for eta in etas]
-    overlaps = [sq.rx(-float(eta))[0, 0] for eta in etas]
+    overlaps = [sq.rx(-float(eta))[0][0] for eta in etas]
     ok = all(v == 0.0 for v in values) and all(abs(o.imag) <= 1e-15 for o in overlaps)
     report("criterion 7: single-segment overlap argument identically zero", ok,
            f"max |arg|={max(abs(v) for v in values):.1e}")
@@ -218,12 +218,13 @@ def test_criterion_8_invariant_suites():
     # eigenvalue conventions for both axes
     conv_ok = True
     for builder, axis in ((sq.rx, sq.Axis.X), (sq.ry, sq.Axis.Y)):
-        plus, minus = sq.axis_eigenvectors(axis)
+        plus, minus = map(np.array, sq.axis_eigenvectors(axis))
         for theta in np.linspace(-2 * PI, 2 * PI, 25):
+            gate = np.array(builder(theta))
             conv_ok &= bool(np.abs(
-                builder(theta) @ plus - np.exp(-0.5j * theta) * plus).max() <= 1e-12)
+                gate @ plus - np.exp(-0.5j * theta) * plus).max() <= 1e-12)
             conv_ok &= bool(np.abs(
-                builder(theta) @ minus - np.exp(+0.5j * theta) * minus).max() <= 1e-12)
+                gate @ minus - np.exp(+0.5j * theta) * minus).max() <= 1e-12)
 
     ok = norm_ok and aux_ok and det_ok and conv_ok
     report("criterion 8: norm / aux-irrelevance / determinism / conventions", ok,

@@ -194,25 +194,25 @@ class TestSweep:
         assert float(rows[0]["C2"]) == pytest.approx(C2, abs=1e-12)
 
     @pytest.mark.parametrize("n", [4, 10])
-    def test_one_kernel_per_invocation(self, capsys, monkeypatch, n):
-        """Every grid point runs at one width and angle, so the sweep
-        builds its readout kernel once and its CSV is unchanged by it."""
-        code, before, _ = run(capsys, "sweep", "--eta-range", "0.2:1.3",
-                              "--delta-range=-1.3:1.3", "--steps", "4", "--n", str(n))
+    def test_builds_no_kernel_and_no_histogram(self, capsys, monkeypatch, n):
+        """A sweep reads only the decode windows: it calls neither
+        readout_kernel nor Histogram, and its CSV is unchanged by that."""
+        argv = ("sweep", "--eta-range", "0.2:1.3", "--delta-range=-1.3:1.3",
+                "--steps", "4", "--n", str(n))
+        code, before, _ = run(capsys, *argv)
         assert code == 0
         calls = []
-        build = qpe.readout_kernel
 
-        def counted(*args):
+        def refused(*args, **kwargs):
             calls.append(args)
-            return build(*args)
+            raise AssertionError("a sweep built a readout kernel or a histogram")
 
         for module in (qpe, extraction, cli):
-            monkeypatch.setattr(module, "readout_kernel", counted)
-        code, after, _ = run(capsys, "sweep", "--eta-range", "0.2:1.3",
-                             "--delta-range=-1.3:1.3", "--steps", "4", "--n", str(n))
+            monkeypatch.setattr(module, "readout_kernel", refused, raising=False)
+            monkeypatch.setattr(module, "Histogram", refused, raising=False)
+        code, after, _ = run(capsys, *argv)
         assert code == 0 and after == before
-        assert calls == [(n, PI / 4, "exact")]
+        assert calls == []
 
     def test_range_outside_half_pi_rejected(self, capsys):
         code, _, err = run(capsys, "sweep", "--eta-range", "0.2:1.6",

@@ -119,6 +119,23 @@ def test_sweep_help_names_the_steps_bound():
     assert f"1 to {MAX_STEPS}" in " ".join(out.split())
 
 
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 3), steps=st.integers(1, 4),
+       ends=st.lists(st.floats(-1.5, 1.5), min_size=4, max_size=4))
+def test_sweep_with_overlapping_windows_exits_3(n, steps, ends):
+    """At n <= 3 the decode windows around pi/4's bins overlap: a sweep
+    exits 3 with the one line the pipeline at its first point writes."""
+    eta_lo, eta_hi, delta_lo, delta_hi = map(repr, ends)
+    code, out, err = invoke(["sweep", f"--eta-range={eta_lo}:{eta_hi}",
+                             f"--delta-range={delta_lo}:{delta_hi}",
+                             "--steps", str(steps), "--n", str(n)])
+    assert_one_error_line(code, out, err)
+    assert code == 3
+    assert "decode windows around bins" in json.loads(err)["error"]["message"]
+    assert err == invoke(["pipeline", f"--eta={eta_lo}", f"--delta={delta_lo}",
+                          "--exact", "--n", str(n)])[2]
+
+
 def test_largest_shot_count_is_sampled():
     record = record_of(["qpev", "--eta", "pi/3", "--n", "4",
                         "--shots", "9223372036854775807", "--seed", "0"])

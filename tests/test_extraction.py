@@ -32,6 +32,7 @@ from spinqpe import (
     theta_from_estimates,
     total_phase,
 )
+from spinqpe.extraction import window_sweep
 
 from histograms import identical
 
@@ -309,27 +310,32 @@ class TestSharedKernel:
         assert {angle for _, angle, _ in calls} == {PI / 4, aux_h}
         assert {(n, mode) for n, _, mode in calls} == {(8, run.mode)}
 
-    @pytest.mark.parametrize("shots", [None, 1000])
-    @pytest.mark.parametrize("aux", [PI / 4, 1.0], ids=["dyadic", "leaky"])
-    def test_passed_kernel_gives_the_same_result(self, monkeypatch, shots, aux):
-        params, run = PathParams(0.4, -0.7), RunSettings(8, shots, 3)
-        kernel = qpe.readout_kernel(8, aux, run.mode)
-        own = full_pipeline(params, run, aux, aux)
-        calls = count_kernel_builds(monkeypatch)
-        shared = full_pipeline(params, run, aux, aux, kernel=kernel)
-        assert calls == []
-        for got, want in ((shared.hist_v, own.hist_v), (shared.hist_h, own.hist_h)):
-            assert identical(got, want)
-        assert (shared.decode_v, shared.decode_h) == (own.decode_v, own.decode_h)
-        assert shared.theta_est == own.theta_est
 
-    @pytest.mark.parametrize("n, angle, mode", [(7, PI / 4, "exact"), (8, PI / 2, "exact"),
-                                                (8, PI / 4, "sampled")],
-                             ids=["width", "angle", "mode"])
-    def test_kernel_for_another_run_refused(self, n, angle, mode):
-        with pytest.raises(ConfigurationError, match="kernel"):
-            full_pipeline(PathParams(0.4, -0.7), RunSettings(8), PI / 4, PI / 4,
-                          kernel=qpe.readout_kernel(n, angle, mode))
+class TestWindowSweep:
+    """window_sweep reads the decode windows alone and makes, at every
+    point, the estimates full_pipeline makes from whole histograms."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), n=st.integers(4, 16),
+           points=st.lists(st.tuples(st.floats(-PI, PI), st.floats(-PI, PI)),
+                           min_size=1, max_size=4))
+    def test_estimates_equal_full_pipeline(self, data, n, points):
+        aux = data.draw(pipeline_auxes(n))[0]
+        points = [PathParams(eta, delta) for eta, delta in points]
+        swept = window_sweep(points, n, aux)
+        for params in points:
+            try:
+                want = full_pipeline(params, RunSettings(n), aux, aux)
+            except ConfigurationError as err:  # the sweep stops where the pipeline does
+                with pytest.raises(type(err)) as refused:
+                    next(swept)
+                assert str(refused.value) == str(err)
+                return
+            got = next(swept)
+            assert (got["theta_est"], got["residual_theta"]) == (
+                want.theta_est, want.residual_theta)
+            assert got == {key: getattr(want, key) for key in got}
+        assert next(swept, None) is None
 
 
 def count_kernel_builds(monkeypatch) -> list:

@@ -2,9 +2,16 @@
 __init__ is exempt: it imports names only to re-export them.
 
 The gate-level reference engine is a leaf: no product module imports it,
-and the package does not export it."""
+and the package does not export it.
+
+No module imports numpy when it is imported, only inside the functions
+that build or read an array, so a sweep or an analytic record never
+loads it."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -128,3 +135,57 @@ def test_package_does_not_export_the_reference_engine():
     exported = [name for name in UNEXPORTED
                 if name in spinqpe.__all__ or hasattr(spinqpe, name)]
     assert exported == []
+
+
+def top_level_imports(tree: ast.Module) -> set:
+    """The top-level module names that `tree` imports when it runs: at
+    module level, outside functions, classes and `if TYPE_CHECKING:`."""
+    found = set()
+    pending = list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            pending.extend(node.orelse)
+            continue
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+        pending.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_checker_finds_top_level_imports():
+    source = ("import os.path\nfrom json import dumps\nfrom . import gates\n"
+              "from typing import TYPE_CHECKING\n"
+              "if TYPE_CHECKING:\n    import numpy as np\n"
+              "try:\n    import csv\nexcept ImportError:\n    pass\n"
+              "def f():\n    import numpy\n"
+              "class C:\n    import math\n")
+    assert top_level_imports(ast.parse(source)) == {"os", "json", "typing", "csv"}
+
+
+@pytest.mark.parametrize("path", sorted(Path(spinqpe.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_module_imports_no_numpy_at_import(path):
+    assert "numpy" not in top_level_imports(ast.parse(path.read_text(encoding="utf-8")))
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--eta-range", "0.2:1.3", "--delta-range=-1.3:1.3", "--steps", "3", "--n", "10"],
+    ["analytic", "--eta", "pi/3", "--delta", "pi/3"],
+], ids=["sweep", "analytic"])
+def test_command_never_loads_numpy(argv):
+    """In a fresh interpreter, the command runs and exits 0 with numpy
+    never imported."""
+    code = ("import sys, io, contextlib\n"
+            "from spinqpe.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = main({argv!r})\n"
+            "print(code, 'numpy' in sys.modules)\n")
+    src = str(Path(spinqpe.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout.split() == ["0", "False"], done.stderr

@@ -30,7 +30,7 @@ E0 = np.array([1.0, 0.0], dtype=complex)
 
 def evolve(eta: float, delta: float) -> np.ndarray:
     """Matrix-product oracle for the two-segment evolution."""
-    return ry(delta) @ rx(-eta) @ E0
+    return np.array(ry(delta)) @ np.array(rx(-eta)) @ E0
 
 
 #: angles within 1e-6 of a multiple of pi, where S + C, Re <0|psi2> or the
@@ -93,7 +93,7 @@ class TestPsi1:
         rng = np.random.default_rng(41)
         for eta in rng.uniform(-PI, PI, 200):
             np.testing.assert_allclose(
-                psi1(eta), rx(-eta) @ E0, atol=1e-12)
+                psi1(eta), np.array(rx(-eta)) @ E0, atol=1e-12)
 
 
 class TestPsi2:
@@ -130,13 +130,13 @@ class TestPsi2:
 
     def test_segments_do_not_commute(self):
         forward = evolve(PI / 3, PI / 3)
-        swapped = rx(-PI / 3) @ ry(PI / 3) @ E0
+        swapped = np.array(rx(-PI / 3)) @ np.array(ry(PI / 3)) @ E0
         assert np.abs(forward - swapped).max() > 1e-6
         # either angle at zero restores commutation
         np.testing.assert_allclose(
-            evolve(0.0, 0.7), rx(0.0) @ ry(0.7) @ E0, atol=1e-15)
+            evolve(0.0, 0.7), np.array(rx(0.0)) @ np.array(ry(0.7)) @ E0, atol=1e-15)
         np.testing.assert_allclose(
-            evolve(0.7, 0.0), rx(-0.7) @ ry(0.0) @ E0, atol=1e-15)
+            evolve(0.7, 0.0), np.array(rx(-0.7)) @ np.array(ry(0.0)) @ E0, atol=1e-15)
 
 
 class TestAmplitudesAB:

@@ -29,6 +29,7 @@ from spinqpe.qpe import (
     PROBABILITY_FLOOR,
     _target_overlaps,
     histogram_from_probabilities,
+    kernel_at,
     readout_kernel,
     run_circuit,
     sample_probabilities,
@@ -61,7 +62,7 @@ def qpeh_config(eta=PI / 3, delta=PI / 3, aux=PI / 4, n=10, **kw):
 def prep_vector(gates) -> np.ndarray:
     v = np.array([1.0, 0.0], dtype=complex)
     for g in gates:
-        v = g @ v
+        v = np.array(g) @ v
     return v
 
 
@@ -230,7 +231,7 @@ class TestRunQpe:
         base = run_qpe(qpev_config())
         phased = run_qpe(QpeConfig(
             aux=RotationSpec(Axis.Y, PI / 4),
-            target_prep=(np.exp(0.7j) * rx(-PI / 3),),
+            target_prep=(np.exp(0.7j) * np.array(rx(-PI / 3)),),
         ))
         np.testing.assert_allclose(dense(phased), dense(base), rtol=0, atol=1e-12)
 
@@ -272,7 +273,8 @@ class TestRunQpe:
             assert identical(run_qpe(config), run_circuit(config))
 
     @pytest.mark.parametrize("engine", [run_qpe, run_circuit])
-    @pytest.mark.parametrize("gate", [2 * rx(0.3), np.full((2, 2), np.nan), np.eye(3)],
+    @pytest.mark.parametrize("gate",
+                             [2 * np.array(rx(0.3)), np.full((2, 2), np.nan), np.eye(3)],
                              ids=["non-unitary", "non-finite", "not-2x2"])
     def test_bad_prep_gate_refused(self, engine, gate):
         with pytest.raises(ValueError, match="^gate "):
@@ -482,13 +484,13 @@ class TestQpeConfig:
         gate = np.array(rx(-PI / 3), dtype=np.complex128)
         config = QpeConfig(RunSettings(6, shots, 3), RotationSpec(Axis.Y, 1.0), (gate, ry(0.4)))
         before = (run_qpe(config), run_circuit(config), decode(run_qpe(config), config))
-        gate[...] = 2 * rx(0.3)
+        gate[...] = 2 * np.array(rx(0.3))
         after = (run_qpe(config), run_circuit(config), decode(run_qpe(config), config))
         assert identical(after[0], before[0])
         assert identical(after[1], before[1])
         assert after[2] == before[2]
-        assert all(not g.flags.writeable for g in config.target_prep)
-        assert all(g.dtype == np.complex128 for g in config.target_prep)
+        assert all(type(g) is tuple and all(type(row) is tuple for row in g)
+                   for g in config.target_prep)
 
     def test_sampling_determinism(self):
         config = qpev_config(shots=2000, seed=99)
@@ -602,6 +604,39 @@ class TestSharedKernel:
     def test_wrong_kernel_refused(self, kernel):
         with pytest.raises(ConfigurationError, match="kernel"):
             run_qpe(qpev_config(n=6), kernel=kernel)
+
+
+class TestKernelAt:
+    """kernel_at is readout_kernel at a few outcomes, in pure Python."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), n=st.integers(1, 16), mode=st.sampled_from(["exact", "sampled"]))
+    def test_values_are_the_kernel_bit_for_bit(self, data, n, mode):
+        """Equal to readout_kernel at every outcome it keeps, and at or
+        below the mode's cut at every outcome it drops. Every outcome is
+        checked up to n = 8; above, the kept ones around both expected
+        bins and any others drawn."""
+        aux = data.draw(kernel_angles(n))
+        kernel = readout_kernel(n, aux, mode)
+        size = 1 << n
+        if n <= 8:
+            outcomes = list(range(size))
+        else:
+            bins = expected_bins(QpeConfig(RunSettings(n), RotationSpec(Axis.Y, aux)))
+            outcomes = [(m + d) % size for m in (bins.m_plus, bins.m_minus)
+                        for d in range(-3, 4)]
+            outcomes += data.draw(st.lists(st.integers(0, size - 1), max_size=40))
+        kept = dict(zip(kernel.bins.tolist(), kernel.values.tolist()))
+        values = kernel_at(n, aux, outcomes)
+        assert all(type(value) is float for value in values)
+        for m, value in zip(outcomes, values):
+            if m in kept:
+                assert value == kept[m], m
+            else:
+                assert value <= CUTS[mode], m
+
+    def test_lists_no_outcome(self):
+        assert kernel_at(10, PI / 4, []) == []
 
 
 class TestKeptOutcomes:

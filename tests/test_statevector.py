@@ -173,7 +173,8 @@ def gate_cases(draw):
     n = draw(st.integers(2, 6))
     control = draw(st.integers(0, n - 1))
     target = draw(st.integers(0, n - 1).filter(lambda q: q != control))
-    gate = rx(draw(_ANGLE)) @ ry(draw(_ANGLE)) @ phase(draw(_ANGLE))
+    rx_, ry_, phase_ = rx(draw(_ANGLE)), ry(draw(_ANGLE)), phase(draw(_ANGLE))
+    gate = np.array(rx_) @ np.array(ry_) @ np.array(phase_)
     state = random_state(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
     return n, control, target, gate, state
 
@@ -473,7 +474,7 @@ class TestInvariants:
         for _ in range(30):
             n = 4
             s = random_state(rng, n)
-            gate = rx(rng.uniform(-2 * math.pi, 2 * math.pi))
+            gate = np.array(rx(rng.uniform(-2 * math.pi, 2 * math.pi)))
             target = int(rng.integers(n))
             back = apply_single(apply_single(s, gate, target),
                                 gate.conj().T, target)
