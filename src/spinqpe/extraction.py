@@ -12,7 +12,8 @@ sin(delta) only fixes delta up to the reflection delta <-> pi - delta, so
 the caller picks a branch explicitly; "principal" (delta = asin(...))
 covers |delta| <= pi/2.
 
-full_pipeline runs both circuits and decodes their histograms.
+full_pipeline runs both circuits and decodes their histograms; the two
+runs share one cached readout kernel when their angles are equal.
 window_sweep reads the same window masses at many (eta, delta) points of
 one width and auxiliary angle from the readout kernel's values at the
 window outcomes alone: no histogram, and no numpy. Both hand the masses
@@ -32,7 +33,7 @@ from .gates import Axis, RotationSpec, rx, ry
 from .precession import AmplitudePair, PathParams, TotalPhase, total_phase, wrap_angle
 from .qpe import (PROBABILITY_FLOOR, DecodeResult, Histogram, QpeConfig, RunSettings,
                   _target_overlaps, decode, expected_bins, kernel_at, leakage_warnings,
-                  readout_kernel, run_qpe, window_mass)
+                  run_qpe, window_mass)
 
 BRANCHES = ("principal", "reflected")
 
@@ -138,23 +139,16 @@ def full_pipeline(
     auxiliary about Y by aux_v on the target rx(-eta)|0>, the horizontal
     run about X by aux_h on ry(delta) rx(-eta)|0>; both configs are
     checked by QpeConfig, which refuses a `run` that is not a
-    RunSettings. The readout kernel depends only on the width, the angle
-    and the run mode, so it is built once per distinct angle: one shared,
-    read-only kernel when aux_h == aux_v (the default), two otherwise.
-    Both readouts are decoded with decode's window and coverage
-    threshold; the warnings of decoding, clamping and the closed form are
-    collected into the result's `warnings`.
+    RunSettings. Both readouts are decoded with decode's window and
+    coverage threshold; the warnings of decoding, clamping and the closed
+    form are collected into the result's `warnings`.
     """
     if branch not in BRANCHES:
         raise ConfigurationError(f"branch must be one of {BRANCHES}, got {branch!r}")
 
     config_v, config_h = _configs(params, run, aux_v, aux_h)
 
-    kernel = readout_kernel(run.counting_qubits, aux_v, run.mode)
-    hist_v = run_qpe(config_v, kernel=kernel)
-    if aux_h != aux_v:
-        kernel = readout_kernel(run.counting_qubits, aux_h, run.mode)
-    hist_h = run_qpe(config_h, kernel=kernel)
+    hist_v, hist_h = run_qpe(config_v), run_qpe(config_h)
     decode_v = decode(hist_v, config_v)
     decode_h = decode(hist_h, config_h)
 

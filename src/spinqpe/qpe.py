@@ -19,11 +19,13 @@ at or below the dust cut, where the exact histogram would set the pair's
 probabilities to 0. A dyadic angle, whose readout fills two bins, keeps
 at most two outcomes and costs a few cosines per bit, not about 2 * 2^n in
 all. A sampled kernel keeps every outcome, as its draw needs the full
-vector. kernel_at gives the same K at a few listed outcomes in pure
-Python, for a reader that needs only the decode windows. run_circuit is
-the reference engine: it simulates that circuit gate by gate on the full
-statevector, and only it and its two readouts use spinqpe.statevector and
-spinqpe.iqft.
+vector. K depends only on the width, the angle and the mode, so a
+process builds it once per (width, angle, mode) and keeps the last two
+it built, read-only, for the runs that repeat them. kernel_at gives the
+same K at a few listed outcomes in pure Python, for a reader that needs
+only the decode windows. run_circuit is the reference engine: it
+simulates that circuit gate by gate on the full statevector, and only it
+and its two readouts use spinqpe.statevector and spinqpe.iqft.
 
 numpy is imported inside the functions that build or read an array (a
 Histogram, a readout kernel, a draw, the reference engine), never at
@@ -53,6 +55,7 @@ prepared target state with the axis eigenvectors.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from numbers import Integral
@@ -111,14 +114,14 @@ class Histogram:
 
     `outcomes` is a strictly ascending, nonempty int64 array of outcomes in
     [0, 2**num_bits) and `weights` the value at each; every other outcome
-    reads 0. In exact mode (total_shots == 0) the weights are the outcome
-    probabilities as floats, and seed is None; the readouts hold none at
-    or below PROBABILITY_FLOOR.
-    In sampled mode they are the int64 counts of `total_shots` draws made
-    with `seed`, an integer >= 0 that reproduces them. A bool counts as no
-    integer. Every rule is checked at construction, and a histogram is
-    frozen: both arrays are read-only copies, so changing the caller's
-    arrays later changes no histogram.
+    reads 0. `total_shots` is an integer >= 0. In exact mode
+    (total_shots == 0) the weights are the outcome probabilities as
+    floats, and seed is None; the readouts hold none at or below
+    PROBABILITY_FLOOR. In sampled mode they are the int64 counts of
+    `total_shots` draws made with `seed`, an integer >= 0 that reproduces
+    them. A bool counts as no integer. Every rule is checked at
+    construction, and a histogram is frozen: both arrays are read-only
+    copies, so changing the caller's arrays later changes no histogram.
     """
 
     num_bits: int
@@ -149,8 +152,10 @@ class Histogram:
             raise ValueError("outcomes must be strictly ascending")
         if not weights.min() > 0:  # a NaN fails as well
             raise ValueError("a histogram weight is not positive")
-        if isinstance(self.total_shots, bool):
-            raise ValueError(f"total_shots must be an integer, got {self.total_shots!r}")
+        if not (is_integer(self.total_shots) and self.total_shots >= 0):
+            raise ValueError(
+                f"total_shots must be an integer >= 0, got {self.total_shots!r}"
+            )
         if self.total_shots:
             if weights.dtype.kind not in "iu":
                 raise ValueError(
@@ -330,18 +335,15 @@ def expected_bins(config: QpeConfig) -> ExpectedBins:
 
 @dataclass(frozen=True, eq=False)
 class ReadoutKernel:
-    """readout_kernel's K for one register width, angle and run mode.
+    """readout_kernel's K for one register width n, angle and run mode.
 
     `values` holds K(m) for each outcome m of `bins`, which always lists
     the outcomes kept: an ascending int64 array closed under
-    m -> -m mod 2^num_bits, arange(2^num_bits) when none was dropped, as
-    in every sampled kernel. Each outcome left out has K(m) and K(-m) at
-    or below the mode's cut. Both arrays are read-only.
+    m -> -m mod 2^n, arange(2^n) when none was dropped, as in every
+    sampled kernel. Each outcome left out has K(m) and K(-m) at or below
+    the mode's cut. Both arrays are read-only.
     """
 
-    num_bits: int
-    angle: float
-    mode: str
     values: np.ndarray
     bins: np.ndarray
 
@@ -357,6 +359,7 @@ def _at_mirror(values: np.ndarray, holds_zero: bool) -> np.ndarray:
     return np.concatenate((values[:1], values[:0:-1]))
 
 
+@functools.lru_cache(maxsize=2)
 def readout_kernel(n: int, angle: float, mode: str) -> ReadoutKernel:
     """Counting-register distribution of the |-axis> eigencomponent of an
     `angle` rotation, K(m) for the outcomes m in [0, 2^n) that a run in
@@ -386,8 +389,12 @@ def readout_kernel(n: int, angle: float, mode: str) -> ReadoutKernel:
 
     K depends only on n and the angle, and the outcomes kept also on the
     mode, not on the axis or the target, so one kernel serves every run of
-    that width, angle and mode (run_qpe's `kernel`). It is read-only, so
-    no run can change a shared one.
+    that width, angle and mode: a process builds it once and keeps the
+    last two, the most one request needs (a pipeline's two angles). An
+    unbounded cache would keep one kernel per angle ever asked for. -0.0
+    and 0.0 are one key; their kernels are bit for bit the same, as
+    cos^2 is even. A kernel is read-only, so no run can change a shared
+    one.
     """
     import numpy as np
 
@@ -411,7 +418,7 @@ def readout_kernel(n: int, angle: float, mode: str) -> ReadoutKernel:
     bins = bins.astype(np.int64)
     for array in (kernel, bins):
         array.flags.writeable = False
-    return ReadoutKernel(n, angle, mode, kernel, bins)
+    return ReadoutKernel(kernel, bins)
 
 
 def kernel_at(n: int, angle: float, bins) -> list:
@@ -493,7 +500,7 @@ def sample_probabilities(probs: np.ndarray, shots: int, seed: int) -> Histogram:
     return Histogram(n, *_held(counts, 0), total_shots=shots, seed=seed)
 
 
-def run_qpe(config: QpeConfig, *, kernel: ReadoutKernel | None = None) -> Histogram:
+def run_qpe(config: QpeConfig) -> Histogram:
     """The counting-register readout (exact probabilities or a seeded
     sample) of the estimation circuit, from the target's two eigen-overlaps
     and readout_kernel: P(m) = w_minus K(m) + w_plus K(-m mod 2^n).
@@ -504,22 +511,13 @@ def run_qpe(config: QpeConfig, *, kernel: ReadoutKernel | None = None) -> Histog
     the kept outcomes above the floor, equals the one read from the full
     kernel, byte for byte. A sampled kernel keeps all 2^n outcomes, so its
     P is the full vector the seed contract draws from, and the histogram
-    holds the outcomes drawn.
-
-    `kernel` is readout_kernel(n, config.aux.angle, config.run.mode),
-    built here when None. It depends only on the width, the angle and the
-    mode, so runs that share all three may share one kernel; it is only
-    read. A kernel built for another width, angle or mode, or anything
-    else, raises ConfigurationError.
+    holds the outcomes drawn. Runs of one width, angle and mode read one
+    cached kernel, which they only read. The angle is keyed as the float
+    the kernel reads, so an angle that is no hashable float (a 0-d array,
+    say) still runs.
     """
-    n, angle, mode = config.run.counting_qubits, config.aux.angle, config.run.mode
-    if kernel is None:
-        kernel = readout_kernel(n, angle, mode)
-    elif not (isinstance(kernel, ReadoutKernel)
-              and (kernel.num_bits, kernel.angle, kernel.mode) == (n, angle, mode)):
-        raise ConfigurationError(
-            f"kernel must be readout_kernel({n}, {angle!r}, {mode!r})"
-        )
+    n = config.run.counting_qubits
+    kernel = readout_kernel(n, float(config.aux.angle), config.run.mode)
     w_plus, w_minus = _target_overlaps(config)
     probs = w_minus * kernel.values
     probs += w_plus * _at_mirror(kernel.values, kernel.bins[0] == 0)

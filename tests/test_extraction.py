@@ -7,8 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import spinqpe.extraction as extraction
-import spinqpe.qpe as qpe
 from spinqpe import (
     AmplitudePair,
     Axis,
@@ -33,6 +31,7 @@ from spinqpe import (
     total_phase,
 )
 from spinqpe.extraction import window_sweep
+from spinqpe.qpe import readout_kernel
 
 from histograms import identical
 
@@ -302,13 +301,16 @@ class TestSharedKernel:
 
     @pytest.mark.parametrize("shots", [None, 1000])
     @pytest.mark.parametrize("aux_h, builds", [(PI / 4, 1), (PI / 2, 2), (1.0, 2)])
-    def test_one_kernel_per_distinct_angle(self, monkeypatch, shots, aux_h, builds):
-        calls = count_kernel_builds(monkeypatch)
-        run = RunSettings(8, shots, 3)
-        full_pipeline(PathParams(0.4, -0.7), run, PI / 4, aux_h)
-        assert len(calls) == builds
-        assert {angle for _, angle, _ in calls} == {PI / 4, aux_h}
-        assert {(n, mode) for n, _, mode in calls} == {(8, run.mode)}
+    def test_one_kernel_per_distinct_angle(self, shots, aux_h, builds):
+        """One build per distinct angle, and none for a second identical
+        pipeline, which reads the kernels the first left cached."""
+        args = (PathParams(0.4, -0.7), RunSettings(8, shots, 3), PI / 4, aux_h)
+        first = full_pipeline(*args)
+        assert readout_kernel.cache_info().misses == builds
+        second = full_pipeline(*args)
+        assert readout_kernel.cache_info().misses == builds
+        for got, want in ((second.hist_v, first.hist_v), (second.hist_h, first.hist_h)):
+            assert identical(got, want)
 
 
 class TestWindowSweep:
@@ -336,21 +338,6 @@ class TestWindowSweep:
                 want.theta_est, want.residual_theta)
             assert got == {key: getattr(want, key) for key in got}
         assert next(swept, None) is None
-
-
-def count_kernel_builds(monkeypatch) -> list:
-    """Record (n, angle, mode) of every readout_kernel call the pipeline
-    makes from here on."""
-    calls = []
-    build = qpe.readout_kernel
-
-    def counted(n, angle, mode):
-        calls.append((n, angle, mode))
-        return build(n, angle, mode)
-
-    monkeypatch.setattr(qpe, "readout_kernel", counted)
-    monkeypatch.setattr(extraction, "readout_kernel", counted)
-    return calls
 
 
 def test_exact_dyadic_pipeline_allocates_no_register_vector():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -134,7 +135,7 @@ class TestExpectedBins:
             config = qpev_config(n=n, aux=aux)
         except ConfigurationError:
             assume(False)
-        kernel = dense_kernel(readout_kernel(n, aux, "exact"))
+        kernel = dense_kernel(readout_kernel(n, aux, "exact"), n)
         second, first = np.sort(kernel)[-2:]
         assume(first - second >= 1e-9)
         bins = expected_bins(config)
@@ -513,10 +514,10 @@ def broadcast_kernel(n, angle):
     return kernel
 
 
-def dense_kernel(kernel):
-    """A readout kernel over every outcome: its values at the outcomes it
-    kept and 0 at those it dropped."""
-    full = np.zeros(1 << kernel.num_bits)
+def dense_kernel(kernel, n):
+    """A readout kernel of an n-bit register over every outcome: its
+    values at the outcomes it kept and 0 at those it dropped."""
+    full = np.zeros(1 << n)
     full[kernel.bins] = kernel.values
     return full
 
@@ -547,19 +548,23 @@ def aux_angles(draw, n):
 
 
 class TestSharedKernel:
-    """One readout kernel serves every run of its width, angle and mode."""
+    """One readout kernel serves every run of its width, angle and mode:
+    a process builds it once and keeps the last two, read-only."""
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(data=st.data(), n=st.integers(2, 16), axis=st.sampled_from(Axis),
            prep=st.lists(st.tuples(st.sampled_from([rx, ry]), st.floats(-2 * PI, 2 * PI)),
                          max_size=3),
            sampled=st.booleans(), seed=st.integers(0, 2**32))
-    def test_passed_kernel_gives_the_same_readout(self, data, n, axis, prep, sampled, seed):
+    def test_warm_cache_gives_the_cold_readout(self, data, n, axis, prep, sampled, seed):
         aux = data.draw(aux_angles(n))
         run = RunSettings(n, 10_000, seed) if sampled else RunSettings(n)
         config = QpeConfig(run, RotationSpec(axis, aux), tuple(g(a) for g, a in prep))
-        kernel = readout_kernel(n, aux, run.mode)
-        assert identical(run_qpe(config, kernel=kernel), run_qpe(config))
+        run_qpe(config)
+        warm = run_qpe(config)
+        assert readout_kernel.cache_info().hits >= 1
+        readout_kernel.cache_clear()
+        assert identical(warm, run_qpe(config))
 
     @pytest.mark.parametrize("n", [1, 2, 10, 16])
     @pytest.mark.parametrize("aux", [PI / 4, 0.3, -0.0, 3.3e5])
@@ -571,39 +576,75 @@ class TestSharedKernel:
             assert np.array_equal(kernel.values, reference[kernel.bins])
 
     def test_kernel_is_read_only(self):
+        """Read-only as built, and as a cache hit returns it."""
         dyadic, leaky = readout_kernel(6, PI / 4, "exact"), readout_kernel(6, 1.0, "exact")
+        assert readout_kernel.cache_info().misses == 2
+        hit = readout_kernel(6, 1.0, "exact")
+        assert readout_kernel.cache_info().hits == 1 and hit is leaky
         assert np.array_equal(leaky.bins, np.arange(64)) and dyadic.bins.size == 2
-        for array in (dyadic.values, dyadic.bins, leaky.values, leaky.bins):
+        for array in (dyadic.values, dyadic.bins, hit.values, hit.bins):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 2
-        for kernel in (dyadic, leaky):
+        for kernel in (dyadic, hit):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 kernel.values = np.ones(64)
 
     @pytest.mark.parametrize("shots", [None, 500])
-    def test_run_leaves_a_passed_kernel_unchanged(self, shots):
+    def test_run_leaves_the_cached_kernel_unchanged(self, shots):
         for aux in (1.0, PI / 4):
             config = qpeh_config(n=8, aux=aux, shots=shots, seed=4)
             kernel = readout_kernel(8, aux, config.run.mode)
-            before = dense_kernel(kernel).copy()
-            run_qpe(config, kernel=kernel)
-            assert np.array_equal(dense_kernel(kernel), before)
-            assert not kernel.values.flags.writeable
+            before = dense_kernel(kernel, 8).copy()
+            run_qpe(config)
+            assert readout_kernel(8, aux, config.run.mode) is kernel
+            assert np.array_equal(dense_kernel(kernel, 8), before)
+            assert not (kernel.values.flags.writeable or kernel.bins.flags.writeable)
 
-    @pytest.mark.parametrize("kernel", [
-        readout_kernel(5, PI / 4, "exact"),
-        readout_kernel(7, PI / 4, "exact"),
-        readout_kernel(6, PI / 2, "exact"),
-        readout_kernel(6, PI / 4, "sampled"),
-        broadcast_kernel(6, PI / 4),
-        broadcast_kernel(6, PI / 4).reshape(8, 8),
-        broadcast_kernel(6, PI / 4).astype(np.float32),
-        broadcast_kernel(6, PI / 4).tolist(),
-    ], ids=["2^(n-1)", "2^(n+1)", "angle", "mode", "array", "2-d", "float32", "list"])
-    def test_wrong_kernel_refused(self, kernel):
-        with pytest.raises(ConfigurationError, match="kernel"):
-            run_qpe(qpev_config(n=6), kernel=kernel)
+    def test_cache_is_bounded(self):
+        """A stream of distinct leaky angles, each a new key, keeps at most
+        two kernels: what tracemalloc sees held after 64 runs is within
+        three kernels' bytes of what it sees held after one."""
+        angles = [0.3 + 0.01 * k for k in range(64)]
+        configs = [qpev_config(n=12, aux=aux) for aux in angles]
+        run_qpe(configs[0])  # imports and first-call caches are not the stream's
+        readout_kernel.cache_clear()
+        tracemalloc.start()
+        try:
+            run_qpe(configs[0])
+            after_one = tracemalloc.get_traced_memory()[0]
+            for config in configs[1:]:
+                run_qpe(config)
+            after_all = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        kernel = readout_kernel(12, angles[-1], "exact")
+        assert kernel.bins.size == 1 << 12  # a leaky kernel keeps every outcome
+        assert after_all - after_one <= 3 * (kernel.values.nbytes + kernel.bins.nbytes)
+        info = readout_kernel.cache_info()
+        assert (info.maxsize, info.misses) == (2, 64) and info.currsize <= 2
+
+    @pytest.mark.parametrize("n", [1, 10, 16])
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    @pytest.mark.parametrize("first", [-0.0, 0.0])
+    def test_signed_zeros_share_a_kernel(self, n, mode, first):
+        """-0.0 and 0.0 are one cache key, in either call order, and the
+        kernel either gets is the one a cold build of it makes."""
+        cold = {}  # keyed by repr: -0.0 and 0.0 are one dict key as well
+        for zero in (-0.0, 0.0):
+            readout_kernel.cache_clear()
+            cold[repr(zero)] = readout_kernel(n, zero, mode).values.tobytes()
+        readout_kernel.cache_clear()
+        for zero in (first, -first):
+            assert readout_kernel(n, zero, mode).values.tobytes() == cold[repr(zero)]
+        assert readout_kernel.cache_info().misses == 1
+
+    def test_angle_need_not_be_hashable(self):
+        """run_qpe keys the kernel by the angle as a float, so a 0-d array
+        angle reads what the float angle reads."""
+        array, scalar = (QpeConfig(RunSettings(6), RotationSpec(Axis.Y, angle))
+                         for angle in (np.array(0.3), 0.3))
+        assert identical(run_qpe(array), run_qpe(scalar))
 
 
 class TestKernelAt:
@@ -651,7 +692,6 @@ class TestKeptOutcomes:
         kernel = readout_kernel(n, aux, mode)
         reference = broadcast_kernel(n, aux)
         size = 1 << n
-        assert (kernel.num_bits, kernel.angle, kernel.mode) == (n, aux, mode)
         assert kernel.values.dtype == reference.dtype
         bins = kernel.bins
         assert bins.dtype == np.int64 and 0 < bins.size <= size

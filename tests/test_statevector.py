@@ -312,6 +312,19 @@ class TestHistogram:
         with pytest.raises(ValueError):
             Histogram(1, np.array(outcomes), np.array(weights), total_shots=shots, seed=seed)
 
+    @pytest.mark.parametrize("shots", [10.0, 10.5, np.float64(10), -10],
+                             ids=["float", "fractional", "numpy-float", "negative"])
+    def test_total_shots_must_be_an_integer_at_least_zero(self, shots):
+        """The counts are integer draws of total_shots, so a float shot
+        count is refused even where it is integral, and the error names
+        the field."""
+        with pytest.raises(ValueError, match="total_shots"):
+            Histogram(1, np.array([0]), np.array([10]), total_shots=shots, seed=0)
+
+    def test_numpy_integer_total_shots_accepted(self):
+        hist = Histogram(1, np.array([0]), np.array([10]), total_shots=np.int64(10), seed=0)
+        assert hist.is_sampled and hist.probabilities([0]) == [1.0]
+
     def test_outcome_range_checked(self):
         # an outcome of a 1-bit register is 0 or 1
         for outcome in (-1, 2):
