@@ -15,7 +15,6 @@ import functools
 import json
 import math
 import sys
-from pathlib import Path
 
 from .angles import parse_angle
 from .errors import AngleParseError, ConfigurationError
@@ -205,7 +204,8 @@ def _write(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8", errors="surrogateescape")
+        with open(out, "w", encoding="utf-8", errors="surrogateescape") as file:
+            file.write(text)
 
 
 def _emit(args, **sections) -> int:

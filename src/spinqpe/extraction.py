@@ -21,7 +21,6 @@ to one function that makes the estimates, so the two agree bit for bit.
 """
 
 import math
-from dataclasses import dataclass, field
 
 from .errors import (
     ConfigurationError,
@@ -29,7 +28,7 @@ from .errors import (
     SingularConfigurationError,
     UndefinedPhaseError,
 )
-from .gates import Axis, RotationSpec, rx, ry
+from .gates import Axis, RotationSpec, Value, rx, ry
 from .precession import AmplitudePair, PathParams, TotalPhase, total_phase, wrap_angle
 from .qpe import (PROBABILITY_FLOOR, DecodeResult, Histogram, QpeConfig, RunSettings,
                   _target_overlaps, decode, expected_bins, kernel_at, leakage_warnings,
@@ -103,26 +102,24 @@ def theta_from_estimates(cs: AmplitudePair, delta: float) -> float:
     return math.atan((cs.S - cs.C) / s_plus_c * math.tan(delta / 2.0))
 
 
-@dataclass
-class ExtractionResult:
+class ExtractionResult(Value):
     """The estimates of one pipeline run, with the histograms and decode
     results they came from. The decode results hold each readout's window
-    masses and coverage; phase_analytic.theta is the closed-form phase."""
+    masses and coverage; phase_analytic is the closed-form
+    total_phase(params), and its theta the closed-form phase."""
 
-    C_est: float
-    S_est: float
-    absA_est: float
-    sin_delta_raw: float
-    sin_delta_est: float
-    delta_est: float
-    theta_est: float
-    phase_analytic: TotalPhase  # closed-form total_phase(params)
-    residual_theta: float
-    decode_v: DecodeResult
-    decode_h: DecodeResult
-    hist_v: Histogram
-    hist_h: Histogram
-    warnings: list = field(default_factory=list)
+    __slots__ = ("C_est", "S_est", "absA_est", "sin_delta_raw", "sin_delta_est",
+                 "delta_est", "theta_est", "phase_analytic", "residual_theta",
+                 "decode_v", "decode_h", "hist_v", "hist_h", "warnings")
+
+    def __init__(self, C_est: float, S_est: float, absA_est: float, sin_delta_raw: float,
+                 sin_delta_est: float, delta_est: float, theta_est: float,
+                 phase_analytic: TotalPhase, residual_theta: float, decode_v: DecodeResult,
+                 decode_h: DecodeResult, hist_v: Histogram, hist_h: Histogram,
+                 warnings: list | None = None) -> None:
+        self._set(C_est, S_est, absA_est, sin_delta_raw, sin_delta_est, delta_est, theta_est,
+                  phase_analytic, residual_theta, decode_v, decode_h, hist_v, hist_h,
+                  [] if warnings is None else warnings)
 
 
 def full_pipeline(
@@ -141,7 +138,9 @@ def full_pipeline(
     checked by QpeConfig, which refuses a `run` that is not a
     RunSettings. Both readouts are decoded with decode's window and
     coverage threshold; the warnings of decoding, clamping and the closed
-    form are collected into the result's `warnings`.
+    form are collected into the result's `warnings`. A sampled vertical
+    run that drew no shot in one of its two windows raises
+    SingularConfigurationError naming that window and the shot count.
     """
     if branch not in BRANCHES:
         raise ConfigurationError(f"branch must be one of {BRANCHES}, got {branch!r}")
@@ -151,6 +150,15 @@ def full_pipeline(
     hist_v, hist_h = run_qpe(config_v), run_qpe(config_h)
     decode_v = decode(hist_v, config_v)
     decode_h = decode(hist_h, config_h)
+    if run.shots is not None and (decode_v.p_plus == 0.0) != (decode_v.p_minus == 0.0):
+        # C or S is then 0, so 2*S*C is too, and infer_sin_delta would
+        # blame eta for what can be a window that the shots missed
+        empty = "plus" if decode_v.p_plus == 0.0 else "minus"
+        raise SingularConfigurationError(
+            f"the qpev {empty} window drew 0 of {run.shots} shots, so 2*S*C = 0 and "
+            "sin(delta) cannot be inferred; more shots may fill it (at eta = +-pi/2 "
+            "it stays empty)"
+        )
 
     estimates = _estimates(params, branch, decode_v.p_plus, decode_v.p_minus,
                            decode_h.p_plus, _notes(decode_v.warnings, decode_h.warnings))

@@ -15,11 +15,14 @@ A gate is a 2x2 tuple of rows and a state a length-2 tuple, of Python
 complex numbers: a single-qubit gate is too small for a numpy array to
 pay, and building one needs no numpy import. Each entry is made by the
 same float operations a complex128 array of the gate would hold.
+
+Value and FrozenValue are the bases of the package's value classes, here
+because every module that defines one, the reference engine's included,
+may import this one.
 """
 
 import cmath
 import math
-from dataclasses import dataclass
 from enum import Enum
 from numbers import Number
 
@@ -113,15 +116,69 @@ def require_gate(gate) -> Gate:
     return ((a, b), (c, d))
 
 
-@dataclass(frozen=True)
-class RotationSpec:
+_setattr = object.__setattr__  # a module global: found faster than the builtin
+
+
+class Value:
+    """Base of a value class. A subclass lists its fields in __slots__
+    (_fields puts those of its bases first) and its __init__ sets them
+    with _set. The repr lists every field, and two objects are equal when
+    they are of one class with equal fields. A Value is mutable, so it has
+    no hash; a copy or a pickle is rebuilt through __init__."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields += vars(cls).get("__slots__", ())
+
+    def _set(self, *values) -> None:
+        """Set the fields, in _fields order, past any __setattr__."""
+        for name, value in zip(self._fields, values):
+            _setattr(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None
+
+
+class FrozenValue(Value):
+    """A Value whose fields cannot be assigned or deleted once __init__
+    has set them; equal values hash equal."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
+class RotationSpec(FrozenValue):
     """An axis and a raw angle in radians; the matrix is built from the raw
     angle, never a folded one."""
 
-    axis: Axis
-    angle: float
+    __slots__ = ("axis", "angle")
 
-    def __post_init__(self) -> None:
+    def __init__(self, axis: Axis, angle: float) -> None:
+        self._set(axis, angle)
         if not isinstance(self.axis, Axis):
             raise ValueError(f"axis must be an Axis, got {self.axis!r}")
         if not math.isfinite(self.angle):

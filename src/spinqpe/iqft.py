@@ -13,27 +13,28 @@ Plans are immutable values; execution goes through the statevector kernels
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .errors import ConfigurationError
-from .gates import hadamard, pauli_x, phase
+from .gates import FrozenValue, hadamard, pauli_x, phase
 from .statevector import StateVector, apply_controlled, apply_single
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class PlanStep:
-    kind: str  # "hadamard" | "cphase" | "swap"
-    qubits: tuple[int, ...]
-    angle: float = 0.0
+class PlanStep(FrozenValue):
+    __slots__ = ("kind", "qubits", "angle")
+
+    def __init__(self, kind: str, qubits: tuple[int, ...], angle: float = 0.0) -> None:
+        self._set(kind, qubits, angle)  # kind: "hadamard" | "cphase" | "swap"
 
 
-@dataclass(frozen=True)
-class IqftPlan:
-    ops: tuple[PlanStep, ...]
+class IqftPlan(FrozenValue):
+    __slots__ = ("ops",)
+
+    def __init__(self, ops: tuple[PlanStep, ...]) -> None:
+        self._set(ops)
 
 
 def build_iqft(qubits) -> IqftPlan:

@@ -22,11 +22,12 @@ All functions here are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from collections import namedtuple
 
 from .errors import UndefinedPhaseError
+from .gates import FrozenValue
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import numpy as np
 
@@ -47,21 +48,19 @@ def wrap_angle(x: float) -> float:
     return y
 
 
-@dataclass(frozen=True)
-class PathParams:
+class PathParams(FrozenValue):
     """Precession angles of the two segments, radians. Any finite values
     are accepted; wrap_angle folds one into (-pi, pi]."""
 
-    eta: float
-    delta: float
+    __slots__ = ("eta", "delta")
 
-    def __post_init__(self) -> None:
+    def __init__(self, eta: float, delta: float) -> None:
+        self._set(eta, delta)
         if not (math.isfinite(self.eta) and math.isfinite(self.delta)):
             raise ValueError(f"angles must be finite, got ({self.eta!r}, {self.delta!r})")
 
 
-@dataclass(frozen=True)
-class PhysicalParams:
+class PhysicalParams(FrozenValue):
     """Spin-orbit traversal parameters for one segment.
 
     alpha: coupling constant (energy * length), k: carrier momentum
@@ -71,10 +70,10 @@ class PhysicalParams:
     omega * t.
     """
 
-    alpha: float
-    k: float
-    t: float
-    hbar: float = HBAR
+    __slots__ = ("alpha", "k", "t", "hbar")
+
+    def __init__(self, alpha: float, k: float, t: float, hbar: float = HBAR) -> None:
+        self._set(alpha, k, t, hbar)
 
     @property
     def omega(self) -> float:
@@ -104,28 +103,24 @@ def time_for_angle(angle: float, params: PhysicalParams) -> float:
     return angle / params.omega
 
 
-@dataclass(frozen=True)
-class AmplitudePair:
+class AmplitudePair(FrozenValue):
     """y-basis amplitudes after segment 1: C on |+y>, S on |-y>."""
 
-    C: float
-    S: float
+    __slots__ = ("C", "S")
 
-    def __post_init__(self) -> None:
+    def __init__(self, C: float, S: float) -> None:
+        self._set(C, S)
         if abs(self.C * self.C + self.S * self.S - 1.0) > 1e-12:
             raise ValueError(f"C^2 + S^2 must be 1, got {self.C**2 + self.S**2!r}")
 
 
-@dataclass(frozen=True)
-class ComplexPair:
+class ComplexPair(FrozenValue):
     """x-basis amplitudes after both segments, with their arguments."""
 
-    A: complex
-    B: complex
-    gamma1: float
-    gamma2: float
+    __slots__ = ("A", "B", "gamma1", "gamma2")
 
-    def __post_init__(self) -> None:
+    def __init__(self, A: complex, B: complex, gamma1: float, gamma2: float) -> None:
+        self._set(A, B, gamma1, gamma2)
         if abs(abs(self.A) ** 2 + abs(self.B) ** 2 - 2.0) > 1e-12:
             raise ValueError("|A|^2 + |B|^2 must be 2")
 
@@ -178,10 +173,12 @@ def psi2(params: PathParams) -> np.ndarray:
     return np.array([a0, a1], dtype=np.complex128)
 
 
-class TotalPhase(NamedTuple):
-    magnitude: float
-    theta: float  # arg <0|psi2>, principal value in (-pi, pi]
-    theta_arctan: float  # arctan form, principal branch in (-pi/2, pi/2); NaN if undefined
+class TotalPhase(namedtuple("TotalPhase", ("magnitude", "theta", "theta_arctan"))):
+    """The overlap magnitude; theta, arg <0|psi2>, principal value in
+    (-pi, pi]; and theta_arctan, the arctan form, principal branch in
+    (-pi/2, pi/2), NaN if undefined."""
+
+    __slots__ = ()
 
     @property
     def warnings(self) -> list:

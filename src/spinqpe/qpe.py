@@ -57,15 +57,15 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from numbers import Integral
-from typing import TYPE_CHECKING
 
 from .errors import ConfigurationError
-from .gates import Axis, RotationSpec, axis_eigenvectors, hadamard, require_gate, rotation_power
+from .gates import (Axis, FrozenValue, RotationSpec, axis_eigenvectors, hadamard, require_gate,
+                    rotation_power)
 from .iqft import build_iqft, apply_iqft
 from .statevector import StateVector, apply_controlled, apply_single, new_state, probabilities
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import numpy as np
 
@@ -107,8 +107,7 @@ def is_integer(value) -> bool:
 MAX_HISTOGRAM_BITS = 63
 
 
-@dataclass(frozen=True, eq=False)
-class Histogram:
+class Histogram(FrozenValue):
     """Readout over a measured register of `num_bits` qubits, held as its
     support: the outcomes with a nonzero value, and the value of each.
 
@@ -124,15 +123,14 @@ class Histogram:
     copies, so changing the caller's arrays later changes no histogram.
     """
 
-    num_bits: int
-    outcomes: np.ndarray
-    weights: np.ndarray
-    total_shots: int = 0
-    seed: int | None = None
+    __slots__ = ("num_bits", "outcomes", "weights", "total_shots", "seed")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # equal only to itself
 
-    def __post_init__(self) -> None:
+    def __init__(self, num_bits: int, outcomes: np.ndarray, weights: np.ndarray,
+                 total_shots: int = 0, seed: int | None = None) -> None:
         import numpy as np
 
+        self._set(num_bits, outcomes, weights, total_shots, seed)
         if not (is_integer(self.num_bits) and 0 <= self.num_bits <= MAX_HISTOGRAM_BITS):
             raise ValueError(
                 f"num_bits must be an integer in [0, {MAX_HISTOGRAM_BITS}], "
@@ -204,8 +202,7 @@ class Histogram:
         return picked
 
 
-@dataclass(frozen=True)
-class RunSettings:
+class RunSettings(FrozenValue):
     """The register width and sampling settings of a run.
 
     The run is exact when shots is None and sampled otherwise. A sampled
@@ -215,11 +212,11 @@ class RunSettings:
     construction, and a bad one raises ConfigurationError.
     """
 
-    counting_qubits: int = 10
-    shots: int | None = None
-    seed: int | None = None
+    __slots__ = ("counting_qubits", "shots", "seed")
 
-    def __post_init__(self) -> None:
+    def __init__(self, counting_qubits: int = 10, shots: int | None = None,
+                 seed: int | None = None) -> None:
+        self._set(counting_qubits, shots, seed)
         if not (is_integer(self.counting_qubits)
                 and 1 <= self.counting_qubits <= MAX_COUNTING_QUBITS):
             raise ConfigurationError(
@@ -242,8 +239,7 @@ class RunSettings:
         return "exact" if self.shots is None else "sampled"
 
 
-@dataclass(frozen=True, eq=False)
-class QpeConfig:
+class QpeConfig(FrozenValue):
     """One phase-estimation run: its settings, the auxiliary rotation and
     the target preparation.
 
@@ -255,11 +251,13 @@ class QpeConfig:
     construction, and the config is frozen.
     """
 
-    run: RunSettings = RunSettings()
-    aux: RotationSpec = RotationSpec(Axis.Y, math.pi / 4)
-    target_prep: tuple = ()
+    __slots__ = ("run", "aux", "target_prep")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # equal only to itself
 
-    def __post_init__(self) -> None:
+    def __init__(self, run: RunSettings = RunSettings(),
+                 aux: RotationSpec = RotationSpec(Axis.Y, math.pi / 4),
+                 target_prep: tuple = ()) -> None:
+        self._set(run, aux, target_prep)
         if not isinstance(self.run, RunSettings):
             raise ConfigurationError(f"run must be a RunSettings, got {self.run!r}")
         if not isinstance(self.aux, RotationSpec):
@@ -271,15 +269,14 @@ class QpeConfig:
         object.__setattr__(self, "target_prep", tuple(map(require_gate, self.target_prep)))
 
 
-@dataclass(frozen=True)
-class ExpectedBins:
+class ExpectedBins(FrozenValue):
     """Where a run's two eigencomponents read out: bins m_plus and m_minus
     of a num_bits register, and whether they land exactly (dyadic_exact)."""
 
-    num_bits: int
-    m_plus: int
-    m_minus: int
-    dyadic_exact: bool
+    __slots__ = ("num_bits", "m_plus", "m_minus", "dyadic_exact")
+
+    def __init__(self, num_bits: int, m_plus: int, m_minus: int, dyadic_exact: bool) -> None:
+        self._set(num_bits, m_plus, m_minus, dyadic_exact)
 
     @property
     def window(self) -> int:
@@ -303,13 +300,15 @@ class ExpectedBins:
         return plus, minus
 
 
-@dataclass(frozen=True)
 class DecodeResult(ExpectedBins):
     """The bins of a readout and the mass decode measured in each window."""
 
-    p_plus: float
-    p_minus: float
-    warnings: list = field(default_factory=list)
+    __slots__ = ("p_plus", "p_minus", "warnings")
+
+    def __init__(self, num_bits: int, m_plus: int, m_minus: int, dyadic_exact: bool,
+                 p_plus: float, p_minus: float, warnings: list | None = None) -> None:
+        self._set(num_bits, m_plus, m_minus, dyadic_exact, p_plus, p_minus,
+                  [] if warnings is None else warnings)
 
     @property
     def coverage(self) -> float:
@@ -333,8 +332,7 @@ def expected_bins(config: QpeConfig) -> ExpectedBins:
     return ExpectedBins(n, m_plus, m_minus, dyadic)
 
 
-@dataclass(frozen=True, eq=False)
-class ReadoutKernel:
+class ReadoutKernel(FrozenValue):
     """readout_kernel's K for one register width n, angle and run mode.
 
     `values` holds K(m) for each outcome m of `bins`, which always lists
@@ -344,8 +342,11 @@ class ReadoutKernel:
     the mode's cut. Both arrays are read-only.
     """
 
-    values: np.ndarray
-    bins: np.ndarray
+    __slots__ = ("values", "bins")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # equal only to itself
+
+    def __init__(self, values: np.ndarray, bins: np.ndarray) -> None:
+        self._set(values, bins)
 
 
 def _at_mirror(values: np.ndarray, holds_zero: bool) -> np.ndarray:
@@ -585,9 +586,8 @@ def decode(hist: Histogram, config: QpeConfig) -> DecodeResult:
         )
     bins = expected_bins(config)
     plus, minus = bins.windows()
-    result = DecodeResult(**vars(bins),
-                          p_plus=window_mass(hist.probabilities(list(plus))),
-                          p_minus=window_mass(hist.probabilities(list(minus))))
+    result = DecodeResult(*bins._values(), window_mass(hist.probabilities(list(plus))),
+                          window_mass(hist.probabilities(list(minus))))
     result.warnings.extend(leakage_warnings(result.coverage))
     return result
 

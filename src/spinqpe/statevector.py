@@ -16,27 +16,25 @@ results are bit-identical to a pair by pair loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
 from .errors import ConfigurationError
-from .gates import Gate, require_gate
+from .gates import Gate, Value, require_gate
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import numpy as np
 
 MAX_QUBITS = 24
 
 
-@dataclass
-class StateVector:
+class StateVector(Value):
     """Amplitudes of an n-qubit register (length 2**num_qubits, complex128)."""
 
-    num_qubits: int
-    amplitudes: np.ndarray
+    __slots__ = ("num_qubits", "amplitudes")
 
-    def __post_init__(self) -> None:
+    def __init__(self, num_qubits: int, amplitudes: np.ndarray) -> None:
         import numpy as np
+
+        self._set(num_qubits, amplitudes)
 
         if not 1 <= self.num_qubits <= MAX_QUBITS:
             raise ValueError(

@@ -146,6 +146,21 @@ class TestPipeline:
         code, out, err = run(capsys, "pipeline", "--eta", "pi/2", "--delta", "pi/3")
         assert code == 3
         assert json.loads(err)["error"]["type"] == "SingularConfigurationError"
+        assert json.loads(err)["error"]["message"] == (
+            "2*S*C = 0.000e+00 below 1e-06; sin(delta) cannot be inferred near eta = +-pi/2")
+
+    @pytest.mark.parametrize("eta, window", [("1.2", "minus"), ("-1.2", "plus")])
+    def test_empty_sampled_window_is_named(self, capsys, eta, window):
+        """w_minus is about 0.034 at eta 1.2, and seed 2 draws none of the
+        100 shots there: the error names the window and the shot count,
+        not eta."""
+        code, out, err = run(capsys, "pipeline", f"--eta={eta}", "--delta", "0.3",
+                             "--n", "10", "--shots", "100", "--seed", "2")
+        assert (code, out) == (3, "") and err.count("\n") == 1
+        error = json.loads(err)["error"]
+        assert error["type"] == "SingularConfigurationError"
+        assert error["message"].startswith(
+            f"the qpev {window} window drew 0 of 100 shots, so 2*S*C = 0 ")
 
     def test_byte_identical_reruns(self, capsys):
         args = ("pipeline", "--eta", "pi/3", "--delta", "pi/3",
@@ -284,6 +299,17 @@ class TestOutputAndErrors:
                            "--delta", "pi/3", "--out", str(target))
         assert code == 4
         assert json.loads(err)["error"]["exit_code"] == 4
+
+    @pytest.mark.parametrize("out, error", [
+        ("", "FileNotFoundError"), ("missing/", "IsADirectoryError")])
+    def test_out_is_opened_as_written(self, capsys, tmp_path, monkeypatch, out, error):
+        """--out names the file as given, not normalized: a trailing slash
+        names a directory, so no file "missing" is made."""
+        monkeypatch.chdir(tmp_path)
+        code, stdout, err = run(capsys, "analytic", "--eta", "pi/3", "--delta", "pi/3",
+                                "--out", out)
+        assert (code, stdout, json.loads(err)["error"]["type"]) == (4, "", error)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("argv", [

@@ -6,7 +6,10 @@ and the package does not export it.
 
 No module imports numpy when it is imported, only inside the functions
 that build or read an array, so a sweep or an analytic record never
-loads it."""
+loads it. Nor does any import a standard module that is slow to load and
+that the package can do without: its value classes need no dataclasses
+(which loads inspect), its annotations no typing, its one file write no
+pathlib."""
 
 import ast
 import os
@@ -108,8 +111,9 @@ def test_reference_engine_is_a_leaf():
         elif isinstance(node, ast.Assign):
             defined.update(target.id for target in node.targets)
     public = {name for name in defined if not name.startswith("_")}
+    # TYPE_CHECKING is the annotations-only flag every module sets
     assert public == {"MAX_QUBITS", "StateVector", "new_state", "apply_single",
-                      "apply_controlled", "probabilities"}
+                      "apply_controlled", "probabilities", "TYPE_CHECKING"}
 
 
 def test_qpe_reads_the_reference_engine_only_in_run_circuit():
@@ -171,6 +175,33 @@ def test_checker_finds_top_level_imports():
                          ids=lambda path: path.name)
 def test_module_imports_no_numpy_at_import(path):
     assert "numpy" not in top_level_imports(ast.parse(path.read_text(encoding="utf-8")))
+
+
+#: standard modules no module of the package imports when it is imported
+SLOW_STDLIB = {"dataclasses", "inspect", "typing", "pathlib"}
+
+
+@pytest.mark.parametrize("path", sorted(Path(spinqpe.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_module_imports_no_slow_stdlib_at_import(path):
+    assert not SLOW_STDLIB & top_level_imports(ast.parse(path.read_text(encoding="utf-8")))
+
+
+def test_cold_sweep_loads_no_slow_module():
+    """In a fresh interpreter with no site hook (-S), importing the CLI and
+    running a sweep load none of the slow standard modules, nor numpy."""
+    argv = ["sweep", "--eta-range", "0.2:1.3", "--delta-range", "0.2:1.3", "--steps", "3"]
+    code = ("import sys, io, contextlib\n"
+            "import spinqpe.cli\n"
+            f"loaded = {sorted(SLOW_STDLIB | {'numpy'})!r}\n"
+            "on_import = [name for name in loaded if name in sys.modules]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = spinqpe.cli.main({argv!r})\n"
+            "print(code, on_import, [name for name in loaded if name in sys.modules])\n")
+    src = str(Path(spinqpe.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout == "0 [] []\n", done.stderr
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -289,11 +288,11 @@ class TestRunQpe:
     def test_altered_config_rechecked(self, step):
         config = qpev_config(n=3, aux=PI, shots=5, seed=1)
         run, prep = config.run, config.target_prep
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             config.run.shots = 2**64
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             config.target_prep = (np.eye(2) * 2,)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             config.run = RunSettings()
         assert config.run is run and config.run.shots == 5
         assert config.target_prep is prep
@@ -381,9 +380,10 @@ class TestDecode:
         config = qpev_config(aux=1.0, n=6)
         result = decode(run_qpe(config), config)
         assert isinstance(result, ExpectedBins)
-        assert [f.name for f in dataclasses.fields(result)] == [
-            "num_bits", "m_plus", "m_minus", "dyadic_exact", "p_plus", "p_minus", "warnings"]
-        assert vars(expected_bins(config)).items() <= vars(result).items()
+        assert result._fields == (
+            "num_bits", "m_plus", "m_minus", "dyadic_exact", "p_plus", "p_minus", "warnings")
+        bins = expected_bins(config)
+        assert bins._values() == result._values()[:len(bins._fields)]
         assert result.coverage == result.p_plus + result.p_minus
         for name in ("num_bits", "p_plus", "window", "coverage"):
             with pytest.raises(AttributeError):
@@ -463,7 +463,7 @@ class TestQpeConfig:
     def test_full_pipeline_rechecks_an_altered_config(self):
         aux = RotationSpec(Axis.Y, PI / 4)
         config = QpeConfig(RunSettings(4, 5, 1), aux)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             config.aux = RotationSpec(Axis.X, 1.0)
         assert config.aux is aux
 
@@ -587,7 +587,7 @@ class TestSharedKernel:
             with pytest.raises(ValueError):
                 array[0] = 2
         for kernel in (dyadic, hit):
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(AttributeError):
                 kernel.values = np.ones(64)
 
     @pytest.mark.parametrize("shots", [None, 500])

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from functools import reduce
 
@@ -416,7 +415,7 @@ class TestFrozenHistogram:
     def test_fields_cannot_be_assigned(self, hist):
         for name, value in (("num_bits", 3), ("outcomes", np.array([1])),
                             ("weights", np.array([1.0])), ("total_shots", 0), ("seed", None)):
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(AttributeError):
                 setattr(hist, name, value)
 
     @pytest.mark.parametrize("hist", _exact_and_sampled(), ids=["exact", "sampled"])
