@@ -249,7 +249,7 @@ def cmd_qpeh(args) -> int:
                  decoded={"qpeh": decode_payload(result)},
                  estimates={"absA": absA},
                  analytic=_analytic_section(eta, delta, phase),
-                 warnings=result.warnings + phase.warnings)
+                 warnings=[*result.warnings, *phase.warnings])
 
 
 def cmd_pipeline(args) -> int:

@@ -306,9 +306,8 @@ class DecodeResult(ExpectedBins):
     __slots__ = ("p_plus", "p_minus", "warnings")
 
     def __init__(self, num_bits: int, m_plus: int, m_minus: int, dyadic_exact: bool,
-                 p_plus: float, p_minus: float, warnings: list | None = None) -> None:
-        self._set(num_bits, m_plus, m_minus, dyadic_exact, p_plus, p_minus,
-                  [] if warnings is None else warnings)
+                 p_plus: float, p_minus: float, warnings: tuple = ()) -> None:
+        self._set(num_bits, m_plus, m_minus, dyadic_exact, p_plus, p_minus, tuple(warnings))
 
     @property
     def coverage(self) -> float:
@@ -586,10 +585,9 @@ def decode(hist: Histogram, config: QpeConfig) -> DecodeResult:
         )
     bins = expected_bins(config)
     plus, minus = bins.windows()
-    result = DecodeResult(*bins._values(), window_mass(hist.probabilities(list(plus))),
-                          window_mass(hist.probabilities(list(minus))))
-    result.warnings.extend(leakage_warnings(result.coverage))
-    return result
+    p_plus = window_mass(hist.probabilities(list(plus)))
+    p_minus = window_mass(hist.probabilities(list(minus)))
+    return DecodeResult(*bins._values(), p_plus, p_minus, leakage_warnings(p_plus + p_minus))
 
 
 def leakage_warnings(coverage: float) -> list:

@@ -5,6 +5,7 @@ indent=2)` of the same record with one dict per entry, byte for byte."""
 import hashlib
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,8 @@ from spinqpe import Axis, QpeConfig, RotationSpec, RunSettings, rx, ry
 from spinqpe.cli import main
 from spinqpe.qpe import (MAX_HISTOGRAM_BITS, PROBABILITY_FLOOR, DecodeResult, Histogram,
                          format_binary, run_qpe)
-from spinqpe.records import decode_payload, histogram_payload, make_record, to_json
+from spinqpe.records import (_full_range_heads, decode_payload, histogram_payload, make_record,
+                             to_json)
 
 from histograms import dense, from_dense
 
@@ -157,6 +159,113 @@ def reference_record(record: dict) -> dict:
 }))
 def test_writer_equals_reference(record):
     assert to_json(record) == json.dumps(reference_record(record), indent=2) + "\n"
+
+
+#: tiny exact probabilities: TINY, with a value just above the floor, and
+#: any value small enough that 2**12 of them add to under 1e-10
+FULL_RANGE_TINY = st.one_of(st.sampled_from(TINY), st.floats(5e-324, 1e-14))
+
+
+@st.composite
+def full_range_weights(draw, num_bits):
+    """Positive exact probabilities for all 2**num_bits outcomes, adding
+    to 1: a few bins take tiny values of their own, and the others either
+    a tiny value each but for one bin of 1.0, or seeded random values."""
+    size = 1 << num_bits
+    main = draw(st.integers(0, size - 1))
+    special = draw(st.lists(st.integers(0, size - 1).filter(lambda m: m != main),
+                            max_size=min(size - 1, 8), unique=True))
+    rest = np.ones(size, bool)
+    rest[special] = False
+    if draw(st.booleans()):
+        weights = np.full(size, draw(FULL_RANGE_TINY.filter(lambda p: p <= 1e-14)))
+        weights[main] = 1.0
+    else:
+        weights = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(size) + 1e-3
+    weights[special] = [draw(FULL_RANGE_TINY) for _ in special]
+    if weights[main] != 1.0:
+        weights[rest] *= (1.0 - weights[special].sum()) / weights[rest].sum()
+    return weights
+
+
+def _exact_record(weights: np.ndarray) -> dict:
+    num_bits = len(weights).bit_length() - 1
+    hist = Histogram(num_bits, np.arange(len(weights)), weights)
+    return make_record(["qpev"], {"n": num_bits}, histograms={"qpev": histogram_payload(hist)})
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data(), st.lists(st.integers(1, 12), min_size=2, max_size=2, unique=True))
+def test_full_range_writer_equals_reference(data, widths):
+    """An exact histogram that holds every outcome takes its heads from the
+    cached table; alternating widths n, m, n evicts and rebuilds it, and
+    each record still equals json.dumps of its bin dicts."""
+    _full_range_heads.cache_clear()
+    n, m = widths
+    for num_bits in (n, m, n):
+        record = _exact_record(data.draw(full_range_weights(num_bits)))
+        assert to_json(record) == json.dumps(reference_record(record), indent=2) + "\n"
+    info = _full_range_heads.cache_info()
+    assert (info.misses, info.currsize) == (3, 1)
+
+
+def test_other_histograms_build_no_table():
+    """Only an exact histogram that holds every outcome reads the table: a
+    dyadic exact readout (two bins), a sparse exact one and a sampled one
+    that drew every outcome never build it."""
+    dyadic = run_qpe(QpeConfig(RunSettings(12), RotationSpec(Axis.Y, math.pi / 4),
+                               (rx(-0.7),)))
+    assert dyadic.outcomes.size == 2
+    sparse = from_dense(np.array([0.25, 0.0, 0.5, 0.25]))
+    counts = np.arange(1, 17)
+    sampled = from_dense(counts, total_shots=int(counts.sum()), seed=3)
+    for hist in (dyadic, sparse, sampled):
+        record = make_record(["qpev"], {}, histograms={"qpev": histogram_payload(hist)})
+        assert to_json(record) == json.dumps(reference_record(record), indent=2) + "\n"
+    assert _full_range_heads.cache_info().misses == 0
+
+
+def _leaky_record(num_bits: int) -> dict:
+    config = QpeConfig(RunSettings(num_bits), RotationSpec(Axis.Y, 1.234), (rx(-0.7),))
+    record = make_record(["qpev"], {}, histograms={"qpev": histogram_payload(run_qpe(config))})
+    assert record["histograms"]["qpev"]["entries"].outcomes.size == 1 << num_bits
+    return record
+
+
+#: the tracemalloc peak, in bytes, of the first `to_json` of the exact
+#: n = 16 record of TAIL_RECORDS when each record formatted its own bin
+#: heads (Python 3.11, numpy 2.4)
+PER_RECORD_HEADS_PEAK = 22_641_871
+#: more than one lru_cache entry takes besides the value it holds
+CACHE_ENTRY_BYTES = 1024
+
+
+def test_first_full_range_record_peak_memory():
+    """The table holds the same head strings each record formatted, and
+    they are all alive when the text is joined either way; so the first
+    record of a width peaks higher only by the table's tuple of pointers
+    and its cache entry. Dropping `outcomes.tolist()` does not pay for
+    the tuple: that list is freed before the join, where the peak is."""
+    record = _leaky_record(16)
+    tracemalloc.start()
+    try:
+        to_json(record)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _full_range_heads.cache_info().misses == 1
+    table = sys.getsizeof(_full_range_heads(16))
+    assert peak <= PER_RECORD_HEADS_PEAK + table + CACHE_ENTRY_BYTES
+
+
+def test_table_keeps_one_width():
+    to_json(_leaky_record(16))
+    to_json(_leaky_record(12))
+    info = _full_range_heads.cache_info()
+    assert (info.misses, info.currsize) == (2, 1)
+    table = _full_range_heads(12)
+    assert isinstance(table, tuple) and len(table) == 4096
+    assert _full_range_heads.cache_info().hits == info.hits + 1  # the n = 12 table is held
 
 
 def test_slot_count_mismatch_raises():
