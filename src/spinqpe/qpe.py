@@ -28,18 +28,20 @@ simulates that circuit gate by gate on the full statevector, and only it
 and its two readouts use spinqpe.statevector and spinqpe.iqft.
 
 numpy is imported inside the functions that build or read an array (a
-Histogram, a readout kernel, a draw, the reference engine), never at
-import: a configuration, its bins and windows, kernel_at and the window
-masses need none.
+readout kernel, a draw, the reference engine, a Histogram's checks of
+an array), never at import: a configuration, its bins and windows,
+kernel_at and the window masses need none, and neither does an exact
+run on a cached short kernel, its Histogram or its decode.
 
-A Histogram holds only its support: the ascending outcomes whose
-probability is above the dust floor, or that were drawn at least once,
-and the value of each; every other outcome reads 0. Two builders read one
-out of a full outcome probability vector: histogram_from_probabilities
-the exact histogram and sample_probabilities the seeded draw;
-exact_histogram and sample apply them to a state's marginal. run_qpe
-builds an exact histogram straight from the outcomes its kernel kept,
-with no length-2^n vector, and draws a sampled one with
+A Histogram holds only its support, as Python sequences: the ascending
+outcomes whose probability is above the dust floor, or that were drawn
+at least once, and the value of each; every other outcome reads 0. Two
+builders read one out of a full outcome probability vector:
+histogram_from_probabilities the exact histogram and
+sample_probabilities the seeded draw; exact_histogram and sample apply
+them to a state's marginal. run_qpe builds an exact histogram straight
+from the outcomes its kernel kept, with no length-2^n vector (in Python
+floats when the kernel is short), and draws a sampled one with
 sample_probabilities from the full vector its sampled kernel gives.
 Sampling uses numpy's default_rng, i.e. the PCG64 generator. The
 generator identity is part of the reproducibility contract: the same
@@ -106,36 +108,73 @@ def is_integer(value) -> bool:
 #: the widest register a Histogram holds: every outcome fits an int64
 MAX_HISTOGRAM_BITS = 63
 
+#: the input types a Histogram checks in Python; any other goes through numpy
+_SEQUENCES = (tuple, list, range)
+
 
 class Histogram(FrozenValue):
     """Readout over a measured register of `num_bits` qubits, held as its
     support: the outcomes with a nonzero value, and the value of each.
 
-    `outcomes` is a strictly ascending, nonempty int64 array of outcomes in
-    [0, 2**num_bits) and `weights` the value at each; every other outcome
-    reads 0. `total_shots` is an integer >= 0. In exact mode
-    (total_shots == 0) the weights are the outcome probabilities as
-    floats, and seed is None; the readouts hold none at or below
-    PROBABILITY_FLOOR. In sampled mode they are the int64 counts of
-    `total_shots` draws made with `seed`, an integer >= 0 that reproduces
-    them. A bool counts as no integer. Every rule is checked at
-    construction, and a histogram is frozen: both arrays are read-only
-    copies, so changing the caller's arrays later changes no histogram.
+    `outcomes` is a nonempty tuple of strictly ascending ints in
+    [0, 2**num_bits), or range(2**num_bits) when it holds every outcome,
+    and `weights` a tuple of the value at each; every other outcome reads
+    0. `total_shots` is an integer >= 0. In exact mode (total_shots == 0)
+    the weights are the outcome probabilities as floats, and seed is None;
+    the readouts hold none at or below PROBABILITY_FLOOR. In sampled mode
+    they are the int counts of `total_shots` draws made with `seed`, an
+    integer >= 0 that reproduces them. A bool counts as no integer.
+
+    Every rule is checked at construction. Outcomes and weights given as
+    tuples, lists or a range of Python ints and floats are checked in
+    Python; any other input, such as an array, goes through numpy's
+    vectorised checks and is then held as Python numbers. A support that
+    breaks a rule is refused by the numpy checks, so a sequence and an
+    array get the same message. A histogram is frozen, and its sequences
+    are immutable copies, so changing the caller's lists or arrays later
+    changes no histogram.
     """
 
     __slots__ = ("num_bits", "outcomes", "weights", "total_shots", "seed")
     __eq__, __hash__ = object.__eq__, object.__hash__  # equal only to itself
 
-    def __init__(self, num_bits: int, outcomes: np.ndarray, weights: np.ndarray,
+    def __init__(self, num_bits: int, outcomes, weights,
                  total_shots: int = 0, seed: int | None = None) -> None:
-        import numpy as np
-
         self._set(num_bits, outcomes, weights, total_shots, seed)
         if not (is_integer(self.num_bits) and 0 <= self.num_bits <= MAX_HISTOGRAM_BITS):
             raise ValueError(
                 f"num_bits must be an integer in [0, {MAX_HISTOGRAM_BITS}], "
                 f"got {self.num_bits!r}"
             )
+        if not (type(outcomes) in _SEQUENCES and type(weights) in _SEQUENCES
+                and self._holds_rules()):
+            outcomes, weights = self._checked_arrays()
+        full = len(outcomes) == 1 << self.num_bits  # strictly ascending: every outcome
+        object.__setattr__(self, "outcomes", range(len(outcomes)) if full else tuple(outcomes))
+        object.__setattr__(self, "weights", tuple(weights))
+
+    def _holds_rules(self) -> bool:
+        """Whether outcomes and weights, both Python sequences, keep every
+        rule as Python ints and floats (counts as ints): the rules
+        _checked_arrays checks, with the sum of probabilities taken by
+        math.fsum."""
+        outcomes, weights, shots, seed = self.outcomes, self.weights, self.total_shots, self.seed
+        kind = int if shots else float
+        return (0 < len(outcomes) == len(weights)
+                and all(type(m) is int for m in outcomes)
+                and 0 <= outcomes[0] and outcomes[-1] < 1 << self.num_bits
+                and all(a < b for a, b in zip(outcomes, outcomes[1:]))
+                and all(type(w) is kind and w > 0 for w in weights)
+                and is_integer(shots) and shots >= 0
+                and (sum(weights) == shots and is_integer(seed) and seed >= 0 if shots
+                     else seed is None and abs(math.fsum(weights) - 1.0) <= 1e-10))
+
+    def _checked_arrays(self) -> tuple:
+        """(outcomes, weights) as lists of Python numbers, outcomes as a
+        range when they are every outcome, once numpy's array forms of the
+        two pass every rule; ValueError names the first rule broken."""
+        import numpy as np
+
         outcomes, weights = np.array(self.outcomes), np.array(self.weights)
         if outcomes.ndim != 1 or outcomes.shape != weights.shape or outcomes.size == 0:
             raise ValueError(
@@ -180,10 +219,8 @@ class Histogram(FrozenValue):
                 raise ValueError(
                     f"exact-mode probabilities sum to {total!r}, expected 1 within 1e-10"
                 )
-        outcomes = outcomes.astype(np.int64, copy=False)
-        for name, array in (("outcomes", outcomes), ("weights", weights)):
-            array.flags.writeable = False
-            object.__setattr__(self, name, array)
+        size = outcomes.size
+        return (range(size) if size == 1 << self.num_bits else outcomes.tolist()), weights.tolist()
 
     @property
     def is_sampled(self) -> bool:
@@ -193,10 +230,13 @@ class Histogram(FrozenValue):
         """The probability of each listed outcome, as Python floats, 0.0
         for an outcome the histogram does not hold; a sampled one is
         count / total_shots, rounded once from the exact integer ratio."""
-        held, size = self.outcomes, self.outcomes.size
-        # a binary search per outcome: a decode window lists a few
-        picked = [self.weights[i].item() if i < size and held[i] == m else 0.0
-                  for m, i in zip(outcomes, held.searchsorted(outcomes).tolist())]
+        import bisect  # here, not at import: a cold sweep reads no histogram
+
+        held, weights = self.outcomes, self.weights
+        picked = []
+        for m in outcomes:  # a binary search each: a decode window lists a few
+            i = bisect.bisect_left(held, m)
+            picked.append(weights[i] if i < len(held) and held[i] == m else 0.0)
         if self.is_sampled:
             return [count / self.total_shots for count in picked]
         return picked
@@ -331,6 +371,11 @@ def expected_bins(config: QpeConfig) -> ExpectedBins:
     return ExpectedBins(n, m_plus, m_minus, dyadic)
 
 
+#: an exact kernel that keeps at most this many outcomes also lists them
+#: as Python numbers (ReadoutKernel.short), so its runs make no numpy call
+SHORT_KERNEL = 64
+
+
 class ReadoutKernel(FrozenValue):
     """readout_kernel's K for one register width n, angle and run mode.
 
@@ -338,14 +383,17 @@ class ReadoutKernel(FrozenValue):
     the outcomes kept: an ascending int64 array closed under
     m -> -m mod 2^n, arange(2^n) when none was dropped, as in every
     sampled kernel. Each outcome left out has K(m) and K(-m) at or below
-    the mode's cut. Both arrays are read-only.
+    the mode's cut. Both arrays are read-only. `short` is None, or, for an
+    exact kernel that keeps at most SHORT_KERNEL outcomes, a tuple of
+    (m, K(m), K(-m mod 2^n)) for each outcome m of `bins`, in order, as
+    Python ints and floats.
     """
 
-    __slots__ = ("values", "bins")
+    __slots__ = ("values", "bins", "short")
     __eq__, __hash__ = object.__eq__, object.__hash__  # equal only to itself
 
-    def __init__(self, values: np.ndarray, bins: np.ndarray) -> None:
-        self._set(values, bins)
+    def __init__(self, values: np.ndarray, bins: np.ndarray, short: tuple | None = None) -> None:
+        self._set(values, bins, short)
 
 
 def _at_mirror(values: np.ndarray, holds_zero: bool) -> np.ndarray:
@@ -394,7 +442,9 @@ def readout_kernel(n: int, angle: float, mode: str) -> ReadoutKernel:
     unbounded cache would keep one kernel per angle ever asked for. -0.0
     and 0.0 are one key; their kernels are bit for bit the same, as
     cos^2 is even. A kernel is read-only, so no run can change a shared
-    one.
+    one. An exact kernel that keeps at most SHORT_KERNEL outcomes also
+    lists them with K(m) and K(-m) as Python numbers (its `short`), made
+    here, once per cached kernel.
     """
     import numpy as np
 
@@ -418,7 +468,11 @@ def readout_kernel(n: int, angle: float, mode: str) -> ReadoutKernel:
     bins = bins.astype(np.int64)
     for array in (kernel, bins):
         array.flags.writeable = False
-    return ReadoutKernel(kernel, bins)
+    short = None
+    if mode == "exact" and bins.size <= SHORT_KERNEL:
+        mirror = _at_mirror(kernel, bins[0] == 0)
+        short = tuple(zip(bins.tolist(), kernel.tolist(), mirror.tolist()))
+    return ReadoutKernel(kernel, bins, short)
 
 
 def kernel_at(n: int, angle: float, bins) -> list:
@@ -515,10 +569,22 @@ def run_qpe(config: QpeConfig) -> Histogram:
     cached kernel, which they only read. The angle is keyed as the float
     the kernel reads, so an angle that is no hashable float (a 0-d array,
     say) still runs.
+
+    A short exact kernel (its `short` list, as at a dyadic angle) is read
+    in Python floats, with the same two products and one sum in the same
+    order as the arrays, so the bits are the same, and no numpy call.
     """
     n = config.run.counting_qubits
     kernel = readout_kernel(n, float(config.aux.angle), config.run.mode)
     w_plus, w_minus = _target_overlaps(config)
+    if kernel.short is not None:
+        outcomes, weights = [], []
+        for m, k, k_mirror in kernel.short:
+            p = w_minus * k + w_plus * k_mirror
+            if not p <= PROBABILITY_FLOOR:  # as _held: a NaN is held, and refused
+                outcomes.append(m)
+                weights.append(p)
+        return Histogram(n, outcomes, weights)
     probs = w_minus * kernel.values
     probs += w_plus * _at_mirror(kernel.values, kernel.bins[0] == 0)
     if config.run.shots is None:

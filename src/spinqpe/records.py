@@ -265,18 +265,18 @@ def _entries_json(hist: Histogram) -> list:
     leaky readout does, takes its heads from the cached `_full_range_heads`
     table: its outcomes ascend strictly, so they are range(2**n). Any other
     histogram formats the heads of the bins it holds."""
-    size, num_bits = hist.outcomes.size, hist.num_bits
+    size, num_bits = len(hist.outcomes), hist.num_bits
     if hist.is_sampled:
         spec = f"0{num_bits}b"
-        counts, total = hist.weights.tolist(), hist.total_shots
+        counts, total = hist.weights, hist.total_shots
         heads = [f'{m},\n          "bits": "0.{m:{spec}}",\n          "count": {count},'
                  f'\n          "probability": '
-                 for m, count in zip(hist.outcomes.tolist(), counts)]
+                 for m, count in zip(hist.outcomes, counts)]
         probabilities = [count / total for count in counts]
     else:
         heads = (_full_range_heads(num_bits) if size == 1 << num_bits
-                 else _exact_heads(hist.outcomes.tolist(), num_bits))
-        probabilities = hist.weights.tolist()
+                 else _exact_heads(hist.outcomes, num_bits))
+        probabilities = hist.weights
     pieces = [_NEXT_BIN] * (3 * size + 1)
     pieces[0] = _FIRST_BIN
     pieces[1::3] = heads
@@ -288,7 +288,7 @@ def _entries_json(hist: Histogram) -> list:
 def to_json(record: dict) -> str:
     """The record as `json.dumps(record, indent=2)` plus a newline, with
     each histogram's entries written straight from its outcome and weight
-    arrays, and the whole text joined once."""
+    sequences, and the whole text joined once."""
     sections = record["histograms"]
     hists = [section["entries"] for section in sections.values() if section is not None]
     shell = {**record, "histograms": {

@@ -36,7 +36,7 @@ from spinqpe.qpe import (
 )
 from spinqpe.records import decode_payload
 
-from histograms import dense, identical
+from histograms import dense, identical, support
 
 PI = math.pi
 #: pi to 100 digits, exact as a rational
@@ -743,7 +743,7 @@ class TestKeptOutcomes:
         # spread over every outcome, the histogram is the dense readout
         assert dense(got).dtype == vector.dtype
         assert dense(got).tobytes() == vector.tobytes()
-        assert got.outcomes.tolist() == np.flatnonzero(vector).tolist()
+        assert support(got)[0] == np.flatnonzero(vector).tolist()
 
     @pytest.mark.parametrize("n", [2, 8, 16])
     def test_dust_at_a_kept_outcome_is_not_held(self, n):
@@ -754,7 +754,7 @@ class TestKeptOutcomes:
         assert 0 < probs[expected_bins(config).m_minus] <= PROBABILITY_FLOOR
         hist = run_qpe(config)
         assert dense(hist).tobytes() == (probs * (probs > PROBABILITY_FLOOR)).tobytes()
-        assert hist.outcomes.tolist() == [expected_bins(config).m_plus]
+        assert support(hist)[0] == [expected_bins(config).m_plus]
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(n=st.integers(1, 16), k=st.integers(-(1 << 20), 1 << 20))

@@ -22,7 +22,7 @@ from spinqpe.statevector import (
     probabilities,
 )
 
-from histograms import dense, identical
+from histograms import dense, identical, support
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -396,10 +396,10 @@ class TestHistogram:
     def test_exact_histogram_drops_dust(self):
         s = apply_single(new_state(2), hadamard(), 0)
         hist = exact_histogram(s, [1, 0])
-        assert hist.outcomes.tolist() == [0, 1]
+        assert support(hist)[0] == [0, 1]
         assert not hist.is_sampled
         dusty = histogram_from_probabilities(np.array([1.0 - 1e-16, 1e-16]))
-        assert (dusty.outcomes.tolist(), dusty.weights.tolist()) == ([0], [1.0 - 1e-16])
+        assert support(dusty) == ([0], [1.0 - 1e-16])
         assert dense(dusty).tolist() == [1.0 - 1e-16, 0.0]
 
 
@@ -420,17 +420,18 @@ class TestFrozenHistogram:
 
     @pytest.mark.parametrize("hist", _exact_and_sampled(), ids=["exact", "sampled"])
     def test_arrays_are_read_only(self, hist):
-        for array in (hist.outcomes, hist.weights):
-            assert not array.flags.writeable
-            with pytest.raises(ValueError):
-                array[0] = 2
+        # the support is held as immutable sequences, not as arrays
+        for held in (hist.outcomes, hist.weights):
+            assert type(held) in (tuple, range)
+            with pytest.raises(TypeError):
+                held[0] = 2
 
     def test_caller_arrays_are_copied(self):
         outcomes, weights = np.array([0, 3]), np.array([0.25, 0.75])
         hist = Histogram(2, outcomes, weights)
         outcomes[...] = [2, 1]
         weights[...] = -1.0
-        assert (hist.outcomes.tolist(), hist.weights.tolist()) == ([0, 3], [0.25, 0.75])
+        assert support(hist) == ([0, 3], [0.25, 0.75])
         assert outcomes.flags.writeable and weights.flags.writeable
 
     def test_equality_is_identity(self):

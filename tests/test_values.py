@@ -52,7 +52,8 @@ CASES = [
     (DecodeResult, lambda: {"num_bits": 3, "m_plus": 7, "m_minus": 1, "dyadic_exact": True,
                             "p_plus": 0.25, "p_minus": 0.75, "warnings": ["leakage"]},
      "value", True),
-    (ReadoutKernel, lambda: {"values": np.ones(2), "bins": np.array([0, 1])},
+    (ReadoutKernel, lambda: {"values": np.ones(2), "bins": np.array([0, 1]),
+                             "short": ((0, 1.0, 1.0), (1, 1.0, 1.0))},
      "identity", True),
 ]
 
