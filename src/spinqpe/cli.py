@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 
 from .angles import parse_angle
@@ -148,6 +149,68 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     return parser
+
+
+#: a dash-led value that every argparse version reads as a value, not a
+#: flag, in a parser with no flag that looks like a negative number;
+#: compiled on first use, so a launch that reads none compiles no pattern
+_NEGATIVE_DECIMAL = r"-\d+|-\d*\.\d+"
+
+
+@functools.cache
+def _option_tables() -> dict:
+    """Each command's options as `build_parser()` holds them: command ->
+    (flag -> store or switch action, defaults, required dests, the dests of
+    each mutually exclusive group)."""
+    (commands,) = [action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    tables = {}
+    for name, sub in commands.choices.items():
+        options = {flag: action for action in sub._actions for flag in action.option_strings
+                   if isinstance(action, argparse._StoreConstAction)
+                   or type(action) is argparse._StoreAction and action.nargs is None}
+        defaults = {**sub._defaults, **{action.dest: action.default for action in sub._actions
+                                        if argparse.SUPPRESS not in (action.dest, action.default)}}
+        required = [action.dest for action in sub._actions if action.required]
+        groups = [[action.dest for action in group._group_actions]
+                  for group in sub._mutually_exclusive_groups]
+        tables[name] = (commands.dest, options, defaults, required, groups)
+    return tables
+
+
+def _parse_canonical(argv: list) -> argparse.Namespace | None:
+    """The Namespace `build_parser().parse_args(argv)` gives for argv of the
+    form COMMAND (--flag VALUE | --switch)*, each flag once, read from that
+    command's option table; None for any other argv, which argparse then
+    parses, so help, abbreviations, `--flag=value` and every usage error
+    stay its own."""
+    table = _option_tables().get(argv[0]) if argv else None
+    if table is None:
+        return None
+    dest, options, defaults, required, groups = table
+    values = {dest: argv[0]}
+    words = iter(argv[1:])
+    for word in words:
+        action = options.get(word)
+        if action is None or action.dest in values:
+            return None
+        if action.nargs == 0:
+            values[action.dest] = action.const
+            continue
+        text = next(words, None)
+        if text is None or text[:1] == "-" and not re.fullmatch(_NEGATIVE_DECIMAL, text):
+            return None
+        try:
+            value = text if action.type is None else action.type(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    if any(key not in values for key in required) or any(
+            sum(key in values for key in group) > 1 for group in groups):
+        return None
+    return argparse.Namespace(**{**defaults, **values})
 
 
 def _echo(run: RunSettings) -> dict:
@@ -342,8 +405,9 @@ def _emit_error(code: int, exc: BaseException) -> None:
 
 def main(argv: list | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_canonical(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     args._argv = argv
     try:
         return args.func(args)

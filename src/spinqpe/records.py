@@ -12,6 +12,7 @@ import functools
 import io
 import json
 import math
+from json.encoder import encode_basestring_ascii
 
 from .extraction import BRANCHES, ExtractionResult
 from .precession import wrap_angle
@@ -224,16 +225,15 @@ def extraction_payloads(result: ExtractionResult) -> tuple[dict, dict]:
     return histograms, decoded
 
 
-#: where `json.dumps(indent=2)` writes an empty `histograms.<run>.entries`;
-#: no JSON string holds a raw newline, so only that key can match
-_ENTRIES_SLOT = '\n      "entries": []'
+#: the indent of `histograms.<run>.entries`, at which the bins are written
+_ENTRIES_PAD = " " * 6
 
-#: the text around the bins of a filled slot, at the indent
-#: `json.dumps(indent=2)` gives them: `_FIRST_BIN` opens the list and its
-#: first bin, up to the value of "m"; `_NEXT_BIN` follows each probability
-#: but the last, closing its bin and opening the next up to the same point;
+#: the text around the bins at that indent, as `json.dumps(indent=2)`
+#: writes a list of bin dicts: `_FIRST_BIN` opens the list and its first
+#: bin, up to the value of "m"; `_NEXT_BIN` follows each probability but
+#: the last, closing its bin and opening the next up to the same point;
 #: `_LAST_BIN` follows the last probability and closes the list
-_FIRST_BIN = '\n      "entries": [\n        {\n          "m": '
+_FIRST_BIN = '[\n        {\n          "m": '
 _NEXT_BIN = '\n        },\n        {\n          "m": '
 _LAST_BIN = "\n        }\n      ]"
 
@@ -255,11 +255,11 @@ def _full_range_heads(num_bits: int) -> tuple:
 
 
 def _entries_json(hist: Histogram) -> list:
-    """The pieces whose join is `_ENTRIES_SLOT` filled with the bins `hist`
-    holds, in its ascending outcome order, as `json.dumps(indent=2)` writes
-    a list of bin dicts. Each bin is three pieces: its head, from the "m"
-    value to the "probability" key; the probability's repr, which is what
-    json writes for a float; and the shared text that follows it.
+    """The pieces whose join is the list of the bins `hist` holds, in its
+    ascending outcome order, as `json.dumps(indent=2)` writes a list of bin
+    dicts at `_ENTRIES_PAD`. Each bin is three pieces: its head, from the
+    "m" value to the "probability" key; the probability's repr, which is
+    what json writes for a float; and the shared text that follows it.
 
     An exact histogram that holds every outcome of its register, as a
     leaky readout does, takes its heads from the cached `_full_range_heads`
@@ -285,27 +285,81 @@ def _entries_json(hist: Histogram) -> list:
     return pieces
 
 
+def _float_json(value: float) -> str:
+    """json's text for a float: its repr, or NaN, Infinity or -Infinity."""
+    if -math.inf < value < math.inf:
+        return float.__repr__(value)
+    return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+
+
+#: the JSON text of a scalar, by its exact type, as `json.dumps` writes it
+_SCALAR_JSON = {
+    str: encode_basestring_ascii,
+    float: _float_json,
+    int: int.__repr__,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
+def _write(value, pad: str, out: list) -> None:
+    """Append to `out` the pieces of `value` as `json.dumps(indent=2)`
+    writes it at indent `pad`. A dict with str keys, a list and a tuple
+    write each scalar item by `_SCALAR_JSON` and recurse into any other; a
+    Histogram is written by `_entries_json`; any other value, a scalar
+    passed alone among them, is json's own text."""
+    kind = type(value)
+    if kind is dict and all(type(key) is str for key in value):
+        if not value:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        separator = "{\n" + inner
+        for key, item in value.items():
+            scalar = _SCALAR_JSON.get(type(item))
+            if scalar is None:
+                out.append(f"{separator}{encode_basestring_ascii(key)}: ")
+                _write(item, inner, out)
+            else:
+                out.append(f"{separator}{encode_basestring_ascii(key)}: {scalar(item)}")
+            separator = ",\n" + inner
+        out.append(f"\n{pad}}}")
+    elif kind is list or kind is tuple:
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        separator = "[\n" + inner
+        for item in value:
+            scalar = _SCALAR_JSON.get(type(item))
+            if scalar is None:
+                out.append(separator)
+                _write(item, inner, out)
+            else:
+                out.append(separator + scalar(item))
+            separator = ",\n" + inner
+        out.append(f"\n{pad}]")
+    elif kind is Histogram:
+        pieces = _entries_json(value)
+        if pad != _ENTRIES_PAD:
+            pieces = ["".join(pieces).replace("\n" + _ENTRIES_PAD, "\n" + pad)]
+        out += pieces
+    else:
+        out.append(json.dumps(value, indent=2).replace("\n", "\n" + pad))
+
+
 def to_json(record: dict) -> str:
-    """The record as `json.dumps(record, indent=2)` plus a newline, with
-    each histogram's entries written straight from its outcome and weight
-    sequences, and the whole text joined once."""
-    sections = record["histograms"]
-    hists = [section["entries"] for section in sections.values() if section is not None]
-    shell = {**record, "histograms": {
-        run: None if section is None else {**section, "entries": []}
-        for run, section in sections.items()
-    }}
-    pieces = json.dumps(shell, indent=2).split(_ENTRIES_SLOT)
-    if len(pieces) != len(hists) + 1:
-        raise ValueError(
-            f"found {len(pieces) - 1} histogram entry slots for {len(hists)} histograms"
-        )
-    parts = pieces[:1]
-    for hist, piece in zip(hists, pieces[1:]):
-        parts += _entries_json(hist)
-        parts.append(piece)
-    parts.append("\n")
-    return "".join(parts)
+    """The record as `json.dumps(record, indent=2)` writes it, plus a
+    newline, with each histogram's entries written straight from its
+    outcome and weight sequences, and the whole text joined once."""
+    out = []
+    _write(record, "", out)
+    out.append("\n")
+    # a list appended to after a long extend holds an eighth more slots
+    # than pieces; its copy is sized exactly, and only the copy is alive at
+    # the join, where memory peaks
+    out = out[:]
+    return "".join(out)
 
 
 def _flatten(record: dict) -> dict:

@@ -2,6 +2,7 @@
 or 4, every failure is one JSON line on stderr, and records are strict
 JSON (RFC 8259 has no NaN or Infinity)."""
 
+import argparse
 import contextlib
 import csv
 import io
@@ -9,6 +10,7 @@ import json
 import math
 import os
 import tempfile
+from unittest import mock
 
 import jsonschema
 import numpy as np
@@ -17,7 +19,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spinqpe import RUN_RECORD_SCHEMA, ConfigurationError, Histogram, RunSettings
-from spinqpe.cli import MAX_STEPS, main
+from spinqpe import cli
+from spinqpe.cli import MAX_STEPS, build_parser, main
 
 CONTRACT_CODES = {0, 2, 3, 4}
 
@@ -312,6 +315,128 @@ def test_cli_keeps_its_contract(argv):
         assert len(rows) >= 2 and len({len(row) for row in rows}) == 1
     else:
         jsonschema.validate(strict_json(out), RUN_RECORD_SCHEMA)
+
+
+# -- canonical argv against argparse --------------------------------------
+
+#: command -> its subparser, as build_parser() holds them
+SUBPARSERS = next(action for action in build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)).choices
+
+#: values argparse reads apart from the plain ones: dash-led ones, of which
+#: only plain negative decimals pass separated, and the empty string
+_ODD_VALUES = st.sampled_from(["-pi/3", "-2.5e-3", "-0.7", "", "-1", "-.5", "-5.", "-1e3",
+                               "-", "--", "-x"])
+_ANGLE_VALUES = st.sampled_from(["0.4", "pi/4", "pi/3", "1.0", "0.7", "-0.3"])
+
+
+def _values(action):
+    """Values for one flag of the table: mostly ones its type and choices
+    take, and some that argparse refuses or reads otherwise."""
+    if action.dest == "out":  # a dash-led value would be a file name
+        return st.just(os.devnull)
+    if action.choices is not None:
+        plain = st.one_of(st.sampled_from(list(action.choices)), st.sampled_from(["JSON", "x"]))
+    elif action.type is int:
+        plain = st.one_of(st.integers(1, 6).map(str),
+                          st.sampled_from(["3.5", "1_6", " 2", "x", "-0", "0x10"]))
+    elif action.dest.endswith("_range"):
+        plain = st.builds("{}:{}".format, _ANGLE_VALUES, _ANGLE_VALUES)
+    else:
+        plain = _ANGLE_VALUES
+    return st.one_of(plain, plain, plain, plain, plain, _ODD_VALUES)
+
+
+@st.composite
+def table_argv(draw):
+    """argv of the form COMMAND (--flag VALUE | --switch)* drawn from a
+    command's option table, often mutated: a flag abbreviated, written
+    `--flag=value` or repeated, `--shots` with `--exact`, a required flag
+    dropped, or `--`, `-h` or `--help` put in."""
+    command = draw(st.sampled_from(sorted(SUBPARSERS)))
+    actions = [action for action in SUBPARSERS[command]._actions
+               if action.option_strings and action.dest != "help"]
+    items = []
+    for action in actions:
+        if action.required or draw(st.booleans()):
+            (flag,) = action.option_strings
+            items.append([flag] if action.nargs == 0 else [flag, draw(_values(action))])
+    items = list(draw(st.permutations(items)))
+    flags = {action.option_strings[0] for action in actions}
+    for mutation in draw(st.lists(st.sampled_from(
+            ["abbreviate", "equals", "repeat", "both", "drop", "insert"]), max_size=2)):
+        if mutation == "abbreviate" and items:
+            item = draw(st.sampled_from(items))
+            item[0] = item[0][:draw(st.integers(3, len(item[0])))]
+        elif mutation == "equals" and any(len(item) == 2 for item in items):
+            item = draw(st.sampled_from([item for item in items if len(item) == 2]))
+            item[:] = [f"{item[0]}={item[1]}"]
+        elif mutation == "repeat" and items:
+            items.append(list(draw(st.sampled_from(items))))
+        elif mutation == "both" and {"--shots", "--exact"} <= flags:
+            items += [["--shots", "5"], ["--exact"]]
+        elif mutation == "drop" and items:
+            items.remove(draw(st.sampled_from(items)))
+        elif mutation == "insert":
+            items.insert(draw(st.integers(0, len(items))),
+                         [draw(st.sampled_from(["--", "-h", "--help"]))])
+    return [command, *(word for item in items for word in item)]
+
+
+def outcome(argv: list) -> tuple:
+    """(exit code, stdout, stderr) of main(argv), argparse's exits among
+    them; an exception main raises stands in for the code. (argparse turns
+    `--flag=--` into an empty list, which a command may fail to read.)"""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:
+            code = repr(exc)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(table_argv())
+@example(["pipeline", "--eta", "0.4", "--delta", "0.3", "--aux", "pi/4"])  # ambiguous
+@example(["pipeline", "--eta", "0.4", "--delta", "0.3", "--n", "3.5"])
+@example(["pipeline", "--eta", "0.4", "--delta", "0.3", "--n", "1_6", "--exact"])
+@example(["qpev", "--eta", "0.4", "--format", "xml"])
+@example(["qpev", "--eta", "-2.5e-3"])
+@example(["qpeh", "--eta", "-0.7", "--delta", "", "--shots", "5", "--exact"])
+@example(["analytic", "--", "--eta", "pi/3", "--delta", "pi/3"])
+@example(["sweep", "-h"])
+def test_canonical_parse_matches_argparse(argv):
+    """main gives the same exit code, stdout and stderr with the canonical
+    parse as with argparse alone, and a Namespace it reads is argparse's."""
+    args = cli._parse_canonical(list(argv))
+    if args is not None:
+        assert args == build_parser().parse_args(list(argv))
+    got = outcome(argv)
+    with mock.patch.object(cli, "_parse_canonical", lambda argv: None):
+        assert outcome(argv) == got
+
+
+@pytest.mark.parametrize("argv", [
+    ["pipeline", "--eta", "-0.412345", "--delta", "0.3", "--exact", "--n", "16"],
+    ["qpeh", "--eta", "0.7", "--delta", "0.4", "--aux", "2.5", "--n", "12",
+     "--allow-leakage", "--shots", "100000", "--seed", "5"],
+    ["sweep", "--eta-range", "0.2:1.3", "--delta-range", "0.2:1.3", "--steps", "12",
+     "--n", "10", "--exact"],
+    ["analytic", "--eta", "pi/3", "--delta", "", "--format", "csv", "--out", "x.csv"],
+])
+def test_canonical_argv_is_read_from_the_table(argv):
+    assert cli._parse_canonical(argv) == build_parser().parse_args(argv)
+
+
+def test_separated_dash_led_angle_stays_a_usage_error():
+    assert cli._parse_canonical(["qpev", "--eta", "-2.5e-3"]) is None
+    code, out, err = invoke_parser(["qpev", "--eta", "-2.5e-3"])
+    assert code == 2
+    assert_one_error_line(code, out, err)
+    assert "expected one argument" in strict_json(err)["error"]["message"]
 
 
 # -- few-shot leaky sampled runs ------------------------------------------

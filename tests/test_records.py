@@ -160,6 +160,58 @@ def test_writer_equals_reference(record):
     assert to_json(record) == json.dumps(reference_record(record), indent=2) + "\n"
 
 
+#: any str: non-ASCII, control characters and lone surrogates among them
+ANY_TEXT = st.text(st.characters(exclude_categories=()), max_size=8)
+#: JSON scalars by exact type and a few subclasses that json writes as
+#: their base: -0.0, subnormals, NaN, infinities, np.float64, bool and int
+#: apart, big ints
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(2**63, 2**200), ANY_TEXT,
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([-0.0, 5e-324, -5e-324, math.nan, math.inf, -math.inf, 1e16, 1.0]),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+)
+HISTOGRAMS = st.one_of(exact_histograms(), sampled_histograms(), sparse_histograms())
+
+
+def trees(leaves):
+    """Empty and nested dicts with str keys, lists and tuples of `leaves`."""
+    return st.recursive(leaves, lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(ANY_TEXT, children, max_size=4),
+    ), max_leaves=12)
+
+
+def with_bin_dicts(tree):
+    """`tree` with each Histogram replaced by its bin dicts."""
+    if isinstance(tree, Histogram):
+        return reference_entries(tree)
+    if type(tree) is dict:
+        return {key: with_bin_dicts(value) for key, value in tree.items()}
+    if type(tree) in (list, tuple):
+        return [with_bin_dicts(value) for value in tree]
+    return tree
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(trees(SCALARS))
+@example({"a": [], "b": {}, "c": (), "d": [[], {}, ((),)], "\ud800\x00é": -0.0})
+@example([math.nan, math.inf, -math.inf, np.float64(0.1), np.float64(-math.inf), True, 1,
+          False, 0, 2**100, -2**100, 5e-324, "\u2603\U0001d703\udcff\n\x1f"])
+@example({1: 2.0, None: [True], 2.5: "x", False: {}})  # keys json turns into str
+def test_writer_equals_json_dumps(tree):
+    assert to_json(tree) == json.dumps(tree, indent=2) + "\n"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(trees(st.one_of(SCALARS, HISTOGRAMS)))
+def test_writer_equals_json_dumps_of_bin_dicts(tree):
+    """A Histogram at any depth is written as json.dumps writes its bin
+    dicts there."""
+    assert to_json(tree) == json.dumps(with_bin_dicts(tree), indent=2) + "\n"
+
+
 #: tiny exact probabilities: TINY, with a value just above the floor, and
 #: any value small enough that 2**12 of them add to under 1e-10
 FULL_RANGE_TINY = st.one_of(st.sampled_from(TINY), st.floats(5e-324, 1e-14))
@@ -267,14 +319,13 @@ def test_table_keeps_one_width():
     assert _full_range_heads.cache_info().hits == info.hits + 1  # the n = 12 table is held
 
 
-def test_slot_count_mismatch_raises():
-    # a second empty "entries" list at the histogram indent would be
-    # mistaken for a slot, so the writer refuses the record
+def test_entries_list_outside_histograms_is_written_as_json():
+    """An empty "entries" list at the indent of a histogram's entries, in
+    another section, is written as any other list."""
     record = make_record([], {},
                          histograms={"qpev": histogram_payload(from_dense(np.array([1.0])))},
                          decoded={"qpev": {"entries": []}})
-    with pytest.raises(ValueError, match="1 histograms"):
-        to_json(record)
+    assert to_json(record) == json.dumps(reference_record(record), indent=2) + "\n"
 
 
 @pytest.mark.parametrize("argv, config", [
