@@ -5,17 +5,24 @@ Subcommands: `analytic` evaluates the closed-form path model, `qpev` and
 the accumulated phase, `sweep` grids the exact pipeline over angle ranges
 and writes CSV.
 
+Each command's options are declared once, in `_COMMANDS`, as the
+keywords argparse's `add_argument` takes. `main` reads argv of the form
+COMMAND (--flag VALUE | --switch)*, each flag once, straight from that
+table. Any other argv goes to `build_parser`, which builds argparse's
+parser from the same table; argparse is imported only there, so help,
+abbreviations, `--flag=value` forms and every usage error are still its
+own, and a canonical launch loads neither argparse nor json.
+
 Exit codes: 0 success (warnings allowed), 2 usage or angle-parse error,
 3 singular or inconsistent configuration, 4 I/O error. Errors are emitted
 as one-line JSON objects on stderr.
 """
 
-import argparse
 import functools
-import json
 import math
 import re
 import sys
+from types import SimpleNamespace
 
 from .angles import parse_angle
 from .errors import AngleParseError, ConfigurationError
@@ -44,173 +51,6 @@ DEFAULT_SEED = 0
 
 #: most sweep grid points per axis: a MAX_STEPS**2 grid is 10**6 pipelines
 MAX_STEPS = 1000
-
-
-def _add_angle(parser: argparse.ArgumentParser, flag: str, text: str,
-               example: str = "-pi/3", **kwargs) -> None:
-    """Add an option that takes a signed angle or range. argparse reads a
-    value that starts with "-" as a flag unless it is a plain negative
-    decimal such as -0.7, so -pi/3, -1e-3 or -1:0.5 only pass attached to
-    the flag, and the help text says so."""
-    parser.add_argument(
-        flag, help=f"{text} (write a negative value attached: {flag}={example})", **kwargs)
-
-
-def _add_output_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=["json", "csv"], default="json",
-                        help="record output format (default json)")
-    parser.add_argument("--out", default=None, metavar="PATH",
-                        help="write output to PATH instead of stdout")
-
-
-def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n", type=int, default=DEFAULT_N,
-                        help=f"counting-register width (default {DEFAULT_N})")
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument("--shots", type=int, default=None,
-                       help="sample this many shots instead of exact probabilities")
-    group.add_argument("--exact", action="store_true",
-                       help="exact probabilities (the default)")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help=f"sampling seed (default {DEFAULT_SEED}, sampled mode only)")
-
-
-class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as the one JSON line on stderr that every
-    error gets, then exits 2 as argparse does; subparsers inherit this."""
-
-    def error(self, message: str):
-        _emit_error(EXIT_USAGE, argparse.ArgumentError(None, message))
-        sys.exit(EXIT_USAGE)
-
-
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; parsing leaves it unchanged."""
-    parser = _Parser(
-        prog="spinqpe",
-        description="Phase estimation readout of two-segment spin precession",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analytic", help="closed-form amplitudes and phase")
-    _add_angle(p, "--eta", "segment-1 angle, radians or pi fraction", required=True)
-    _add_angle(p, "--delta", "segment-2 angle", required=True)
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_analytic)
-
-    p = sub.add_parser("qpev", help="vertical run: measure C^2 and S^2")
-    _add_angle(p, "--eta", "segment-1 angle", required=True)
-    _add_angle(p, "--aux", f"auxiliary Y-rotation angle, default {DEFAULT_AUX}", "-pi/4",
-               default=DEFAULT_AUX)
-    p.add_argument("--allow-leakage", action="store_true",
-                   help="accept a non dyadic-exact auxiliary angle")
-    _add_run_flags(p)
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_qpev)
-
-    p = sub.add_parser("qpeh", help="horizontal run: measure |A|^2/2 and |B|^2/2")
-    _add_angle(p, "--eta", "segment-1 angle", required=True)
-    _add_angle(p, "--delta", "segment-2 angle", required=True)
-    _add_angle(p, "--aux", f"auxiliary X-rotation angle, default {DEFAULT_AUX}", "-pi/4",
-               default=DEFAULT_AUX)
-    p.add_argument("--allow-leakage", action="store_true",
-                   help="accept a non dyadic-exact auxiliary angle")
-    _add_run_flags(p)
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_qpeh)
-
-    p = sub.add_parser("pipeline", help="both runs plus phase extraction")
-    _add_angle(p, "--eta", "segment-1 angle", required=True)
-    _add_angle(p, "--delta", "segment-2 angle", required=True)
-    _add_angle(p, "--aux-v", f"vertical auxiliary angle, default {DEFAULT_AUX}", "-pi/4",
-               default=DEFAULT_AUX)
-    _add_angle(p, "--aux-h", f"horizontal auxiliary angle, default {DEFAULT_AUX}", "-pi/4",
-               default=DEFAULT_AUX)
-    p.add_argument("--branch", choices=BRANCHES,
-                   default="principal", help="delta branch for asin(sin delta)")
-    _add_run_flags(p)
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_pipeline)
-
-    p = sub.add_parser("sweep", help="grid the exact pipeline, write CSV")
-    _add_angle(p, "--eta-range", "segment-1 range, e.g. 0.2:1.3 or pi/12:pi/3", "-1:0.5",
-               required=True, metavar="LO:HI")
-    _add_angle(p, "--delta-range", "segment-2 range", "-pi/3:0",
-               required=True, metavar="LO:HI")
-    p.add_argument("--steps", type=int, default=12,
-                   help=f"grid points per axis, 1 to {MAX_STEPS} (default 12)")
-    p.add_argument("--exact", action="store_true",
-                   help="exact probabilities (sweeps always run exact)")
-    p.add_argument("--n", type=int, default=DEFAULT_N,
-                   help=f"counting-register width (default {DEFAULT_N})")
-    p.add_argument("--out", default=None, metavar="PATH",
-                   help="write CSV to PATH instead of stdout")
-    p.set_defaults(func=cmd_sweep)
-
-    return parser
-
-
-#: a dash-led value that every argparse version reads as a value, not a
-#: flag, in a parser with no flag that looks like a negative number;
-#: compiled on first use, so a launch that reads none compiles no pattern
-_NEGATIVE_DECIMAL = r"-\d+|-\d*\.\d+"
-
-
-@functools.cache
-def _option_tables() -> dict:
-    """Each command's options as `build_parser()` holds them: command ->
-    (flag -> store or switch action, defaults, required dests, the dests of
-    each mutually exclusive group)."""
-    (commands,) = [action for action in build_parser()._actions
-                   if isinstance(action, argparse._SubParsersAction)]
-    tables = {}
-    for name, sub in commands.choices.items():
-        options = {flag: action for action in sub._actions for flag in action.option_strings
-                   if isinstance(action, argparse._StoreConstAction)
-                   or type(action) is argparse._StoreAction and action.nargs is None}
-        defaults = {**sub._defaults, **{action.dest: action.default for action in sub._actions
-                                        if argparse.SUPPRESS not in (action.dest, action.default)}}
-        required = [action.dest for action in sub._actions if action.required]
-        groups = [[action.dest for action in group._group_actions]
-                  for group in sub._mutually_exclusive_groups]
-        tables[name] = (commands.dest, options, defaults, required, groups)
-    return tables
-
-
-def _parse_canonical(argv: list) -> argparse.Namespace | None:
-    """The Namespace `build_parser().parse_args(argv)` gives for argv of the
-    form COMMAND (--flag VALUE | --switch)*, each flag once, read from that
-    command's option table; None for any other argv, which argparse then
-    parses, so help, abbreviations, `--flag=value` and every usage error
-    stay its own."""
-    table = _option_tables().get(argv[0]) if argv else None
-    if table is None:
-        return None
-    dest, options, defaults, required, groups = table
-    values = {dest: argv[0]}
-    words = iter(argv[1:])
-    for word in words:
-        action = options.get(word)
-        if action is None or action.dest in values:
-            return None
-        if action.nargs == 0:
-            values[action.dest] = action.const
-            continue
-        text = next(words, None)
-        if text is None or text[:1] == "-" and not re.fullmatch(_NEGATIVE_DECIMAL, text):
-            return None
-        try:
-            value = text if action.type is None else action.type(text)
-        except (argparse.ArgumentTypeError, TypeError, ValueError):
-            return None
-        if action.choices is not None and value not in action.choices:
-            return None
-        values[action.dest] = value
-    if any(key not in values for key in required) or any(
-            sum(key in values for key in group) > 1 for group in groups):
-        return None
-    return argparse.Namespace(**{**defaults, **values})
 
 
 def _echo(run: RunSettings) -> dict:
@@ -380,13 +220,13 @@ def cmd_sweep(args) -> int:
     points = [PathParams(eta, delta) for eta in etas for delta in deltas]
     rows = []
     for params, result in zip(points, window_sweep(points, run.counting_qubits, aux)):
-        analytic = _analytic_section(params.eta, params.delta, result["phase_analytic"])
+        # the three analytic columns, as _analytic_section makes them
         rows.append({
             "eta": params.eta,
             "delta": params.delta,
-            "C2": analytic["C2"],
-            "half_absA2": analytic["half_absA2"],
-            "theta_analytic": analytic["theta"],
+            "C2": amplitudes_CS(params.eta).C ** 2,
+            "half_absA2": abs(amplitudes_AB(params).A) ** 2 / 2.0,
+            "theta_analytic": result["phase_analytic"].theta,
             "theta_est": result["theta_est"],
             "residual_theta": result["residual_theta"],
         })
@@ -394,7 +234,154 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _angle(flag: str, text: str, example: str = "-pi/3", default: str | None = None,
+           metavar: str | None = None) -> tuple:
+    """An option that takes a signed angle or range, required unless it has
+    a default. argparse reads a value that starts with "-" as a flag unless
+    it is a plain negative decimal such as -0.7, so -pi/3, -1e-3 or
+    -1:0.5 only pass attached to the flag, and the help text says so."""
+    return flag, {"default": default, "required": default is None, "metavar": metavar,
+                  "help": f"{text} (write a negative value attached: {flag}={example})"}
+
+
+_ETA = _angle("--eta", "segment-1 angle")
+_DELTA = _angle("--delta", "segment-2 angle")
+_ALLOW_LEAKAGE = ("--allow-leakage", {"action": "store_true", "default": False,
+                                      "help": "accept a non dyadic-exact auxiliary angle"})
+_N = ("--n", {"type": int, "default": DEFAULT_N,
+              "help": f"counting-register width (default {DEFAULT_N})"})
+_RUN = (
+    _N,
+    ("--shots", {"type": int, "help": "sample this many shots instead of exact probabilities"}),
+    ("--exact", {"action": "store_true", "default": False,
+                 "help": "exact probabilities (the default)"}),
+    ("--seed", {"type": int, "default": DEFAULT_SEED,
+                "help": f"sampling seed (default {DEFAULT_SEED}, sampled mode only)"}),
+)
+_OUTPUT = (
+    ("--format", {"choices": ("json", "csv"), "default": "json",
+                  "help": "record output format (default json)"}),
+    ("--out", {"metavar": "PATH", "help": "write output to PATH instead of stdout"}),
+)
+#: the flags of `_RUN` that exclude each other
+_MODE = ("--shots", "--exact")
+
+#: command -> (help, function, options in help order, mutually exclusive
+#: flags). An option is (flag, the keywords argparse's `add_argument`
+#: takes); its dest is the flag without "--", "-" read as "_", and a
+#: switch is a store_true action that declares its default False.
+#: `build_parser` and `_parse_canonical` both read this table.
+_COMMANDS = {
+    "analytic": ("closed-form amplitudes and phase", cmd_analytic, (
+        _angle("--eta", "segment-1 angle, radians or pi fraction"), _DELTA, *_OUTPUT), ()),
+    "qpev": ("vertical run: measure C^2 and S^2", cmd_qpev, (
+        _ETA, _angle("--aux", f"auxiliary Y-rotation angle, default {DEFAULT_AUX}", "-pi/4",
+                     DEFAULT_AUX),
+        _ALLOW_LEAKAGE, *_RUN, *_OUTPUT), _MODE),
+    "qpeh": ("horizontal run: measure |A|^2/2 and |B|^2/2", cmd_qpeh, (
+        _ETA, _DELTA,
+        _angle("--aux", f"auxiliary X-rotation angle, default {DEFAULT_AUX}", "-pi/4",
+               DEFAULT_AUX),
+        _ALLOW_LEAKAGE, *_RUN, *_OUTPUT), _MODE),
+    "pipeline": ("both runs plus phase extraction", cmd_pipeline, (
+        _ETA, _DELTA,
+        _angle("--aux-v", f"vertical auxiliary angle, default {DEFAULT_AUX}", "-pi/4",
+               DEFAULT_AUX),
+        _angle("--aux-h", f"horizontal auxiliary angle, default {DEFAULT_AUX}", "-pi/4",
+               DEFAULT_AUX),
+        ("--branch", {"choices": BRANCHES, "default": "principal",
+                      "help": "delta branch for asin(sin delta)"}),
+        *_RUN, *_OUTPUT), _MODE),
+    "sweep": ("grid the exact pipeline, write CSV", cmd_sweep, (
+        _angle("--eta-range", "segment-1 range, e.g. 0.2:1.3 or pi/12:pi/3", "-1:0.5",
+               metavar="LO:HI"),
+        _angle("--delta-range", "segment-2 range", "-pi/3:0", metavar="LO:HI"),
+        ("--steps", {"type": int, "default": 12,
+                     "help": f"grid points per axis, 1 to {MAX_STEPS} (default 12)"}),
+        ("--exact", {"action": "store_true", "default": False,
+                     "help": "exact probabilities (sweeps always run exact)"}),
+        _N,
+        ("--out", {"metavar": "PATH", "help": "write CSV to PATH instead of stdout"})), ()),
+}
+
+
+@functools.cache
+def build_parser():
+    """The argument parser of `_COMMANDS`, built once per process; parsing
+    leaves it unchanged. argparse is imported here, so only a launch that
+    needs it (help, a usage error, argv `_parse_canonical` does not read)
+    pays for it and for its gettext lookups."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """Reports a usage error as the one JSON line on stderr that every
+        error gets, then exits 2 as argparse does; subparsers inherit this."""
+
+        def error(self, message: str):
+            _emit_error(EXIT_USAGE, argparse.ArgumentError(None, message))
+            sys.exit(EXIT_USAGE)
+
+    parser = _Parser(
+        prog="spinqpe",
+        description="Phase estimation readout of two-segment spin precession",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (text, func, options, exclusive) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        group = p.add_mutually_exclusive_group() if exclusive else p
+        for flag, keywords in options:
+            (group if flag in exclusive else p).add_argument(flag, **keywords)
+        p.set_defaults(func=func)
+    return parser
+
+
+#: a dash-led value that every argparse version reads as a value, not a
+#: flag, in a parser with no flag that looks like a negative number;
+#: compiled on first use, so a launch that reads none compiles no pattern
+_NEGATIVE_DECIMAL = r"-\d+|-\d*\.\d+"
+
+
+def _parse_canonical(argv: list) -> SimpleNamespace | None:
+    """The namespace `build_parser().parse_args(argv)` gives, as a
+    SimpleNamespace with the same attributes, for argv of the form COMMAND
+    (--flag VALUE | --switch)*, each flag once, read from `_COMMANDS`; None
+    for any other argv, which argparse then parses, so help,
+    abbreviations, `--flag=value` and every usage error stay its own."""
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    _, func, options, exclusive = command
+    unread = dict(options)
+    given = {}
+    words = iter(argv[1:])
+    for word in words:
+        keywords = unread.pop(word, None)  # a repeated flag is no longer unread
+        if keywords is None:
+            return None
+        if "action" in keywords:
+            given[word] = True
+            continue
+        text = next(words, None)
+        if text is None or text[:1] == "-" and not re.fullmatch(_NEGATIVE_DECIMAL, text):
+            return None
+        try:
+            value = keywords.get("type", str)(text)
+        except (TypeError, ValueError):
+            return None
+        if value not in keywords.get("choices", (value,)):
+            return None
+        given[word] = value
+    if any(keywords.get("required") for keywords in unread.values()) or sum(
+            flag in given for flag in exclusive) > 1:
+        return None
+    values = {**{flag: keywords.get("default") for flag, keywords in unread.items()}, **given}
+    return SimpleNamespace(command=argv[0], func=func,
+                           **{flag[2:].replace("-", "_"): value for flag, value in values.items()})
+
+
 def _emit_error(code: int, exc: BaseException) -> None:
+    import json
+
     payload = {"error": {
         "exit_code": code,
         "type": type(exc).__name__,
@@ -408,6 +395,9 @@ def main(argv: list | None = None) -> int:
     args = _parse_canonical(argv)
     if args is None:
         args = build_parser().parse_args(argv)
+        for dest, value in vars(args).items():
+            if type(value) is list:  # argparse reads an attached `--flag=--` as []
+                build_parser().error(f"argument --{dest.replace('_', '-')}: expected one argument")
     args._argv = argv
     try:
         return args.func(args)

@@ -145,7 +145,7 @@ def full_pipeline(
     if branch not in BRANCHES:
         raise ConfigurationError(f"branch must be one of {BRANCHES}, got {branch!r}")
 
-    config_v, config_h = _configs(params, run, aux_v, aux_h)
+    config_v, config_h = _vertical(params.eta, run, aux_v), _horizontal(params, run, aux_h)
 
     hist_v, hist_h = run_qpe(config_v), run_qpe(config_h)
     decode_v = decode(hist_v, config_v)
@@ -166,11 +166,14 @@ def full_pipeline(
                             hist_v=hist_v, hist_h=hist_h)
 
 
-def _configs(params: PathParams, run: RunSettings, aux_v: float,
-             aux_h: float) -> tuple[QpeConfig, QpeConfig]:
-    """The vertical and horizontal runs of the pipeline at `params`."""
-    return (QpeConfig(run, RotationSpec(Axis.Y, aux_v), (rx(-params.eta),)),
-            QpeConfig(run, RotationSpec(Axis.X, aux_h), (rx(-params.eta), ry(params.delta))))
+def _vertical(eta: float, run: RunSettings, aux: float) -> QpeConfig:
+    """The pipeline's vertical run, which depends on eta alone."""
+    return QpeConfig(run, RotationSpec(Axis.Y, aux), (rx(-eta),))
+
+
+def _horizontal(params: PathParams, run: RunSettings, aux: float) -> QpeConfig:
+    """The pipeline's horizontal run at `params`."""
+    return QpeConfig(run, RotationSpec(Axis.X, aux), (rx(-params.eta), ry(params.delta)))
 
 
 def _notes(warnings_v: list, warnings_h: list) -> list:
@@ -228,10 +231,12 @@ def window_sweep(points, n: int, aux: float):
 
     Every point runs both circuits at one width and angle, so their bins,
     windows and the readout kernel's values at the window outcomes
-    (kernel_at) are found once. At each point, the two
-    QpeConfigs are built and checked as full_pipeline builds them, and
-    the masses are read as _window_masses reads them. No Histogram is
-    built and numpy is not imported.
+    (kernel_at) are found once. The vertical run depends on eta alone, so
+    its QpeConfig is built and checked, and its masses read, once per
+    distinct eta (0.0 and -0.0 apart); the horizontal QpeConfig is built
+    and checked at every point. Both are built as full_pipeline builds
+    them, in its order, and the masses are read as _window_masses reads
+    them. No Histogram is built and numpy is not imported.
     """
     run = RunSettings(n)
     windows = expected_bins(QpeConfig(run, RotationSpec(Axis.Y, aux))).windows()
@@ -239,10 +244,15 @@ def window_sweep(points, n: int, aux: float):
     # together they list K(-m) for each of their outcomes m
     outcomes = sorted(set().union(*windows))
     kernel = dict(zip(outcomes, kernel_at(n, aux, outcomes)))
+    vertical = {}  # (eta, its sign) -> the vertical run's two window masses
     for params in points:
-        (p_plus_v, p_minus_v), (p_plus_h, p_minus_h) = (
-            _window_masses(config, kernel, windows)
-            for config in _configs(params, run, aux, aux))
+        key = params.eta, math.copysign(1.0, params.eta)
+        masses_v = vertical.get(key)
+        if masses_v is None:
+            masses_v = vertical[key] = _window_masses(_vertical(params.eta, run, aux),
+                                                      kernel, windows)
+        p_plus_v, p_minus_v = masses_v
+        p_plus_h, p_minus_h = _window_masses(_horizontal(params, run, aux), kernel, windows)
         notes = _notes(leakage_warnings(p_plus_v + p_minus_v),
                        leakage_warnings(p_plus_h + p_minus_h))
         yield _estimates(params, "principal", p_plus_v, p_minus_v, p_plus_h, notes)

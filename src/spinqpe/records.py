@@ -10,9 +10,7 @@ echoed command reproduces the record byte for byte.
 import csv
 import functools
 import io
-import json
 import math
-from json.encoder import encode_basestring_ascii
 
 from .extraction import BRANCHES, ExtractionResult
 from .precession import wrap_angle
@@ -292,22 +290,28 @@ def _float_json(value: float) -> str:
     return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
 
 
-#: the JSON text of a scalar, by its exact type, as `json.dumps` writes it
-_SCALAR_JSON = {
-    str: encode_basestring_ascii,
-    float: _float_json,
-    int: int.__repr__,
-    bool: lambda value: "true" if value else "false",
-    type(None): lambda value: "null",
-}
+@functools.cache
+def _scalar_json() -> dict:
+    """The JSON text of a scalar, by its exact type, as `json.dumps` writes
+    it. json is imported on the first record written as JSON, so a launch
+    that writes none, a sweep or a CSV record, never loads it."""
+    from json.encoder import encode_basestring_ascii
+
+    return {
+        str: encode_basestring_ascii,
+        float: _float_json,
+        int: int.__repr__,
+        bool: lambda value: "true" if value else "false",
+        type(None): lambda value: "null",
+    }
 
 
-def _write(value, pad: str, out: list) -> None:
+def _write(value, pad: str, out: list, scalars: dict) -> None:
     """Append to `out` the pieces of `value` as `json.dumps(indent=2)`
     writes it at indent `pad`. A dict with str keys, a list and a tuple
-    write each scalar item by `_SCALAR_JSON` and recurse into any other; a
-    Histogram is written by `_entries_json`; any other value, a scalar
-    passed alone among them, is json's own text."""
+    write each scalar item by `scalars` (`_scalar_json()`) and recurse into
+    any other; a Histogram is written by `_entries_json`; any other value,
+    a scalar passed alone among them, is json's own text."""
     kind = type(value)
     if kind is dict and all(type(key) is str for key in value):
         if not value:
@@ -315,13 +319,14 @@ def _write(value, pad: str, out: list) -> None:
             return
         inner = pad + "  "
         separator = "{\n" + inner
+        escape = scalars[str]
         for key, item in value.items():
-            scalar = _SCALAR_JSON.get(type(item))
+            scalar = scalars.get(type(item))
             if scalar is None:
-                out.append(f"{separator}{encode_basestring_ascii(key)}: ")
-                _write(item, inner, out)
+                out.append(f"{separator}{escape(key)}: ")
+                _write(item, inner, out, scalars)
             else:
-                out.append(f"{separator}{encode_basestring_ascii(key)}: {scalar(item)}")
+                out.append(f"{separator}{escape(key)}: {scalar(item)}")
             separator = ",\n" + inner
         out.append(f"\n{pad}}}")
     elif kind is list or kind is tuple:
@@ -331,10 +336,10 @@ def _write(value, pad: str, out: list) -> None:
         inner = pad + "  "
         separator = "[\n" + inner
         for item in value:
-            scalar = _SCALAR_JSON.get(type(item))
+            scalar = scalars.get(type(item))
             if scalar is None:
                 out.append(separator)
-                _write(item, inner, out)
+                _write(item, inner, out, scalars)
             else:
                 out.append(separator + scalar(item))
             separator = ",\n" + inner
@@ -345,6 +350,8 @@ def _write(value, pad: str, out: list) -> None:
             pieces = ["".join(pieces).replace("\n" + _ENTRIES_PAD, "\n" + pad)]
         out += pieces
     else:
+        import json
+
         out.append(json.dumps(value, indent=2).replace("\n", "\n" + pad))
 
 
@@ -353,7 +360,7 @@ def to_json(record: dict) -> str:
     newline, with each histogram's entries written straight from its
     outcome and weight sequences, and the whole text joined once."""
     out = []
-    _write(record, "", out)
+    _write(record, "", out, _scalar_json())
     out.append("\n")
     # a list appended to after a long extend holds an eighth more slots
     # than pieces; its copy is sized exactly, and only the copy is alive at

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import statistics
 import tracemalloc
@@ -30,6 +31,7 @@ from spinqpe import (
     theta_from_estimates,
     total_phase,
 )
+from spinqpe import extraction
 from spinqpe.extraction import window_sweep
 from spinqpe.qpe import readout_kernel
 
@@ -338,6 +340,69 @@ class TestWindowSweep:
                 want.theta_est, want.residual_theta)
             assert got == {key: getattr(want, key) for key in got}
         assert next(swept, None) is None
+
+    @staticmethod
+    def assert_sweep_is_pipeline(points, n, aux):
+        """window_sweep(points) yields what full_pipeline makes at each
+        point, to the sign of a zero (repr), and stops with its error."""
+        swept = window_sweep(points, n, aux)
+        for params in points:
+            try:
+                want = full_pipeline(params, RunSettings(n), aux, aux)
+            except ConfigurationError as err:
+                with pytest.raises(type(err)) as refused:
+                    next(swept)
+                assert str(refused.value) == str(err)
+                return
+            got = next(swept)
+            assert repr(got) == repr({key: getattr(want, key) for key in got})
+        assert next(swept, None) is None
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), n=st.integers(4, 12),
+           etas=st.lists(st.one_of(st.sampled_from([0.0, -0.0, 0.4, -1.2]),
+                                   st.floats(-PI, PI)), min_size=1, max_size=4),
+           deltas=st.lists(st.one_of(st.sampled_from([0.0, -0.0, PI, 3.0]),
+                                     st.floats(-PI, PI)), min_size=1, max_size=4),
+           by_delta=st.booleans())
+    def test_grid_equals_full_pipeline(self, data, n, etas, deltas, by_delta):
+        """Grids whose eta values repeat, 0.0 beside -0.0, in row or
+        column order: the vertical run read once per eta changes nothing."""
+        aux = data.draw(pipeline_auxes(n))[0]
+        if by_delta:
+            points = [PathParams(eta, delta) for delta in deltas for eta in etas]
+        else:
+            points = [PathParams(eta, delta) for eta in etas for delta in deltas]
+        self.assert_sweep_is_pipeline(points, n, aux)
+
+    def test_vertical_run_is_read_once_per_eta(self, monkeypatch):
+        """At eta = 0 the closed-form overlap vanishes at delta = pi, so that
+        row raises only at its third point; -0.0 is an eta of its own."""
+        etas = [0.4, -0.0, 0.4, 0.0]
+        points = [PathParams(eta, delta) for eta in etas for delta in (0.0, 3.0, PI)]
+        with pytest.raises(UndefinedPhaseError):
+            full_pipeline(points[5], RunSettings(10), PI / 4, PI / 4)
+
+        def built_for(points):
+            """The eta of each vertical run window_sweep builds over `points`."""
+            built, build = [], extraction._vertical
+
+            def vertical(eta, *rest):
+                built.append(repr(eta))
+                return build(eta, *rest)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(extraction, "_vertical", vertical)
+                with contextlib.suppress(UndefinedPhaseError):
+                    for _ in window_sweep(points, 10, PI / 4):
+                        pass
+            return built
+
+        self.assert_sweep_is_pipeline(points, 10, PI / 4)
+        assert built_for(points) == ["0.4", "-0.0"]
+        points = points[:5] + points[6:]
+        self.assert_sweep_is_pipeline(points, 10, PI / 4)
+        assert built_for(points) == ["0.4", "-0.0", "0.0"]
 
 
 def test_exact_dyadic_pipeline_allocates_no_register_vector():

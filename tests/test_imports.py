@@ -9,7 +9,8 @@ that build or read an array, so a sweep or an analytic record never
 loads it. Nor does any import a standard module that is slow to load and
 that the package can do without: its value classes need no dataclasses
 (which loads inspect), its annotations no typing, its one file write no
-pathlib."""
+pathlib. A canonical launch loads no argparse (nor its gettext), and one
+that writes no JSON record, a sweep among them, loads no json."""
 
 import ast
 import os
@@ -187,21 +188,51 @@ def test_module_imports_no_slow_stdlib_at_import(path):
     assert not SLOW_STDLIB & top_level_imports(ast.parse(path.read_text(encoding="utf-8")))
 
 
-def test_cold_sweep_loads_no_slow_module():
-    """In a fresh interpreter with no site hook (-S), importing the CLI and
-    running a sweep load none of the slow standard modules, nor numpy."""
-    argv = ["sweep", "--eta-range", "0.2:1.3", "--delta-range", "0.2:1.3", "--steps", "3"]
+#: standard modules only a launch that needs argparse loads: help, a usage
+#: error, or argv that `cli._parse_canonical` does not read
+PARSER_STDLIB = {"argparse", "gettext"}
+
+
+def loaded_after(argv: list, modules: set, *flags: str) -> str:
+    """"CODE ON_IMPORT AFTER": the exit code of `cli.main(argv)` in a fresh
+    interpreter started with `flags`, and which of `modules` were loaded
+    after importing the CLI and after running it."""
     code = ("import sys, io, contextlib\n"
             "import spinqpe.cli\n"
-            f"loaded = {sorted(SLOW_STDLIB | {'numpy'})!r}\n"
+            f"loaded = {sorted(modules)!r}\n"
             "on_import = [name for name in loaded if name in sys.modules]\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    code = spinqpe.cli.main({argv!r})\n"
             "print(code, on_import, [name for name in loaded if name in sys.modules])\n")
     src = str(Path(spinqpe.__file__).parents[1])
-    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+    done = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True,
                           timeout=60, env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert done.stdout == "0 [] []\n", done.stderr
+    return done.stdout
+
+
+def test_cold_sweep_loads_no_slow_module():
+    """With no site hook (-S), importing the CLI and running a canonical
+    sweep load none of the slow standard modules, nor numpy, argparse,
+    gettext or json."""
+    argv = ["sweep", "--eta-range", "0.2:1.3", "--delta-range", "0.2:1.3", "--steps", "3"]
+    modules = SLOW_STDLIB | PARSER_STDLIB | {"numpy", "json"}
+    assert loaded_after(argv, modules, "-S") == "0 [] []\n"
+
+
+def test_canonical_exact_pipeline_loads_no_parser():
+    """A canonical exact pipeline writes a JSON record, so it loads json,
+    and its kernel loads numpy, but it loads neither argparse nor gettext."""
+    argv = ["pipeline", "--eta", "pi/3", "--delta", "pi/3", "--exact", "--n", "4"]
+    assert loaded_after(argv, PARSER_STDLIB) == "0 [] []\n"
+
+
+def test_cold_sweep_help_still_comes_from_argparse():
+    src = str(Path(spinqpe.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-S", "-m", "spinqpe", "sweep", "--help"],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith("usage: spinqpe sweep")
 
 
 @pytest.mark.parametrize("argv", [
