@@ -218,13 +218,14 @@ def cmd_sweep(args) -> int:
     run = RunSettings(args.n)
     etas, deltas = _grid(eta_lo, eta_hi, args.steps), _grid(delta_lo, delta_hi, args.steps)
     points = [PathParams(eta, delta) for eta in etas for delta in deltas]
+    # the three analytic columns, as _analytic_section makes them; C2 is one per eta
+    c2 = {eta: amplitudes_CS(eta).C ** 2 for eta in etas}
     rows = []
     for params, result in zip(points, window_sweep(points, run.counting_qubits, aux)):
-        # the three analytic columns, as _analytic_section makes them
         rows.append({
             "eta": params.eta,
             "delta": params.delta,
-            "C2": amplitudes_CS(params.eta).C ** 2,
+            "C2": c2[params.eta],
             "half_absA2": abs(amplitudes_AB(params).A) ** 2 / 2.0,
             "theta_analytic": result["phase_analytic"].theta,
             "theta_est": result["theta_est"],

@@ -14,10 +14,10 @@ covers |delta| <= pi/2.
 
 full_pipeline runs both circuits and decodes their histograms; the two
 runs share one cached readout kernel when their angles are equal.
-window_sweep reads the same window masses at many (eta, delta) points of
-one width and auxiliary angle from the readout kernel's values at the
-window outcomes alone: no histogram, and no numpy. Both hand the masses
-to one function that makes the estimates, so the two agree bit for bit.
+window_sweep decodes the same runs at many (eta, delta) points of one
+width and auxiliary angle with qpe's window_decoder: no histogram, and no
+numpy. Both make their estimates from the two decode results in one
+function, so the two agree bit for bit.
 """
 
 import math
@@ -30,9 +30,8 @@ from .errors import (
 )
 from .gates import Axis, RotationSpec, Value, rx, ry
 from .precession import AmplitudePair, PathParams, TotalPhase, total_phase, wrap_angle
-from .qpe import (PROBABILITY_FLOOR, DecodeResult, Histogram, QpeConfig, RunSettings,
-                  _target_overlaps, decode, expected_bins, kernel_at, leakage_warnings,
-                  run_qpe, window_mass)
+from .qpe import (DecodeResult, Histogram, QpeConfig, RunSettings, decode, run_qpe,
+                  window_decoder)
 
 BRANCHES = ("principal", "reflected")
 
@@ -160,9 +159,7 @@ def full_pipeline(
             "it stays empty)"
         )
 
-    estimates = _estimates(params, branch, decode_v.p_plus, decode_v.p_minus,
-                           decode_h.p_plus, _notes(decode_v.warnings, decode_h.warnings))
-    return ExtractionResult(**estimates, decode_v=decode_v, decode_h=decode_h,
+    return ExtractionResult(**_estimates(params, branch, decode_v, decode_h),
                             hist_v=hist_v, hist_h=hist_h)
 
 
@@ -176,17 +173,13 @@ def _horizontal(params: PathParams, run: RunSettings, aux: float) -> QpeConfig:
     return QpeConfig(run, RotationSpec(Axis.X, aux), (rx(-params.eta), ry(params.delta)))
 
 
-def _notes(warnings_v: list, warnings_h: list) -> list:
-    """The two readouts' decode warnings as a result's first notes."""
-    return [f"qpev: {w}" for w in warnings_v] + [f"qpeh: {w}" for w in warnings_h]
-
-
-def _estimates(params: PathParams, branch: str, p_plus_v: float, p_minus_v: float,
-               p_plus_h: float, notes: list) -> dict:
-    """The estimates of an ExtractionResult, by field name, from the
-    vertical readout's two window masses and the horizontal readout's
-    plus-window mass. `notes` holds the readouts' notes; the branch,
-    clamp and closed-form notes are appended, and it becomes `warnings`."""
+def _estimates(params: PathParams, branch: str, decode_v: DecodeResult,
+               decode_h: DecodeResult) -> dict:
+    """An ExtractionResult's fields but the histograms, by name, from the
+    vertical decode's two window masses and the horizontal plus-window
+    mass. `warnings` lists the decode warnings, as "qpev: ..." and
+    "qpeh: ...", then the branch, clamp and closed-form notes."""
+    notes = [f"qpev: {w}" for w in decode_v.warnings] + [f"qpeh: {w}" for w in decode_h.warnings]
     canonical_eta = wrap_angle(params.eta)
     if not -math.pi / 2.0 <= canonical_eta <= math.pi / 2.0:
         notes.append(
@@ -194,8 +187,8 @@ def _estimates(params: PathParams, branch: str, p_plus_v: float, p_minus_v: floa
             "[-pi/2, pi/2], where the nonnegative C, S roots are not valid"
         )
 
-    cs = reconstruct_CS(p_plus_v, p_minus_v)
-    absA_est = reconstruct_absA(p_plus_h)
+    cs = reconstruct_CS(decode_v.p_plus, decode_v.p_minus)
+    absA_est = reconstruct_absA(decode_h.p_plus)
     sin_delta_est, sin_delta_raw = infer_sin_delta(absA_est, cs)
     if sin_delta_est != sin_delta_raw:
         notes.append(f"sin(delta) = {sin_delta_raw!r} clamped to {sin_delta_est}")
@@ -219,57 +212,26 @@ def _estimates(params: PathParams, branch: str, p_plus_v: float, p_minus_v: floa
         "theta_est": theta_est,
         "phase_analytic": phase_analytic,
         "residual_theta": wrap_angle(theta_est - phase_analytic.theta),
+        "decode_v": decode_v,
+        "decode_h": decode_h,
         "warnings": notes,
     }
 
 
 def window_sweep(points, n: int, aux: float):
-    """Yield, for each PathParams of `points` in order, the estimates that
-    the exact full_pipeline(params, RunSettings(n), aux, aux) makes, as a
-    dict keyed by the ExtractionResult fields, bit for bit, reading only
-    the decode windows.
-
-    Every point runs both circuits at one width and angle, so their bins,
-    windows and the readout kernel's values at the window outcomes
-    (kernel_at) are found once. The vertical run depends on eta alone, so
-    its QpeConfig is built and checked, and its masses read, once per
-    distinct eta (0.0 and -0.0 apart); the horizontal QpeConfig is built
-    and checked at every point. Both are built as full_pipeline builds
-    them, in its order, and the masses are read as _window_masses reads
-    them. No Histogram is built and numpy is not imported.
+    """Yield, for each PathParams of `points` in order, the fields but the
+    histograms of the exact full_pipeline(params, RunSettings(n), aux, aux)
+    result, bit for bit, as a dict keyed by field name. Both runs decode
+    through one window_decoder. Each QpeConfig is built and checked as
+    full_pipeline builds it, in its order, but the vertical one, which
+    depends on eta alone, only once per distinct eta (0.0 and -0.0 apart).
     """
     run = RunSettings(n)
-    windows = expected_bins(QpeConfig(run, RotationSpec(Axis.Y, aux))).windows()
-    # m_plus = -m_minus, so each window is the other's mirror image and
-    # together they list K(-m) for each of their outcomes m
-    outcomes = sorted(set().union(*windows))
-    kernel = dict(zip(outcomes, kernel_at(n, aux, outcomes)))
-    vertical = {}  # (eta, its sign) -> the vertical run's two window masses
+    decoder = window_decoder(n, aux)
+    vertical = {}  # (eta, its sign) -> the vertical run's decode result
     for params in points:
         key = params.eta, math.copysign(1.0, params.eta)
-        masses_v = vertical.get(key)
-        if masses_v is None:
-            masses_v = vertical[key] = _window_masses(_vertical(params.eta, run, aux),
-                                                      kernel, windows)
-        p_plus_v, p_minus_v = masses_v
-        p_plus_h, p_minus_h = _window_masses(_horizontal(params, run, aux), kernel, windows)
-        notes = _notes(leakage_warnings(p_plus_v + p_minus_v),
-                       leakage_warnings(p_plus_h + p_minus_h))
-        yield _estimates(params, "principal", p_plus_v, p_minus_v, p_plus_h, notes)
-
-
-def _window_masses(config: QpeConfig, kernel: dict, windows: tuple) -> list:
-    """decode's mass in each of `windows` for the exact run `config`, from
-    `kernel`, its K(m) at every window outcome m. An outcome reads
-    P(m) = w_minus K(m) + w_plus K(-m mod 2^n), or 0 where that is at or
-    below PROBABILITY_FLOOR: what run_qpe's histogram holds there."""
-    size = 1 << config.run.counting_qubits
-    w_plus, w_minus = _target_overlaps(config)
-    masses = []
-    for window in windows:
-        readout = []
-        for m in window:
-            p = w_minus * kernel[m] + w_plus * kernel[-m % size]
-            readout.append(p if p > PROBABILITY_FLOOR else 0.0)
-        masses.append(window_mass(readout))
-    return masses
+        decode_v = vertical.get(key)
+        if decode_v is None:
+            decode_v = vertical[key] = decoder(_vertical(params.eta, run, aux))
+        yield _estimates(params, "principal", decode_v, decoder(_horizontal(params, run, aux)))

@@ -22,16 +22,21 @@ all. A sampled kernel keeps every outcome, as its draw needs the full
 vector. K depends only on the width, the angle and the mode, so a
 process builds it once per (width, angle, mode) and keeps the last two
 it built, read-only, for the runs that repeat them. kernel_at gives the
-same K at a few listed outcomes in pure Python, for a reader that needs
-only the decode windows. run_circuit is the reference engine: it
-simulates that circuit gate by gate on the full statevector, and only it
-and its two readouts use spinqpe.statevector and spinqpe.iqft.
+same K at a few listed outcomes in pure Python. run_circuit is the
+reference engine: it simulates that circuit gate by gate on the full
+statevector, and only it and its two readouts use spinqpe.statevector
+and spinqpe.iqft.
 
 numpy is imported inside the functions that build or read an array (a
 readout kernel, a draw, the reference engine, a Histogram's checks of
 an array), never at import: a configuration, its bins and windows,
-kernel_at and the window masses need none, and neither does an exact
-run on a cached short kernel, its Histogram or its decode.
+kernel_at and window_decoder need none, and neither does an exact run on
+a cached short kernel, its Histogram or its decode.
+
+Only this module reads a readout into a DecodeResult: decode reads a
+Histogram, and window_decoder an exact run at its decode windows alone,
+from kernel_at. Both take the window masses in one step, so a sweep
+decodes bit for bit as a pipeline does.
 
 A Histogram holds only its support, as Python sequences: the ascending
 outcomes whose probability is above the dust floor, or that were drawn
@@ -501,13 +506,18 @@ def kernel_at(n: int, angle: float, bins) -> list:
     return values
 
 
+#: axis -> (<+axis|, <-axis|), each the conjugate amplitudes of its eigenvector
+_BRAS = {axis: tuple((b0.conjugate(), b1.conjugate()) for b0, b1 in axis_eigenvectors(axis))
+         for axis in Axis}
+
+
 def _target_overlaps(config: QpeConfig) -> tuple[float, float]:
     """(|<+axis|t>|^2, |<-axis|t>|^2) for the target t = prep applied to |0>."""
     t0, t1 = 1.0 + 0j, 0j
     for (g00, g01), (g10, g11) in config.target_prep:
         t0, t1 = g00 * t0 + g01 * t1, g10 * t0 + g11 * t1
-    return tuple(abs(b0.conjugate() * t0 + b1.conjugate() * t1) ** 2
-                 for b0, b1 in axis_eigenvectors(config.aux.axis))
+    (p0, p1), (m0, m1) = _BRAS[config.aux.axis]
+    return abs(p0 * t0 + p1 * t1) ** 2, abs(m0 * t0 + m1 * t1) ** 2
 
 
 def _width(probs: np.ndarray) -> int:
@@ -554,6 +564,20 @@ def sample_probabilities(probs: np.ndarray, shots: int, seed: int) -> Histogram:
     return Histogram(n, *_held(counts, 0), total_shots=shots, seed=seed)
 
 
+def _exact_readout(config: QpeConfig, triples) -> tuple[list, list]:
+    """(outcomes, probabilities) the exact run `config` holds, from a list
+    of (m, K(m), K(-m mod 2^n)): P(m) = w_minus K(m) + w_plus K(-m), held
+    unless at or below PROBABILITY_FLOOR; as _held, a NaN is held."""
+    w_plus, w_minus = _target_overlaps(config)
+    outcomes, weights = [], []
+    for m, k, k_mirror in triples:
+        p = w_minus * k + w_plus * k_mirror
+        if not p <= PROBABILITY_FLOOR:
+            outcomes.append(m)
+            weights.append(p)
+    return outcomes, weights
+
+
 def run_qpe(config: QpeConfig) -> Histogram:
     """The counting-register readout (exact probabilities or a seeded
     sample) of the estimation circuit, from the target's two eigen-overlaps
@@ -571,20 +595,14 @@ def run_qpe(config: QpeConfig) -> Histogram:
     say) still runs.
 
     A short exact kernel (its `short` list, as at a dyadic angle) is read
-    in Python floats, with the same two products and one sum in the same
-    order as the arrays, so the bits are the same, and no numpy call.
+    by _exact_readout in Python floats, with the arrays' two products and
+    one sum in their order, so the bits are the same, and no numpy call.
     """
     n = config.run.counting_qubits
     kernel = readout_kernel(n, float(config.aux.angle), config.run.mode)
-    w_plus, w_minus = _target_overlaps(config)
     if kernel.short is not None:
-        outcomes, weights = [], []
-        for m, k, k_mirror in kernel.short:
-            p = w_minus * k + w_plus * k_mirror
-            if not p <= PROBABILITY_FLOOR:  # as _held: a NaN is held, and refused
-                outcomes.append(m)
-                weights.append(p)
-        return Histogram(n, outcomes, weights)
+        return Histogram(n, *_exact_readout(config, kernel.short))
+    w_plus, w_minus = _target_overlaps(config)
     probs = w_minus * kernel.values
     probs += w_plus * _at_mirror(kernel.values, kernel.bins[0] == 0)
     if config.run.shots is None:
@@ -638,31 +656,49 @@ def window_mass(values) -> float:
 
 
 def decode(hist: Histogram, config: QpeConfig) -> DecodeResult:
-    """Total mass around the two expected bins.
-
-    The windows are the bins' `windows()`, which must not overlap, and
-    each mass is its window_mass. Coverage below COVERAGE_THRESHOLD is
-    reported as a leakage warning, not an error.
-    """
+    """Total mass around the two expected bins: _decode_windows reads the
+    histogram in the bins' `windows()`, which must not overlap."""
     if hist.num_bits != config.run.counting_qubits:
         raise ConfigurationError(
             f"histogram has {hist.num_bits} bits but the configuration "
             f"counts {config.run.counting_qubits}"
         )
     bins = expected_bins(config)
-    plus, minus = bins.windows()
-    p_plus = window_mass(hist.probabilities(list(plus)))
-    p_minus = window_mass(hist.probabilities(list(minus)))
-    return DecodeResult(*bins._values(), p_plus, p_minus, leakage_warnings(p_plus + p_minus))
+    return _decode_windows(bins, bins.windows(), hist.probabilities)
 
 
-def leakage_warnings(coverage: float) -> list:
-    """decode's note on windows that cover less than COVERAGE_THRESHOLD of
-    a readout, or none."""
-    if coverage < COVERAGE_THRESHOLD:
-        return [f"leakage: decoded windows cover {coverage:.6f} "
-                f"< threshold {COVERAGE_THRESHOLD}"]
-    return []
+def _decode_windows(bins: ExpectedBins, windows: tuple, read) -> DecodeResult:
+    """The DecodeResult of a readout with these bins and their two windows,
+    read(outcomes) listing its probability at each outcome of a window:
+    each mass is window_mass in the set's order, and coverage below
+    COVERAGE_THRESHOLD is a leakage warning, not an error."""
+    p_plus, p_minus = window_mass(read(windows[0])), window_mass(read(windows[1]))
+    coverage = p_plus + p_minus
+    warnings = (f"leakage: decoded windows cover {coverage:.6f} < threshold "
+                f"{COVERAGE_THRESHOLD}",) if coverage < COVERAGE_THRESHOLD else ()
+    return DecodeResult(bins.num_bits, bins.m_plus, bins.m_minus, bins.dyadic_exact,
+                        p_plus, p_minus, warnings)
+
+
+def window_decoder(n: int, angle: float):
+    """A function that gives decode(run_qpe(config), config) for an exact
+    config of n bits and auxiliary angle `angle`, on either axis, bit for
+    bit, and means nothing for another config. The bins, the windows
+    (overlapping ones raise decode's ConfigurationError here) and
+    kernel_at's K at the window outcomes and their mirrors are found once;
+    a call reads the run there with _exact_readout, with no Histogram,
+    kernel or numpy."""
+    bins = expected_bins(QpeConfig(RunSettings(n), RotationSpec(Axis.Y, angle)))
+    windows = bins.windows()
+    outcomes = sorted(set().union(*windows))
+    mirrors = [-m % (1 << n) for m in outcomes]
+    triples = list(zip(outcomes, kernel_at(n, angle, outcomes), kernel_at(n, angle, mirrors)))
+
+    def decoder(config: QpeConfig) -> DecodeResult:
+        readout = dict(zip(*_exact_readout(config, triples)))
+        return _decode_windows(bins, windows, lambda window: [readout.get(m, 0.0) for m in window])
+
+    return decoder
 
 
 def format_binary(outcome: int, num_bits: int) -> str:

@@ -208,6 +208,25 @@ class TestSweep:
             record["estimates"]["theta"], abs=1e-12)
         assert float(rows[0]["C2"]) == pytest.approx(C2, abs=1e-12)
 
+    @pytest.mark.parametrize("ranges", [
+        ("--eta-range=-0.0:-0.6", "--delta-range=-0.3:0.3"),
+        ("--eta-range=-0.6:0.6", "--delta-range=-0.0:-0.6"),
+    ], ids=["eta-minus-zero", "eta-zero"])
+    def test_analytic_columns_are_the_analytic_record(self, capsys, ranges):
+        """At every point, C2, half_absA2 and theta_analytic are the text
+        of the analytic record's C2, half_absA2 and theta, to the sign of
+        a zero: one grid holds eta = -0.0 and the other eta = 0.0."""
+        code, out, _ = run(capsys, "sweep", *ranges, "--steps", "3")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert {row["eta"] for row in rows} & {"-0.0", "0.0"}
+        for row in rows:
+            record = run_record(capsys, "analytic", f"--eta={row['eta']}",
+                                f"--delta={row['delta']}")
+            analytic = record["analytic"]
+            assert [row["C2"], row["half_absA2"], row["theta_analytic"]] == [
+                repr(analytic[key]) for key in ("C2", "half_absA2", "theta")]
+
     @pytest.mark.parametrize("n", [4, 10])
     def test_builds_no_kernel_and_no_histogram(self, capsys, monkeypatch, n):
         """A sweep reads only the decode windows: it calls neither

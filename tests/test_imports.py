@@ -135,6 +135,26 @@ def test_qpe_reads_the_reference_engine_only_in_run_circuit():
     assert outside == []
 
 
+#: what `qpe` alone knows of how an exact readout is read: its dust
+#: floor, the target's eigen-overlaps, the window-mass rule, the leakage
+#: note and the kernel at a few outcomes
+READOUT_MODEL = {"PROBABILITY_FLOOR", "_target_overlaps", "window_mass", "leakage_warnings",
+                 "kernel_at"}
+
+
+@pytest.mark.parametrize("module", sorted(path.stem for path in Path(spinqpe.__file__).parent
+                                          .glob("*.py") if path.stem != "qpe"))
+def test_only_qpe_reads_the_readout_model(module):
+    """No other module imports a readout-model name from `qpe` or reads
+    one as an attribute, so the readout is read in one module."""
+    tree = tree_of(module)
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "qpe"
+                for alias in node.names}
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not READOUT_MODEL & (imported | read)
+
+
 def test_package_does_not_export_the_reference_engine():
     assert len(spinqpe.__all__) == 43
     exported = [name for name in UNEXPORTED

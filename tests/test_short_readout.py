@@ -17,8 +17,9 @@ import spinqpe.extraction as extraction
 import spinqpe.qpe as qpe
 from spinqpe import Axis, QpeConfig, RotationSpec, RunSettings, rx, ry
 from spinqpe.cli import main
-from spinqpe.qpe import (SHORT_KERNEL, ReadoutKernel, _target_overlaps,
-                         histogram_from_probabilities, readout_kernel, run_qpe)
+from spinqpe.errors import ConfigurationError
+from spinqpe.qpe import (SHORT_KERNEL, ReadoutKernel, _target_overlaps, decode,
+                         histogram_from_probabilities, readout_kernel, run_qpe, window_decoder)
 
 from histograms import identical
 
@@ -81,6 +82,25 @@ def test_scalar_readout_is_the_array_readout(data, n, axis, prep):
     assert type(scalar.outcomes) in (tuple, range) and type(scalar.weights) is tuple
     assert identical(scalar, _array_readout(config))
     assert identical(scalar, _dense_readout(config))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), n=st.integers(1, 16), axis=st.sampled_from(Axis), prep=preps())
+def test_window_decoder_is_decode_of_the_run(data, n, axis, prep):
+    """window_decoder's result for an exact run is decode's result for
+    the run's histogram, to the sign of a zero (repr), on either axis and
+    at dyadic, near-dyadic and leaky angles; where the windows overlap,
+    both refuse with one message."""
+    aux = data.draw(readout_angles(n))
+    config = QpeConfig(RunSettings(n), RotationSpec(axis, aux), prep)
+    try:
+        want = decode(run_qpe(config), config)
+    except ConfigurationError as err:
+        with pytest.raises(ConfigurationError) as refused:
+            window_decoder(n, aux)
+        assert str(refused.value) == str(err)
+        return
+    assert repr(window_decoder(n, aux)(config)) == repr(want)
 
 
 @pytest.mark.parametrize("n, aux, kept", EDGE_KERNELS, ids=["64-kept", "65-kept"])
