@@ -13,25 +13,21 @@ run_qpe is the spectral engine: with one target and controlled powers of
 one rotation, the readout is the target's two squared eigen-overlaps,
 each spread by the textbook QPE kernel (readout_kernel; Cleve, Ekert,
 Macchiavello & Mosca 1998; Nielsen & Chuang sec. 5.2), so it never forms
-the (n+1)-qubit state. The kernel is grown as one list of outcomes, and
-an exact kernel drops a pair of outcomes m, -m once both their values are
-at or below the dust cut, where the exact histogram would set the pair's
-probabilities to 0. A dyadic angle, whose readout fills two bins, keeps
-at most two outcomes and costs a few cosines per bit, not about 2 * 2^n in
-all. A sampled kernel keeps every outcome, as its draw needs the full
-vector. K depends only on the width, the angle and the mode, so a
-process builds it once per (width, angle, mode) and keeps the last two
-it built, read-only, for the runs that repeat them. kernel_at gives the
-same K at a few listed outcomes in pure Python. run_circuit is the
-reference engine: it simulates that circuit gate by gate on the full
-statevector, and only it and its two readouts use spinqpe.statevector
-and spinqpe.iqft.
+the (n+1)-qubit state. K depends only on the width and the angle, so a
+process builds the full kernel once per (width, angle) and keeps the last
+two it built, read-only, for the runs that repeat them. kernel_at gives
+the same K at a few listed outcomes in pure Python: an exact run at a
+dyadic angle, whose readout fills two bins and is dust elsewhere, reads
+K there alone, at a few cosines per bit, not about 2 * 2^n. run_circuit
+is the reference engine: it simulates that circuit gate by gate on the
+full statevector, and only it and its two readouts use
+spinqpe.statevector and spinqpe.iqft.
 
 numpy is imported inside the functions that build or read an array (a
 readout kernel, a draw, the reference engine, a Histogram's checks of
 an array), never at import: a configuration, its bins and windows,
-kernel_at and window_decoder need none, and neither does an exact run on
-a cached short kernel, its Histogram or its decode.
+kernel_at and window_decoder need none, and neither does an exact run at
+a dyadic angle, its Histogram or its decode.
 
 Only this module reads a readout into a DecodeResult: decode reads a
 Histogram, and window_decoder an exact run at its decode windows alone,
@@ -44,10 +40,9 @@ at least once, and the value of each; every other outcome reads 0. Two
 builders read one out of a full outcome probability vector:
 histogram_from_probabilities the exact histogram and
 sample_probabilities the seeded draw; exact_histogram and sample apply
-them to a state's marginal. run_qpe builds an exact histogram straight
-from the outcomes its kernel kept, with no length-2^n vector (in Python
-floats when the kernel is short), and draws a sampled one with
-sample_probabilities from the full vector its sampled kernel gives.
+them to a state's marginal. run_qpe builds the exact histogram of a
+dyadic angle straight from its two bins, in Python floats, and reads
+every other run out of the full vector its kernel gives.
 Sampling uses numpy's default_rng, i.e. the PCG64 generator. The
 generator identity is part of the reproducibility contract: the same
 (probabilities, shots, seed) always yields the same histogram.
@@ -91,18 +86,6 @@ _DYADIC_ATOL = 1e-9
 
 # exact-mode histogram entries at or below this are numerical dust
 PROBABILITY_FLOOR = 1e-15
-
-#: run mode -> the value at or below which readout_kernel drops an outcome
-#: pair. With w_plus + w_minus = 1, an exact bin whose K(m) and K(-m) are
-#: both at most PROBABILITY_FLOOR / 2 reads at most the floor, which the
-#: histogram sets to 0. A sampled kernel keeps every outcome, since none
-#: is ever 0: K(m) is a product of at most 16 factors cos^2(x), x a double
-#: in (-2 pi, pi], and no double is an odd multiple of pi / 2, so each
-#: factor is at least about 3.7e-33. The arguments of a bin double from
-#: one bit to the next (mod pi), so at most one factor is near 0 and the
-#: others are at least about sin^2(pi / 2^17); the product stays far above
-#: the smallest float.
-_CUTS = {"exact": PROBABILITY_FLOOR / 2, "sampled": -math.inf}
 
 
 def is_integer(value) -> bool:
@@ -376,47 +359,10 @@ def expected_bins(config: QpeConfig) -> ExpectedBins:
     return ExpectedBins(n, m_plus, m_minus, dyadic)
 
 
-#: an exact kernel that keeps at most this many outcomes also lists them
-#: as Python numbers (ReadoutKernel.short), so its runs make no numpy call
-SHORT_KERNEL = 64
-
-
-class ReadoutKernel(FrozenValue):
-    """readout_kernel's K for one register width n, angle and run mode.
-
-    `values` holds K(m) for each outcome m of `bins`, which always lists
-    the outcomes kept: an ascending int64 array closed under
-    m -> -m mod 2^n, arange(2^n) when none was dropped, as in every
-    sampled kernel. Each outcome left out has K(m) and K(-m) at or below
-    the mode's cut. Both arrays are read-only. `short` is None, or, for an
-    exact kernel that keeps at most SHORT_KERNEL outcomes, a tuple of
-    (m, K(m), K(-m mod 2^n)) for each outcome m of `bins`, in order, as
-    Python ints and floats.
-    """
-
-    __slots__ = ("values", "bins", "short")
-    __eq__, __hash__ = object.__eq__, object.__hash__  # equal only to itself
-
-    def __init__(self, values: np.ndarray, bins: np.ndarray, short: tuple | None = None) -> None:
-        self._set(values, bins, short)
-
-
-def _at_mirror(values: np.ndarray, holds_zero: bool) -> np.ndarray:
-    """`values` over the outcomes -m mod 2^n, for m running over ascending
-    outcomes closed under m -> -m, with 0 among them or not. On such a
-    set, m -> -m fixes 0 and reverses the order of the others."""
-    import numpy as np
-
-    if not holds_zero:
-        return values[::-1]
-    return np.concatenate((values[:1], values[:0:-1]))
-
-
 @functools.lru_cache(maxsize=2)
-def readout_kernel(n: int, angle: float, mode: str) -> ReadoutKernel:
+def readout_kernel(n: int, angle: float) -> np.ndarray:
     """Counting-register distribution of the |-axis> eigencomponent of an
-    `angle` rotation, K(m) for the outcomes m in [0, 2^n) that a run in
-    `mode` ("exact" or "sampled") can need, with the list of those outcomes.
+    `angle` rotation: K(m) for every outcome m in [0, 2^n), read-only.
 
     Summing the register's geometric series bit by bit gives
     K(m) = prod_l cos^2(phi_l - pi m / 2^(n-l)) over l = 0..n-1, with
@@ -426,58 +372,30 @@ def readout_kernel(n: int, angle: float, mode: str) -> ReadoutKernel:
     each bit's factor array takes the kernel so far into both of its
     halves in place (residues r and r + span/2) and becomes the kernel.
 
-    The residues kept are one ascending list, grown by each bit from r to
-    r and r + span/2; it is held as floats, so a bit's phases are the list
-    times -pi/span, and made int64 once at the end. Once the kernel so far
-    is at or below the mode's cut (_CUTS) at a residue r and at its mirror
-    -r mod span, that pair is dropped, and later bits compute factors only
-    at the residues kept. Every factor is at most 1, and a float product
-    with a factor at most 1 never rounds up, so each outcome of a dropped
-    residue has K(m) and K(-m) at or below the cut: its exact probability
-    is dust that the histogram sets to 0. A leaky angle never drops one
-    and lists all 2^n, an exact kernel at a dyadic angle ends with at most
-    two outcomes, and a sampled kernel, whose cut is -inf, keeps all 2^n.
-    The values kept are those of the full kernel bit for bit: each is made
-    by the same float operations in the same order.
-
-    K depends only on n and the angle, and the outcomes kept also on the
-    mode, not on the axis or the target, so one kernel serves every run of
-    that width, angle and mode: a process builds it once and keeps the
-    last two, the most one request needs (a pipeline's two angles). An
-    unbounded cache would keep one kernel per angle ever asked for. -0.0
-    and 0.0 are one key; their kernels are bit for bit the same, as
-    cos^2 is even. A kernel is read-only, so no run can change a shared
-    one. An exact kernel that keeps at most SHORT_KERNEL outcomes also
-    lists them with K(m) and K(-m) as Python numbers (its `short`), made
-    here, once per cached kernel.
+    K depends only on n and the angle, not on the axis, the target or the
+    run's mode, so one kernel serves every run of that width and angle: a
+    process builds it once and keeps the last two, the most one request
+    needs (a pipeline's two angles). An unbounded cache would keep one
+    kernel per angle ever asked for. -0.0 and 0.0 are one key; their
+    kernels are bit for bit the same, as cos^2 is even. A kernel is
+    read-only, so no run can change a shared one.
     """
     import numpy as np
 
-    cut = _CUTS[mode]
-    kernel, bins = np.ones(1), np.zeros(1)  # the outcomes kept, as floats until the end
+    ramp = np.arange(1 << n, dtype=np.float64)
+    kernel = np.ones(1)
     for l in range(n - 1, -1, -1):
         c = math.ldexp(angle, l - 2)
         span = 1 << (n - l)
-        bins = np.concatenate((bins, bins + span // 2))
-        factor = bins * (-math.pi / span)
+        factor = ramp[:span] * (-math.pi / span)
         factor += math.atan2(math.sin(c), math.cos(c))
         np.cos(factor, out=factor)
         factor *= factor
         halves = factor.reshape(2, -1)
         halves *= kernel
         kernel = factor
-        if kernel.min() <= cut:
-            kept = kernel > cut
-            kept |= _at_mirror(kept, bins[0] == 0)
-            bins, kernel = bins[kept], kernel[kept]
-    bins = bins.astype(np.int64)
-    for array in (kernel, bins):
-        array.flags.writeable = False
-    short = None
-    if mode == "exact" and bins.size <= SHORT_KERNEL:
-        mirror = _at_mirror(kernel, bins[0] == 0)
-        short = tuple(zip(bins.tolist(), kernel.tolist(), mirror.tolist()))
-    return ReadoutKernel(kernel, bins, short)
+    kernel.flags.writeable = False
+    return kernel
 
 
 def kernel_at(n: int, angle: float, bins) -> list:
@@ -485,11 +403,10 @@ def kernel_at(n: int, angle: float, bins) -> list:
     with no array and no numpy.
 
     Each value is made by readout_kernel's float operations in its order,
-    with math.cos for np.cos, so it equals that kernel's value at every
-    outcome the kernel keeps, bit for bit, wherever the two cosines agree;
-    at an outcome an exact kernel drops, it is at or below that kernel's
-    cut. A decode window lists a few outcomes, so this costs n cosines
-    each where readout_kernel costs about 2^(n+1) at a leaky angle.
+    with math.cos for np.cos, so it equals that kernel's value, bit for
+    bit, wherever the two cosines agree. A decode window or a dyadic
+    readout lists a few outcomes, so this costs n cosines each where
+    readout_kernel costs about 2^(n+1).
     """
     levels = []  # (span, phase step, reduced phase) from the top bit down
     for l in range(n - 1, -1, -1):
@@ -504,6 +421,25 @@ def kernel_at(n: int, angle: float, bins) -> list:
             k = factor * factor * k
         values.append(k)
     return values
+
+
+def _triples(n: int, angle: float, outcomes: list) -> tuple:
+    """(m, K(m), K(-m mod 2^n)) for each of the listed outcomes m, from
+    kernel_at: what _exact_readout reads of an exact run there."""
+    mirrors = [-m % (1 << n) for m in outcomes]
+    return tuple(zip(outcomes, kernel_at(n, angle, outcomes), kernel_at(n, angle, mirrors)))
+
+
+@functools.lru_cache(maxsize=2)
+def _dyadic_triples(n: int, angle: float) -> tuple | None:
+    """_triples at the two bins of an n-bit readout at `angle` when the
+    angle is dyadic (expected_bins), as every other outcome reads dust
+    there; None at any other angle. Cached, as readout_kernel is, for the
+    last two (n, angle)."""
+    bins = expected_bins(QpeConfig(RunSettings(n), RotationSpec(Axis.Y, angle)))
+    if not bins.dyadic_exact:
+        return None
+    return _triples(n, angle, sorted({bins.m_minus, bins.m_plus}))
 
 
 #: axis -> (<+axis|, <-axis|), each the conjugate amplitudes of its eigenvector
@@ -530,14 +466,13 @@ def _width(probs: np.ndarray) -> int:
     return size.bit_length() - 1
 
 
-def _held(values: np.ndarray, floor, bins: np.ndarray | None = None) -> tuple:
+def _held(values: np.ndarray, floor) -> tuple:
     """(outcomes, weights): the entries of `values` not at or below
-    `floor` and their outcomes, entry i being outcome bins[i], or i when
-    bins is None. A NaN is held, so the Histogram refuses it."""
+    `floor` and their indices. A NaN is held, so the Histogram refuses it."""
     import numpy as np
 
     kept = np.flatnonzero(~(values <= floor))
-    return kept if bins is None else bins[kept], values[kept]
+    return kept, values[kept]
 
 
 def histogram_from_probabilities(probs: np.ndarray) -> Histogram:
@@ -581,33 +516,29 @@ def _exact_readout(config: QpeConfig, triples) -> tuple[list, list]:
 def run_qpe(config: QpeConfig) -> Histogram:
     """The counting-register readout (exact probabilities or a seeded
     sample) of the estimation circuit, from the target's two eigen-overlaps
-    and readout_kernel: P(m) = w_minus K(m) + w_plus K(-m mod 2^n).
+    and the readout kernel: P(m) = w_minus K(m) + w_plus K(-m mod 2^n).
 
-    An exact kernel lists only the outcomes it kept, and P is 0 at the
-    others, where it would be dust at or below PROBABILITY_FLOOR that the
-    histogram does not hold anyway; so the histogram, built straight from
-    the kept outcomes above the floor, equals the one read from the full
-    kernel, byte for byte. A sampled kernel keeps all 2^n outcomes, so its
-    P is the full vector the seed contract draws from, and the histogram
-    holds the outcomes drawn. Runs of one width, angle and mode read one
-    cached kernel, which they only read. The angle is keyed as the float
-    the kernel reads, so an angle that is no hashable float (a 0-d array,
-    say) still runs.
-
-    A short exact kernel (its `short` list, as at a dyadic angle) is read
-    by _exact_readout in Python floats, with the arrays' two products and
-    one sum in their order, so the bits are the same, and no numpy call.
+    An exact run at a dyadic angle reads K at its two bins alone
+    (_dyadic_triples), since P is dust at or below PROBABILITY_FLOOR at
+    every other outcome, in Python floats with the arrays' two products
+    and one sum in their order: the same bits, and no numpy. Every other
+    run reads the full cached readout_kernel, which it only reads: an
+    exact one holds the outcomes above the floor, and a sampled one draws
+    from the full vector, as the seed contract requires. The angle is
+    keyed as the float the kernel reads, so an angle that is no hashable
+    float (a 0-d array, say) still runs.
     """
-    n = config.run.counting_qubits
-    kernel = readout_kernel(n, float(config.aux.angle), config.run.mode)
-    if kernel.short is not None:
-        return Histogram(n, *_exact_readout(config, kernel.short))
+    n, angle = config.run.counting_qubits, float(config.aux.angle)
+    triples = _dyadic_triples(n, angle) if config.run.shots is None else None
+    if triples is not None:
+        return Histogram(n, *_exact_readout(config, triples))
+    kernel = readout_kernel(n, angle)
     w_plus, w_minus = _target_overlaps(config)
-    probs = w_minus * kernel.values
-    probs += w_plus * _at_mirror(kernel.values, kernel.bins[0] == 0)
+    probs = w_minus * kernel
+    probs[0] += w_plus * kernel[0]  # K(-m mod 2^n): 0 is its own mirror,
+    probs[1:] += w_plus * kernel[:0:-1]  # and m > 0 mirrors to 2^n - m
     if config.run.shots is None:
-        # the floor is applied to the kept outcomes only: no 2^n vector
-        return Histogram(n, *_held(probs, PROBABILITY_FLOOR, kernel.bins))
+        return histogram_from_probabilities(probs)
     return sample_probabilities(probs, config.run.shots, config.run.seed)
 
 
@@ -690,9 +621,7 @@ def window_decoder(n: int, angle: float):
     kernel or numpy."""
     bins = expected_bins(QpeConfig(RunSettings(n), RotationSpec(Axis.Y, angle)))
     windows = bins.windows()
-    outcomes = sorted(set().union(*windows))
-    mirrors = [-m % (1 << n) for m in outcomes]
-    triples = list(zip(outcomes, kernel_at(n, angle, outcomes), kernel_at(n, angle, mirrors)))
+    triples = _triples(n, angle, sorted(set().union(*windows)))
 
     def decoder(config: QpeConfig) -> DecodeResult:
         readout = dict(zip(*_exact_readout(config, triples)))

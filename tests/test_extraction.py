@@ -33,7 +33,7 @@ from spinqpe import (
 )
 from spinqpe import extraction
 from spinqpe.extraction import window_sweep
-from spinqpe.qpe import readout_kernel
+from spinqpe.qpe import _dyadic_triples, readout_kernel
 
 from histograms import identical
 
@@ -305,12 +305,16 @@ class TestSharedKernel:
     @pytest.mark.parametrize("aux_h, builds", [(PI / 4, 1), (PI / 2, 2), (1.0, 2)])
     def test_one_kernel_per_distinct_angle(self, shots, aux_h, builds):
         """One build per distinct angle, and none for a second identical
-        pipeline, which reads the kernels the first left cached."""
+        pipeline, which reads what the first left cached. A sampled run
+        builds the full kernel; an exact one looks up its two bins at a
+        dyadic angle, and builds the full kernel only at a leaky one, here
+        1.0."""
         args = (PathParams(0.4, -0.7), RunSettings(8, shots, 3), PI / 4, aux_h)
+        want = (builds, 0) if shots else (int(aux_h == 1.0), builds)
         first = full_pipeline(*args)
-        assert readout_kernel.cache_info().misses == builds
+        assert (readout_kernel.cache_info().misses, _dyadic_triples.cache_info().misses) == want
         second = full_pipeline(*args)
-        assert readout_kernel.cache_info().misses == builds
+        assert (readout_kernel.cache_info().misses, _dyadic_triples.cache_info().misses) == want
         for got, want in ((second.hist_v, first.hist_v), (second.hist_h, first.hist_h)):
             assert identical(got, want)
 

@@ -241,7 +241,7 @@ def test_cold_sweep_loads_no_slow_module():
 
 def test_canonical_exact_pipeline_loads_no_parser():
     """A canonical exact pipeline writes a JSON record, so it loads json,
-    and its kernel loads numpy, but it loads neither argparse nor gettext."""
+    but it loads neither argparse nor gettext."""
     argv = ["pipeline", "--eta", "pi/3", "--delta", "pi/3", "--exact", "--n", "4"]
     assert loaded_after(argv, PARSER_STDLIB) == "0 [] []\n"
 
@@ -258,10 +258,14 @@ def test_cold_sweep_help_still_comes_from_argparse():
 @pytest.mark.parametrize("argv", [
     ["sweep", "--eta-range", "0.2:1.3", "--delta-range=-1.3:1.3", "--steps", "3", "--n", "10"],
     ["analytic", "--eta", "pi/3", "--delta", "pi/3"],
-], ids=["sweep", "analytic"])
+    ["pipeline", "--eta", "pi/3", "--delta", "pi/3", "--exact", "--n", "10"],
+    ["qpev", "--eta", "0.4", "--exact", "--n", "16"],
+    ["qpeh", "--eta", "0.4", "--delta", "0.3", "--aux", "pi/2", "--exact", "--n", "12"],
+], ids=["sweep", "analytic", "exact-pipeline", "exact-qpev", "exact-qpeh"])
 def test_command_never_loads_numpy(argv):
     """In a fresh interpreter, the command runs and exits 0 with numpy
-    never imported."""
+    never imported: an exact run at a dyadic angle reads its two bins in
+    pure Python."""
     code = ("import sys, io, contextlib\n"
             "from spinqpe.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"

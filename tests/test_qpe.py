@@ -27,6 +27,7 @@ from spinqpe import (
 )
 from spinqpe.qpe import (
     PROBABILITY_FLOOR,
+    _dyadic_triples,
     _target_overlaps,
     histogram_from_probabilities,
     kernel_at,
@@ -134,7 +135,7 @@ class TestExpectedBins:
             config = qpev_config(n=n, aux=aux)
         except ConfigurationError:
             assume(False)
-        kernel = dense_kernel(readout_kernel(n, aux, "exact"), n)
+        kernel = readout_kernel(n, aux)
         second, first = np.sort(kernel)[-2:]
         assume(first - second >= 1e-9)
         bins = expected_bins(config)
@@ -500,7 +501,7 @@ class TestQpeConfig:
 
 def broadcast_kernel(n, angle):
     """readout_kernel as a fresh broadcast product per bit over every
-    outcome: the form the kept values must reproduce bit for bit."""
+    outcome: the form its values must reproduce bit for bit."""
     ramp = np.arange(1 << n, dtype=np.float64)
     kernel = np.ones(1)
     for l in range(n - 1, -1, -1):
@@ -514,14 +515,6 @@ def broadcast_kernel(n, angle):
     return kernel
 
 
-def dense_kernel(kernel, n):
-    """A readout kernel of an n-bit register over every outcome: its
-    values at the outcomes it kept and 0 at those it dropped."""
-    full = np.zeros(1 << n)
-    full[kernel.bins] = kernel.values
-    return full
-
-
 def reference_probabilities(config):
     """P(m) = w_minus K(m) + w_plus K(-m) over every outcome, from the
     full kernel."""
@@ -531,11 +524,6 @@ def reference_probabilities(config):
     probs[0] += w_plus * kernel[0]
     probs[1:] += w_plus * kernel[:0:-1]
     return probs
-
-
-#: run mode -> the value at or below which a kernel may drop an outcome
-#: pair; a sampled kernel drops none
-CUTS = {"exact": PROBABILITY_FLOOR / 2, "sampled": -math.inf}
 
 
 @st.composite
@@ -548,8 +536,10 @@ def aux_angles(draw, n):
 
 
 class TestSharedKernel:
-    """One readout kernel serves every run of its width, angle and mode:
-    a process builds it once and keeps the last two, read-only."""
+    """One readout kernel serves every run of its width and angle, exact
+    or sampled: a process builds it once and keeps the last two,
+    read-only. The two bins an exact run at a dyadic angle reads are
+    cached the same way."""
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(data=st.data(), n=st.integers(2, 16), axis=st.sampled_from(Axis),
@@ -562,44 +552,49 @@ class TestSharedKernel:
         config = QpeConfig(run, RotationSpec(axis, aux), tuple(g(a) for g, a in prep))
         run_qpe(config)
         warm = run_qpe(config)
-        assert readout_kernel.cache_info().hits >= 1
+        assert readout_kernel.cache_info().hits + _dyadic_triples.cache_info().hits >= 1
         readout_kernel.cache_clear()
+        _dyadic_triples.cache_clear()
         assert identical(warm, run_qpe(config))
 
     @pytest.mark.parametrize("n", [1, 2, 10, 16])
     @pytest.mark.parametrize("aux", [PI / 4, 0.3, -0.0, 3.3e5])
     def test_in_place_build_is_bit_identical(self, n, aux):
         reference = broadcast_kernel(n, aux)
-        for mode in ("exact", "sampled"):
-            kernel = readout_kernel(n, aux, mode)
-            assert kernel.values.dtype == reference.dtype
-            assert np.array_equal(kernel.values, reference[kernel.bins])
+        kernel = readout_kernel(n, aux)
+        assert kernel.dtype == reference.dtype
+        assert kernel.tobytes() == reference.tobytes()
 
     def test_kernel_is_read_only(self):
         """Read-only as built, and as a cache hit returns it."""
-        dyadic, leaky = readout_kernel(6, PI / 4, "exact"), readout_kernel(6, 1.0, "exact")
+        dyadic, leaky = readout_kernel(6, PI / 4), readout_kernel(6, 1.0)
         assert readout_kernel.cache_info().misses == 2
-        hit = readout_kernel(6, 1.0, "exact")
+        hit = readout_kernel(6, 1.0)
         assert readout_kernel.cache_info().hits == 1 and hit is leaky
-        assert np.array_equal(leaky.bins, np.arange(64)) and dyadic.bins.size == 2
-        for array in (dyadic.values, dyadic.bins, hit.values, hit.bins):
+        assert dyadic.shape == hit.shape == (64,)
+        for array in (dyadic, hit):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 2
-        for kernel in (dyadic, hit):
-            with pytest.raises(AttributeError):
-                kernel.values = np.ones(64)
 
     @pytest.mark.parametrize("shots", [None, 500])
     def test_run_leaves_the_cached_kernel_unchanged(self, shots):
         for aux in (1.0, PI / 4):
             config = qpeh_config(n=8, aux=aux, shots=shots, seed=4)
-            kernel = readout_kernel(8, aux, config.run.mode)
-            before = dense_kernel(kernel, 8).copy()
+            kernel = readout_kernel(8, aux)
+            before = kernel.copy()
             run_qpe(config)
-            assert readout_kernel(8, aux, config.run.mode) is kernel
-            assert np.array_equal(dense_kernel(kernel, 8), before)
-            assert not (kernel.values.flags.writeable or kernel.bins.flags.writeable)
+            assert readout_kernel(8, aux) is kernel
+            assert np.array_equal(kernel, before)
+            assert not kernel.flags.writeable
+
+    def test_exact_and_sampled_runs_share_a_kernel(self):
+        """At a leaky angle an exact and a sampled run read one kernel:
+        one build between them."""
+        for shots in (None, 500, None):
+            run_qpe(qpeh_config(n=8, aux=1.0, shots=shots, seed=4))
+        info = readout_kernel.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
 
     def test_cache_is_bounded(self):
         """A stream of distinct leaky angles, each a new key, keeps at most
@@ -618,9 +613,9 @@ class TestSharedKernel:
             after_all = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        kernel = readout_kernel(12, angles[-1], "exact")
-        assert kernel.bins.size == 1 << 12  # a leaky kernel keeps every outcome
-        assert after_all - after_one <= 3 * (kernel.values.nbytes + kernel.bins.nbytes)
+        kernel = readout_kernel(12, angles[-1])
+        assert kernel.size == 1 << 12
+        assert after_all - after_one <= 3 * kernel.nbytes
         info = readout_kernel.cache_info()
         assert (info.maxsize, info.misses) == (2, 64) and info.currsize <= 2
 
@@ -628,16 +623,20 @@ class TestSharedKernel:
     @pytest.mark.parametrize("mode", ["exact", "sampled"])
     @pytest.mark.parametrize("first", [-0.0, 0.0])
     def test_signed_zeros_share_a_kernel(self, n, mode, first):
-        """-0.0 and 0.0 are one cache key, in either call order, and the
-        kernel either gets is the one a cold build of it makes."""
+        """-0.0 and 0.0 are one cache key, in either call order, for the
+        two bins an exact run reads there and for the full kernel a
+        sampled run reads, and either gets what a cold build of it makes."""
+        cache, built = ((_dyadic_triples, lambda zero: repr(_dyadic_triples(n, zero)))
+                        if mode == "exact" else
+                        (readout_kernel, lambda zero: readout_kernel(n, zero).tobytes()))
         cold = {}  # keyed by repr: -0.0 and 0.0 are one dict key as well
         for zero in (-0.0, 0.0):
-            readout_kernel.cache_clear()
-            cold[repr(zero)] = readout_kernel(n, zero, mode).values.tobytes()
-        readout_kernel.cache_clear()
+            cache.cache_clear()
+            cold[repr(zero)] = built(zero)
+        cache.cache_clear()
         for zero in (first, -first):
-            assert readout_kernel(n, zero, mode).values.tobytes() == cold[repr(zero)]
-        assert readout_kernel.cache_info().misses == 1
+            assert built(zero) == cold[repr(zero)]
+        assert cache.cache_info().misses == 1
 
     def test_angle_need_not_be_hashable(self):
         """run_qpe keys the kernel by the angle as a float, so a 0-d array
@@ -651,73 +650,47 @@ class TestKernelAt:
     """kernel_at is readout_kernel at a few outcomes, in pure Python."""
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(data=st.data(), n=st.integers(1, 16), mode=st.sampled_from(["exact", "sampled"]))
-    def test_values_are_the_kernel_bit_for_bit(self, data, n, mode):
-        """Equal to readout_kernel at every outcome it keeps, and at or
-        below the mode's cut at every outcome it drops. Every outcome is
-        checked up to n = 8; above, the kept ones around both expected
-        bins and any others drawn."""
+    @given(data=st.data(), n=st.integers(1, 16))
+    def test_values_are_the_kernel_bit_for_bit(self, data, n):
+        """Equal to readout_kernel at every outcome, bit for bit."""
         aux = data.draw(kernel_angles(n))
-        kernel = readout_kernel(n, aux, mode)
-        size = 1 << n
-        if n <= 8:
-            outcomes = list(range(size))
-        else:
-            bins = expected_bins(QpeConfig(RunSettings(n), RotationSpec(Axis.Y, aux)))
-            outcomes = [(m + d) % size for m in (bins.m_plus, bins.m_minus)
-                        for d in range(-3, 4)]
-            outcomes += data.draw(st.lists(st.integers(0, size - 1), max_size=40))
-        kept = dict(zip(kernel.bins.tolist(), kernel.values.tolist()))
-        values = kernel_at(n, aux, outcomes)
+        values = kernel_at(n, aux, range(1 << n))
         assert all(type(value) is float for value in values)
-        for m, value in zip(outcomes, values):
-            if m in kept:
-                assert value == kept[m], m
-            else:
-                assert value <= CUTS[mode], m
+        assert np.array(values).tobytes() == readout_kernel(n, aux).tobytes()
 
     def test_lists_no_outcome(self):
         assert kernel_at(10, PI / 4, []) == []
 
 
 class TestKeptOutcomes:
-    """A kernel keeps only the outcomes a run of its mode can need, and
-    the readout equals the one from the full kernel byte for byte: the
-    histogram holds the outcomes of the dense readout that are not 0."""
+    """The kernel lists every outcome, and the readout holds the outcomes
+    of the dense readout that are not 0, byte for byte."""
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(data=st.data(), n=st.integers(1, 16), mode=st.sampled_from(["exact", "sampled"]))
-    def test_kept_values_are_the_full_kernel(self, data, n, mode):
+    @given(data=st.data(), n=st.integers(1, 16))
+    def test_kept_values_are_the_full_kernel(self, data, n):
         aux = data.draw(kernel_angles(n))
-        kernel = readout_kernel(n, aux, mode)
+        kernel = readout_kernel(n, aux)
         reference = broadcast_kernel(n, aux)
-        size = 1 << n
-        assert kernel.values.dtype == reference.dtype
-        bins = kernel.bins
-        assert bins.dtype == np.int64 and 0 < bins.size <= size
-        assert np.all(np.diff(bins) > 0) and 0 <= bins[0] and bins[-1] < size
-        assert np.array_equal(np.sort(-bins % size), bins)
-        assert np.array_equal(kernel.values, reference[bins])
-        dropped = np.delete(reference, bins)
-        assert np.all(dropped <= CUTS[mode])
-        if mode == "sampled":
-            assert np.array_equal(bins, np.arange(size))
+        assert kernel.dtype == reference.dtype and kernel.shape == (1 << n,)
+        assert kernel.tobytes() == reference.tobytes()
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(data=st.data(), n=st.integers(1, 16), mode=st.sampled_from(["exact", "sampled"]))
-    def test_kept_values_follow_the_fejer_closed_form(self, data, n, mode):
+    @given(data=st.data(), n=st.integers(1, 16))
+    def test_kept_values_follow_the_fejer_closed_form(self, data, n):
         """K(m) = sin^2(2^n x / 2) / (4^n sin^2(x / 2)), x = h - 2 pi m / 2^n
         with h the half angle reduced into (-pi, pi], and 1 where the
-        denominator is 0: an oracle for the kept values that needs no
-        engine and no product over the bits."""
+        denominator is 0: an oracle for the kernel that needs no engine
+        and no product over the bits."""
         aux = data.draw(kernel_angles(n))
-        kernel = readout_kernel(n, aux, mode)
-        x = math.atan2(math.sin(aux / 2), math.cos(aux / 2)) - 2 * PI * kernel.bins / (1 << n)
+        kernel = readout_kernel(n, aux)
+        h = math.atan2(math.sin(aux / 2), math.cos(aux / 2))
+        x = h - 2 * PI * np.arange(1 << n) / (1 << n)
         numerator = np.sin(math.ldexp(1.0, n - 1) * x) ** 2
         denominator = 4.0**n * np.sin(x / 2) ** 2
         with np.errstate(invalid="ignore", divide="ignore"):
             fejer = np.where(denominator == 0, 1.0, numerator / denominator)
-        assert np.abs(kernel.values - fejer).max() <= 1e-10
+        assert np.abs(kernel - fejer).max() <= 1e-10
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(data=st.data(), n=st.integers(1, 16), axis=st.sampled_from(Axis),
@@ -748,7 +721,8 @@ class TestKeptOutcomes:
     @pytest.mark.parametrize("n", [2, 8, 16])
     def test_dust_at_a_kept_outcome_is_not_held(self, n):
         # the target is |+x> to about 1e-8, so its |-x> component puts about
-        # 2.5e-17 at m_minus, an outcome the kernel keeps: dust, not held
+        # 2.5e-17 at m_minus, one of the two bins the dyadic run reads: dust,
+        # not held
         config = QpeConfig(RunSettings(n), RotationSpec(Axis.X, PI), (ry(PI / 2 + 1e-8),))
         probs = reference_probabilities(config)
         assert 0 < probs[expected_bins(config).m_minus] <= PROBABILITY_FLOOR
@@ -761,7 +735,9 @@ class TestKeptOutcomes:
     @example(n=16, k=1 << 12)  # pi/4, the default auxiliary angle
     @example(n=1, k=1)
     def test_dyadic_angle_keeps_at_most_two_outcomes(self, n, k):
-        """The readout of a dyadic angle fills two bins, and the exact
-        kernel grows only those: no 2^n-wide work."""
-        kernel = readout_kernel(n, 4 * PI * k / (1 << n), "exact")
-        assert kernel.values.size <= 2
+        """The readout of a dyadic angle fills two bins, and an exact run
+        reads K at those alone: no 2^n-wide work."""
+        aux = 4 * PI * k / (1 << n)
+        bins = expected_bins(qpev_config(n=n, aux=aux))
+        triples = _dyadic_triples(n, aux)
+        assert [m for m, _, _ in triples] == sorted({bins.m_minus, bins.m_plus})

@@ -1,7 +1,7 @@
-"""An exact run on a short kernel, one that keeps at most SHORT_KERNEL
-outcomes as a dyadic readout does, reads the kernel's `short` list in
-Python floats: the histogram is the one the kernel's arrays give, bit for
-bit, and a warm exact request makes no numpy call."""
+"""An exact run at a dyadic angle reads the kernel at its two bins alone,
+from kernel_at in Python floats, and every other run reads the full
+kernel: both give the histogram of the dense readout over every outcome,
+bit for bit, and a dyadic exact request makes no numpy call."""
 
 import math
 import sys
@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spinqpe.cli as cli
@@ -18,37 +18,26 @@ import spinqpe.qpe as qpe
 from spinqpe import Axis, QpeConfig, RotationSpec, RunSettings, rx, ry
 from spinqpe.cli import main
 from spinqpe.errors import ConfigurationError
-from spinqpe.qpe import (SHORT_KERNEL, ReadoutKernel, _target_overlaps, decode,
-                         histogram_from_probabilities, readout_kernel, run_qpe, window_decoder)
+from spinqpe.qpe import (_dyadic_triples, decode, expected_bins, histogram_from_probabilities,
+                         readout_kernel, run_qpe, window_decoder)
 
 from histograms import identical
+from test_qpe import reference_probabilities
 
 PI = math.pi
 
-#: (n, angle, outcomes its exact kernel keeps): every outcome of a 6-bit
-#: leaky readout, and a near-dyadic 10-bit one whose kernel drops all but
-#: just over SHORT_KERNEL
-EDGE_KERNELS = [(6, 1.0, 64), (10, 4 * PI * 3 / 1024 + 8.05e-9, 65)]
-
 
 def _array_readout(config: QpeConfig):
-    """run_qpe on the config's exact kernel with its `short` list
-    dropped, so the kernel's arrays are read."""
-    kernel = readout_kernel(config.run.counting_qubits, config.aux.angle, "exact")
-    long = ReadoutKernel(kernel.values, kernel.bins)
-    with mock.patch.object(qpe, "readout_kernel", lambda *key: long):
+    """run_qpe with the two-bin read of a dyadic angle turned off, so the
+    full kernel's arrays are read."""
+    with mock.patch.object(qpe, "_dyadic_triples", lambda n, angle: None):
         return run_qpe(config)
 
 
 def _dense_readout(config: QpeConfig):
-    """histogram_from_probabilities of the full kernel's readout over every
-    outcome: the sampled kernel keeps every outcome, with the exact
-    kernel's values."""
-    full = readout_kernel(config.run.counting_qubits, config.aux.angle, "sampled").values
-    w_plus, w_minus = _target_overlaps(config)
-    probs = w_minus * full
-    probs += w_plus * np.concatenate((full[:1], full[:0:-1]))
-    return histogram_from_probabilities(probs)
+    """histogram_from_probabilities of the readout over every outcome, from
+    the independent per-bit broadcast kernel."""
+    return histogram_from_probabilities(reference_probabilities(config))
 
 
 @st.composite
@@ -71,17 +60,34 @@ def preps(draw):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(data=st.data(), n=st.integers(1, 16), axis=st.sampled_from(Axis), prep=preps())
 def test_scalar_readout_is_the_array_readout(data, n, axis, prep):
-    """The Python-float readout of a short kernel and the array readout
-    of the same kernel hold the same outcomes and the same float bits,
-    and both are the readout of the full dense kernel."""
+    """An exact run is the readout of the full dense kernel, bit for bit,
+    and at a dyadic angle, where it reads two bins in Python floats, it is
+    also the array readout of the full cached kernel."""
     aux = data.draw(readout_angles(n))
     config = QpeConfig(RunSettings(n), RotationSpec(axis, aux), prep)
-    kernel = readout_kernel(n, aux, "exact")
-    assert (kernel.short is None) == (kernel.bins.size > SHORT_KERNEL)
-    scalar = run_qpe(config)
-    assert type(scalar.outcomes) in (tuple, range) and type(scalar.weights) is tuple
-    assert identical(scalar, _array_readout(config))
-    assert identical(scalar, _dense_readout(config))
+    got = run_qpe(config)
+    assert type(got.outcomes) in (tuple, range) and type(got.weights) is tuple
+    assert identical(got, _dense_readout(config))
+    if expected_bins(config).dyadic_exact:
+        assert identical(got, _array_readout(config))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 16), k=st.integers(-(1 << 20), 1 << 20),
+       axis=st.sampled_from(Axis), prep=preps())
+@example(n=16, k=1 << 12, axis=Axis.Y, prep=())  # pi/4, the default auxiliary angle
+def test_dyadic_exact_run_builds_no_kernel(n, k, axis, prep):
+    """An exact run at a dyadic angle never calls readout_kernel, and
+    holds at most its two bins."""
+    config = QpeConfig(RunSettings(n), RotationSpec(axis, 4 * PI * k / (1 << n)), prep)
+
+    def refused(*key):
+        raise AssertionError("a dyadic exact run built a readout kernel")
+
+    with mock.patch.object(qpe, "readout_kernel", refused):
+        hist = run_qpe(config)
+    bins = expected_bins(config)
+    assert set(hist.outcomes) <= {bins.m_minus, bins.m_plus}
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -103,36 +109,35 @@ def test_window_decoder_is_decode_of_the_run(data, n, axis, prep):
     assert repr(window_decoder(n, aux)(config)) == repr(want)
 
 
-@pytest.mark.parametrize("n, aux, kept", EDGE_KERNELS, ids=["64-kept", "65-kept"])
-@pytest.mark.parametrize("axis", list(Axis))
-def test_readout_at_the_short_kernel_bound(n, aux, kept, axis):
-    config = QpeConfig(RunSettings(n), RotationSpec(axis, aux), (rx(-0.7), ry(0.4)))
-    kernel = readout_kernel(n, aux, "exact")
-    assert kernel.bins.size == kept
-    assert (kernel.short is None) == (kept > SHORT_KERNEL)
-    assert identical(run_qpe(config), _array_readout(config))
-    assert identical(run_qpe(config), _dense_readout(config))
-
-
-def test_short_list_is_the_kernel():
-    """`short` lists each kept outcome with K(m) and K(-m), the kernel's
-    own values as Python numbers."""
-    kernel = readout_kernel(6, 1.0, "exact")
-    values = dict(zip(kernel.bins.tolist(), kernel.values.tolist()))
-    assert [m for m, _, _ in kernel.short] == kernel.bins.tolist()
-    for m, k, k_mirror in kernel.short:
-        assert (type(m), type(k), type(k_mirror)) == (int, float, float)
-        assert (k.hex(), k_mirror.hex()) == (values[m].hex(), values[-m % 64].hex())
-    assert readout_kernel(6, 1.0, "sampled").short is None
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 16), k=st.integers(-(1 << 20), 1 << 20))
+def test_short_list_is_the_kernel(n, k):
+    """The short list a dyadic exact run reads holds its two bins, each
+    with K(m) and K(-m): the full kernel's own values as Python numbers.
+    A leaky angle has no such list."""
+    aux = 4 * PI * k / (1 << n)
+    kernel = readout_kernel(n, aux).tolist()
+    bins = expected_bins(QpeConfig(RunSettings(n), RotationSpec(Axis.Y, aux)))
+    triples = _dyadic_triples(n, aux)
+    assert [m for m, _, _ in triples] == sorted({bins.m_minus, bins.m_plus})
+    for m, value, mirror in triples:
+        assert (type(m), type(value), type(mirror)) == (int, float, float)
+        assert (value.hex(), mirror.hex()) == (kernel[m].hex(), kernel[-m % (1 << n)].hex())
+    assert _dyadic_triples(6, 1.0) is None
 
 
 def test_nan_reaches_the_histogram():
-    """A NaN readout is not dust: it is held, and the Histogram refuses it."""
-    nan = ReadoutKernel(np.array([math.nan, 0.5]), np.array([0, 1]),
-                        ((0, math.nan, math.nan), (1, 0.5, 0.5)))
-    with mock.patch.object(qpe, "readout_kernel", lambda *key: nan):
+    """A NaN readout is not dust: it is held, and the Histogram refuses it,
+    read from two bins or from the full kernel."""
+    config = QpeConfig(RunSettings(1), RotationSpec(Axis.Y, 0.0))
+    nan_bins = ((0, math.nan, math.nan), (1, 0.5, 0.5))
+    with mock.patch.object(qpe, "_dyadic_triples", lambda n, angle: nan_bins):
         with pytest.raises(ValueError, match="not positive"):
-            run_qpe(QpeConfig(RunSettings(1), RotationSpec(Axis.Y, 0.0)))
+            run_qpe(config)
+    nan_kernel = np.array([math.nan, 0.5])
+    with mock.patch.object(qpe, "readout_kernel", lambda n, angle: nan_kernel):
+        with pytest.raises(ValueError, match="not positive"):
+            _array_readout(config)
 
 
 #: dyadic exact requests at the default auxiliary angle pi/4
@@ -145,13 +150,12 @@ EXACT_REQUESTS = [
 
 @pytest.mark.parametrize("argv", EXACT_REQUESTS, ids=[argv[0] for argv in EXACT_REQUESTS])
 def test_warm_exact_request_makes_no_numpy_call(capsys, monkeypatch, argv):
-    """Once its kernels are cached, a dyadic exact request runs, decodes
-    and writes its record with numpy unimportable, byte for byte as with
-    numpy, and its histograms hold tuples."""
-    readout_kernel.cache_clear()
-    assert main(argv) == 0  # builds the kernels, with numpy
-    warm = capsys.readouterr()
-    assert readout_kernel.cache_info().currsize >= 1
+    """A dyadic exact request runs, decodes and writes its record with
+    numpy unimportable, cold and then warm, byte for byte as with numpy;
+    it builds no readout kernel, and its histograms hold tuples."""
+    assert main(argv) == 0  # with numpy importable
+    want = capsys.readouterr()
+    _dyadic_triples.cache_clear()
     hists = []
 
     def recording(config):
@@ -161,9 +165,12 @@ def test_warm_exact_request_makes_no_numpy_call(capsys, monkeypatch, argv):
     for module in (cli, extraction):
         monkeypatch.setattr(module, "run_qpe", recording)
     monkeypatch.setitem(sys.modules, "numpy", None)
-    assert main(argv) == 0
-    assert capsys.readouterr() == warm
-    assert len(hists) == (2 if argv[0] == "pipeline" else 1)
+    for _ in range(2):  # cold, then warm
+        assert main(argv) == 0
+        assert capsys.readouterr() == want
+    assert len(hists) == 2 * (2 if argv[0] == "pipeline" else 1)
+    assert _dyadic_triples.cache_info().hits >= 1
+    assert readout_kernel.cache_info().misses == 0
     for hist in hists:
         assert type(hist.outcomes) is tuple and type(hist.weights) is tuple
         assert all(type(w) is float for w in hist.weights)

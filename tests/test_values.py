@@ -12,8 +12,8 @@ from spinqpe.extraction import ExtractionResult, full_pipeline
 from spinqpe.gates import Axis, RotationSpec, rx
 from spinqpe.iqft import IqftPlan, PlanStep
 from spinqpe.precession import AmplitudePair, ComplexPair, PathParams, PhysicalParams
-from spinqpe.qpe import (DecodeResult, ExpectedBins, Histogram, QpeConfig, ReadoutKernel,
-                         RunSettings, decode, run_qpe)
+from spinqpe.qpe import (DecodeResult, ExpectedBins, Histogram, QpeConfig, RunSettings,
+                         decode, run_qpe)
 from spinqpe.statevector import StateVector
 
 
@@ -52,9 +52,6 @@ CASES = [
     (DecodeResult, lambda: {"num_bits": 3, "m_plus": 7, "m_minus": 1, "dyadic_exact": True,
                             "p_plus": 0.25, "p_minus": 0.75, "warnings": ["leakage"]},
      "value", True),
-    (ReadoutKernel, lambda: {"values": np.ones(2), "bins": np.array([0, 1]),
-                             "short": ((0, 1.0, 1.0), (1, 1.0, 1.0))},
-     "identity", True),
 ]
 
 
