@@ -15,9 +15,10 @@ covers |delta| <= pi/2.
 full_pipeline runs both circuits and decodes their histograms; the two
 runs share one cached readout kernel when their angles are equal.
 window_sweep decodes the same runs at many (eta, delta) points of one
-width and auxiliary angle with qpe's window_decoder: no histogram, and no
-numpy. Both make their estimates from the two decode results in one
-function, so the two agree bit for bit.
+width and auxiliary angle with qpe's decode_exact, which reads them at
+their decode windows through qpe's one cached window readout: no
+histogram, and no numpy. Both make their estimates from the two decode
+results in one function, so the two agree bit for bit.
 """
 
 import math
@@ -30,8 +31,7 @@ from .errors import (
 )
 from .gates import Axis, RotationSpec, Value, rx, ry
 from .precession import AmplitudePair, PathParams, TotalPhase, total_phase, wrap_angle
-from .qpe import (DecodeResult, Histogram, QpeConfig, RunSettings, decode, run_qpe,
-                  window_decoder)
+from .qpe import DecodeResult, Histogram, QpeConfig, RunSettings, decode, decode_exact, run_qpe
 
 BRANCHES = ("principal", "reflected")
 
@@ -222,16 +222,17 @@ def window_sweep(points, n: int, aux: float):
     """Yield, for each PathParams of `points` in order, the fields but the
     histograms of the exact full_pipeline(params, RunSettings(n), aux, aux)
     result, bit for bit, as a dict keyed by field name. Both runs decode
-    through one window_decoder. Each QpeConfig is built and checked as
+    through decode_exact, which raises decode's ConfigurationError where
+    the windows of (n, aux) overlap. Each QpeConfig is built and checked as
     full_pipeline builds it, in its order, but the vertical one, which
     depends on eta alone, only once per distinct eta (0.0 and -0.0 apart).
     """
     run = RunSettings(n)
-    decoder = window_decoder(n, aux)
     vertical = {}  # (eta, its sign) -> the vertical run's decode result
     for params in points:
         key = params.eta, math.copysign(1.0, params.eta)
         decode_v = vertical.get(key)
         if decode_v is None:
-            decode_v = vertical[key] = decoder(_vertical(params.eta, run, aux))
-        yield _estimates(params, "principal", decode_v, decoder(_horizontal(params, run, aux)))
+            decode_v = vertical[key] = decode_exact(_vertical(params.eta, run, aux))
+        yield _estimates(params, "principal", decode_v,
+                         decode_exact(_horizontal(params, run, aux)))

@@ -16,23 +16,26 @@ Macchiavello & Mosca 1998; Nielsen & Chuang sec. 5.2), so it never forms
 the (n+1)-qubit state. K depends only on the width and the angle, so a
 process builds the full kernel once per (width, angle) and keeps the last
 two it built, read-only, for the runs that repeat them. kernel_at gives
-the same K at a few listed outcomes in pure Python: an exact run at a
-dyadic angle, whose readout fills two bins and is dust elsewhere, reads
-K there alone, at a few cosines per bit, not about 2 * 2^n. run_circuit
-is the reference engine: it simulates that circuit gate by gate on the
-full statevector, and only it and its two readouts use
-spinqpe.statevector and spinqpe.iqft.
+the same K at a few listed outcomes in pure Python, at a few cosines per
+bit, not about 2 * 2^n. An exact run's bins, their decode windows and K
+at every window outcome are one cached window readout per (width,
+angle), the last two kept as well: an exact run at a dyadic angle, whose
+readout fills two bins and is dust elsewhere, builds its histogram from
+it, and decode_exact reads any exact run there. run_circuit is the
+reference engine: it simulates that circuit gate by gate on the full
+statevector, and only it and its two readouts use spinqpe.statevector
+and spinqpe.iqft.
 
 numpy is imported inside the functions that build or read an array (a
 readout kernel, a draw, the reference engine, a Histogram's checks of
 an array), never at import: a configuration, its bins and windows,
-kernel_at and window_decoder need none, and neither does an exact run at
+kernel_at and decode_exact need none, and neither does an exact run at
 a dyadic angle, its Histogram or its decode.
 
 Only this module reads a readout into a DecodeResult: decode reads a
-Histogram, and window_decoder an exact run at its decode windows alone,
-from kernel_at. Both take the window masses in one step, so a sweep
-decodes bit for bit as a pipeline does.
+Histogram, and decode_exact an exact run at its decode windows alone.
+Both take the window masses in one step, which refuses overlapping
+windows, so a sweep decodes bit for bit as a pipeline does.
 
 A Histogram holds only its support, as Python sequences: the ascending
 outcomes whose probability is above the dust floor, or that were drawn
@@ -314,17 +317,11 @@ class ExpectedBins(FrozenValue):
 
     def windows(self) -> tuple[set, set]:
         """The decode windows around m_plus and m_minus: each reaches
-        `window` bins to either side of its bin, cyclic. Two windows that
-        overlap raise ConfigurationError."""
+        `window` bins to either side of its bin, cyclic. They may overlap;
+        _decode_windows refuses two that do."""
         size, window = 1 << self.num_bits, self.window
         plus = {(self.m_plus + d) % size for d in range(-window, window + 1)}
         minus = {(self.m_minus + d) % size for d in range(-window, window + 1)}
-        if plus & minus:
-            raise ConfigurationError(
-                f"decode windows around bins {self.m_plus} and {self.m_minus} "
-                f"overlap (window={window}); the two eigencomponents are not "
-                "separable in this configuration"
-            )
         return plus, minus
 
 
@@ -423,23 +420,19 @@ def kernel_at(n: int, angle: float, bins) -> list:
     return values
 
 
-def _triples(n: int, angle: float, outcomes: list) -> tuple:
-    """(m, K(m), K(-m mod 2^n)) for each of the listed outcomes m, from
-    kernel_at: what _exact_readout reads of an exact run there."""
-    mirrors = [-m % (1 << n) for m in outcomes]
-    return tuple(zip(outcomes, kernel_at(n, angle, outcomes), kernel_at(n, angle, mirrors)))
-
-
 @functools.lru_cache(maxsize=2)
-def _dyadic_triples(n: int, angle: float) -> tuple | None:
-    """_triples at the two bins of an n-bit readout at `angle` when the
-    angle is dyadic (expected_bins), as every other outcome reads dust
-    there; None at any other angle. Cached, as readout_kernel is, for the
-    last two (n, angle)."""
+def _window_readout(n: int, angle: float) -> tuple:
+    """(bins, windows, triples) of an exact n-bit readout at `angle`: its
+    expected_bins, their windows(), and (m, K(m), K(-m mod 2^n)) from
+    kernel_at at every outcome of the two windows, ascending. At a dyadic
+    angle the windows are the two bins, where all but dust of the readout
+    lies. Cached, as readout_kernel is, for the last two (n, angle)."""
     bins = expected_bins(QpeConfig(RunSettings(n), RotationSpec(Axis.Y, angle)))
-    if not bins.dyadic_exact:
-        return None
-    return _triples(n, angle, sorted({bins.m_minus, bins.m_plus}))
+    windows = bins.windows()
+    outcomes = sorted(windows[0] | windows[1])
+    mirrors = [-m % (1 << n) for m in outcomes]
+    return bins, windows, tuple(zip(outcomes, kernel_at(n, angle, outcomes),
+                                    kernel_at(n, angle, mirrors)))
 
 
 #: axis -> (<+axis|, <-axis|), each the conjugate amplitudes of its eigenvector
@@ -518,20 +511,23 @@ def run_qpe(config: QpeConfig) -> Histogram:
     sample) of the estimation circuit, from the target's two eigen-overlaps
     and the readout kernel: P(m) = w_minus K(m) + w_plus K(-m mod 2^n).
 
-    An exact run at a dyadic angle reads K at its two bins alone
-    (_dyadic_triples), since P is dust at or below PROBABILITY_FLOOR at
-    every other outcome, in Python floats with the arrays' two products
-    and one sum in their order: the same bits, and no numpy. Every other
-    run reads the full cached readout_kernel, which it only reads: an
-    exact one holds the outcomes above the floor, and a sampled one draws
-    from the full vector, as the seed contract requires. The angle is
-    keyed as the float the kernel reads, so an angle that is no hashable
-    float (a 0-d array, say) still runs.
+    An exact run reads its bins from the cached _window_readout. At a
+    dyadic angle it builds its Histogram from the K there, its two bins
+    (one where they meet), since P is dust at or below PROBABILITY_FLOOR
+    at every other outcome, in Python floats with the arrays' two
+    products and one sum in their order: the same bits, and no numpy.
+    Every other run reads the full cached readout_kernel, which it only
+    reads: an exact one holds the outcomes above the floor, and a sampled
+    one, which never reads _window_readout, draws from the full vector,
+    as the seed contract requires. The angle is keyed as the float the
+    kernel reads, so an angle that is no hashable float (a 0-d array,
+    say) still runs.
     """
     n, angle = config.run.counting_qubits, float(config.aux.angle)
-    triples = _dyadic_triples(n, angle) if config.run.shots is None else None
-    if triples is not None:
-        return Histogram(n, *_exact_readout(config, triples))
+    if config.run.shots is None:
+        bins, _, triples = _window_readout(n, angle)
+        if bins.dyadic_exact:
+            return Histogram(n, *_exact_readout(config, triples))
     kernel = readout_kernel(n, angle)
     w_plus, w_minus = _target_overlaps(config)
     probs = w_minus * kernel
@@ -588,7 +584,7 @@ def window_mass(values) -> float:
 
 def decode(hist: Histogram, config: QpeConfig) -> DecodeResult:
     """Total mass around the two expected bins: _decode_windows reads the
-    histogram in the bins' `windows()`, which must not overlap."""
+    histogram in the bins' `windows()`, and refuses two that overlap."""
     if hist.num_bits != config.run.counting_qubits:
         raise ConfigurationError(
             f"histogram has {hist.num_bits} bits but the configuration "
@@ -602,7 +598,14 @@ def _decode_windows(bins: ExpectedBins, windows: tuple, read) -> DecodeResult:
     """The DecodeResult of a readout with these bins and their two windows,
     read(outcomes) listing its probability at each outcome of a window:
     each mass is window_mass in the set's order, and coverage below
-    COVERAGE_THRESHOLD is a leakage warning, not an error."""
+    COVERAGE_THRESHOLD is a leakage warning, not an error. Two windows
+    that overlap raise ConfigurationError before anything is read."""
+    if windows[0] & windows[1]:
+        raise ConfigurationError(
+            f"decode windows around bins {bins.m_plus} and {bins.m_minus} "
+            f"overlap (window={bins.window}); the two eigencomponents are not "
+            "separable in this configuration"
+        )
     p_plus, p_minus = window_mass(read(windows[0])), window_mass(read(windows[1]))
     coverage = p_plus + p_minus
     warnings = (f"leakage: decoded windows cover {coverage:.6f} < threshold "
@@ -611,23 +614,15 @@ def _decode_windows(bins: ExpectedBins, windows: tuple, read) -> DecodeResult:
                         p_plus, p_minus, warnings)
 
 
-def window_decoder(n: int, angle: float):
-    """A function that gives decode(run_qpe(config), config) for an exact
-    config of n bits and auxiliary angle `angle`, on either axis, bit for
-    bit, and means nothing for another config. The bins, the windows
-    (overlapping ones raise decode's ConfigurationError here) and
-    kernel_at's K at the window outcomes and their mirrors are found once;
-    a call reads the run there with _exact_readout, with no Histogram,
-    kernel or numpy."""
-    bins = expected_bins(QpeConfig(RunSettings(n), RotationSpec(Axis.Y, angle)))
-    windows = bins.windows()
-    triples = _triples(n, angle, sorted(set().union(*windows)))
-
-    def decoder(config: QpeConfig) -> DecodeResult:
-        readout = dict(zip(*_exact_readout(config, triples)))
-        return _decode_windows(bins, windows, lambda window: [readout.get(m, 0.0) for m in window])
-
-    return decoder
+def decode_exact(config: QpeConfig) -> DecodeResult:
+    """decode(run_qpe(config), config) for an exact config, bit for bit,
+    on either axis: _exact_readout reads the run at the decode windows
+    alone, from _window_readout's K there, with no Histogram, kernel or
+    numpy."""
+    bins, windows, triples = _window_readout(config.run.counting_qubits,
+                                             float(config.aux.angle))
+    readout = dict(zip(*_exact_readout(config, triples)))
+    return _decode_windows(bins, windows, lambda window: [readout.get(m, 0.0) for m in window])
 
 
 def format_binary(outcome: int, num_bits: int) -> str:

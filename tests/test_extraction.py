@@ -33,7 +33,7 @@ from spinqpe import (
 )
 from spinqpe import extraction
 from spinqpe.extraction import window_sweep
-from spinqpe.qpe import _dyadic_triples, readout_kernel
+from spinqpe.qpe import _window_readout, readout_kernel
 
 from histograms import identical
 
@@ -306,15 +306,15 @@ class TestSharedKernel:
     def test_one_kernel_per_distinct_angle(self, shots, aux_h, builds):
         """One build per distinct angle, and none for a second identical
         pipeline, which reads what the first left cached. A sampled run
-        builds the full kernel; an exact one looks up its two bins at a
-        dyadic angle, and builds the full kernel only at a leaky one, here
-        1.0."""
+        builds the full kernel and no window readout; an exact one builds
+        the window readout of its angle, and the full kernel only at a
+        leaky angle, here 1.0."""
         args = (PathParams(0.4, -0.7), RunSettings(8, shots, 3), PI / 4, aux_h)
         want = (builds, 0) if shots else (int(aux_h == 1.0), builds)
         first = full_pipeline(*args)
-        assert (readout_kernel.cache_info().misses, _dyadic_triples.cache_info().misses) == want
+        assert (readout_kernel.cache_info().misses, _window_readout.cache_info().misses) == want
         second = full_pipeline(*args)
-        assert (readout_kernel.cache_info().misses, _dyadic_triples.cache_info().misses) == want
+        assert (readout_kernel.cache_info().misses, _window_readout.cache_info().misses) == want
         for got, want in ((second.hist_v, first.hist_v), (second.hist_h, first.hist_h)):
             assert identical(got, want)
 

@@ -136,10 +136,12 @@ def test_qpe_reads_the_reference_engine_only_in_run_circuit():
 
 
 #: what `qpe` alone knows of how an exact readout is read: its dust
-#: floor, the target's eigen-overlaps, the window-mass rule, the leakage
-#: note and the kernel at a few outcomes
-READOUT_MODEL = {"PROBABILITY_FLOOR", "_target_overlaps", "window_mass", "leakage_warnings",
-                 "kernel_at"}
+#: floor, the target's eigen-overlaps, the kernel at a few outcomes, the
+#: cached window readout, the Python readout, the window-mass rule and
+#: the one window step; `extraction` reads an exact run through
+#: `decode_exact`
+READOUT_MODEL = {"PROBABILITY_FLOOR", "_target_overlaps", "kernel_at", "_window_readout",
+                 "_exact_readout", "window_mass", "_decode_windows"}
 
 
 @pytest.mark.parametrize("module", sorted(path.stem for path in Path(spinqpe.__file__).parent
@@ -255,17 +257,22 @@ def test_cold_sweep_help_still_comes_from_argparse():
     assert done.stdout.startswith("usage: spinqpe sweep")
 
 
-@pytest.mark.parametrize("argv", [
-    ["sweep", "--eta-range", "0.2:1.3", "--delta-range=-1.3:1.3", "--steps", "3", "--n", "10"],
-    ["analytic", "--eta", "pi/3", "--delta", "pi/3"],
-    ["pipeline", "--eta", "pi/3", "--delta", "pi/3", "--exact", "--n", "10"],
-    ["qpev", "--eta", "0.4", "--exact", "--n", "16"],
-    ["qpeh", "--eta", "0.4", "--delta", "0.3", "--aux", "pi/2", "--exact", "--n", "12"],
-], ids=["sweep", "analytic", "exact-pipeline", "exact-qpev", "exact-qpeh"])
-def test_command_never_loads_numpy(argv):
-    """In a fresh interpreter, the command runs and exits 0 with numpy
-    never imported: an exact run at a dyadic angle reads its two bins in
-    pure Python."""
+@pytest.mark.parametrize("argv, exit_code", [
+    (["sweep", "--eta-range", "0.2:1.3", "--delta-range=-1.3:1.3", "--steps", "3", "--n", "10"],
+     0),
+    (["analytic", "--eta", "pi/3", "--delta", "pi/3"], 0),
+    (["pipeline", "--eta", "pi/3", "--delta", "pi/3", "--exact", "--n", "10"], 0),
+    (["qpev", "--eta", "0.4", "--exact", "--n", "16"], 0),
+    (["qpeh", "--eta", "0.4", "--delta", "0.3", "--aux", "pi/2", "--exact", "--n", "12"], 0),
+    (["sweep", "--eta-range", "0.2:1.3", "--delta-range", "0.2:1.3", "--steps", "3", "--n", "3"],
+     3),
+], ids=["sweep", "analytic", "exact-pipeline", "exact-qpev", "exact-qpeh",
+        "sweep-overlapping-windows"])
+def test_command_never_loads_numpy(argv, exit_code):
+    """In a fresh interpreter, the command runs and exits with its code
+    with numpy never imported: an exact run at a dyadic angle reads its
+    two bins in pure Python, and a sweep whose windows overlap exits 3
+    after reading the kernel at them in pure Python."""
     code = ("import sys, io, contextlib\n"
             "from spinqpe.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -274,4 +281,4 @@ def test_command_never_loads_numpy(argv):
     src = str(Path(spinqpe.__file__).parents[1])
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=60, env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert done.stdout.split() == ["0", "False"], done.stderr
+    assert done.stdout.split() == [str(exit_code), "False"], done.stderr

@@ -27,8 +27,8 @@ from spinqpe import (
 )
 from spinqpe.qpe import (
     PROBABILITY_FLOOR,
-    _dyadic_triples,
     _target_overlaps,
+    _window_readout,
     histogram_from_probabilities,
     kernel_at,
     readout_kernel,
@@ -538,8 +538,8 @@ def aux_angles(draw, n):
 class TestSharedKernel:
     """One readout kernel serves every run of its width and angle, exact
     or sampled: a process builds it once and keeps the last two,
-    read-only. The two bins an exact run at a dyadic angle reads are
-    cached the same way."""
+    read-only. An exact run's window readout, the bins, their windows and
+    K there, is cached the same way."""
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(data=st.data(), n=st.integers(2, 16), axis=st.sampled_from(Axis),
@@ -552,9 +552,9 @@ class TestSharedKernel:
         config = QpeConfig(run, RotationSpec(axis, aux), tuple(g(a) for g, a in prep))
         run_qpe(config)
         warm = run_qpe(config)
-        assert readout_kernel.cache_info().hits + _dyadic_triples.cache_info().hits >= 1
+        assert readout_kernel.cache_info().hits + _window_readout.cache_info().hits >= 1
         readout_kernel.cache_clear()
-        _dyadic_triples.cache_clear()
+        _window_readout.cache_clear()
         assert identical(warm, run_qpe(config))
 
     @pytest.mark.parametrize("n", [1, 2, 10, 16])
@@ -624,9 +624,9 @@ class TestSharedKernel:
     @pytest.mark.parametrize("first", [-0.0, 0.0])
     def test_signed_zeros_share_a_kernel(self, n, mode, first):
         """-0.0 and 0.0 are one cache key, in either call order, for the
-        two bins an exact run reads there and for the full kernel a
+        window readout an exact run reads there and for the full kernel a
         sampled run reads, and either gets what a cold build of it makes."""
-        cache, built = ((_dyadic_triples, lambda zero: repr(_dyadic_triples(n, zero)))
+        cache, built = ((_window_readout, lambda zero: repr(_window_readout(n, zero)))
                         if mode == "exact" else
                         (readout_kernel, lambda zero: readout_kernel(n, zero).tobytes()))
         cold = {}  # keyed by repr: -0.0 and 0.0 are one dict key as well
@@ -735,9 +735,10 @@ class TestKeptOutcomes:
     @example(n=16, k=1 << 12)  # pi/4, the default auxiliary angle
     @example(n=1, k=1)
     def test_dyadic_angle_keeps_at_most_two_outcomes(self, n, k):
-        """The readout of a dyadic angle fills two bins, and an exact run
-        reads K at those alone: no 2^n-wide work."""
+        """The readout of a dyadic angle fills two bins, its decode windows,
+        and an exact run reads K at those alone: no 2^n-wide work."""
         aux = 4 * PI * k / (1 << n)
         bins = expected_bins(qpev_config(n=n, aux=aux))
-        triples = _dyadic_triples(n, aux)
+        _, windows, triples = _window_readout(n, aux)
+        assert windows == ({bins.m_plus}, {bins.m_minus})
         assert [m for m, _, _ in triples] == sorted({bins.m_minus, bins.m_plus})
