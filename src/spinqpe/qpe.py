@@ -15,22 +15,21 @@ each spread by the textbook QPE kernel (readout_kernel; Cleve, Ekert,
 Macchiavello & Mosca 1998; Nielsen & Chuang sec. 5.2), so it never forms
 the (n+1)-qubit state. K depends only on the width and the angle, so a
 process builds the full kernel once per (width, angle) and keeps the last
-two it built, read-only, for the runs that repeat them. kernel_at gives
-the same K at a few listed outcomes in pure Python, at a few cosines per
-bit, not about 2 * 2^n. An exact run's bins, their decode windows and K
-at every window outcome are one cached window readout per (width,
-angle), the last two kept as well: an exact run at a dyadic angle, whose
-readout fills two bins and is dust elsewhere, builds its histogram from
-it, and decode_exact reads any exact run there. run_circuit is the
-reference engine: it simulates that circuit gate by gate on the full
-statevector, and only it and its two readouts use spinqpe.statevector
-and spinqpe.iqft.
+two it built, read-only, for the runs that repeat them. An exact run's
+bins, their decode windows and K at every window outcome are one cached
+window readout per (width, angle), the last two kept as well, which
+computes those K in pure Python at n cosines per outcome, not about
+2 * 2^n: an exact run at a dyadic angle, whose readout fills two bins
+and is dust elsewhere, builds its histogram from it, and decode_exact
+reads any exact run there. run_circuit is the reference engine: it
+simulates that circuit gate by gate on the full statevector, and only it
+and its two readouts use spinqpe.statevector and spinqpe.iqft.
 
 numpy is imported inside the functions that build or read an array (a
 readout kernel, a draw, the reference engine, a Histogram's checks of
 an array), never at import: a configuration, its bins and windows,
-kernel_at and decode_exact need none, and neither does an exact run at
-a dyadic angle, its Histogram or its decode.
+the window readout and decode_exact need none, and neither does an
+exact run at a dyadic angle, its Histogram or its decode.
 
 Only this module reads a readout into a DecodeResult: decode reads a
 Histogram, and decode_exact an exact run at its decode windows alone.
@@ -375,7 +374,8 @@ def readout_kernel(n: int, angle: float) -> np.ndarray:
     needs (a pipeline's two angles). An unbounded cache would keep one
     kernel per angle ever asked for. -0.0 and 0.0 are one key; their
     kernels are bit for bit the same, as cos^2 is even. A kernel is
-    read-only, so no run can change a shared one.
+    read-only, so no run can change a shared one. _window_readout makes
+    the same values at the decode windows alone, in pure Python.
     """
     import numpy as np
 
@@ -395,44 +395,36 @@ def readout_kernel(n: int, angle: float) -> np.ndarray:
     return kernel
 
 
-def kernel_at(n: int, angle: float, bins) -> list:
-    """readout_kernel's K(m) at each outcome m of `bins`, as Python floats,
-    with no array and no numpy.
+@functools.lru_cache(maxsize=2)
+def _window_readout(n: int, angle: float) -> tuple:
+    """(bins, windows, triples) of an exact n-bit readout at `angle`: its
+    expected_bins, their windows(), and (m, K(m), K(-m mod 2^n)) at every
+    outcome m of the two windows, ascending. At a dyadic angle the windows
+    are the two bins, where all but dust of the readout lies. Cached, as
+    readout_kernel is, for the last two (n, angle).
 
-    Each value is made by readout_kernel's float operations in its order,
-    with math.cos for np.cos, so it equals that kernel's value, bit for
-    bit, wherever the two cosines agree. A decode window or a dyadic
-    readout lists a few outcomes, so this costs n cosines each where
-    readout_kernel costs about 2^(n+1).
+    Each K is made by readout_kernel's float operations in its order, with
+    math.cos for np.cos, so it equals that kernel's value, bit for bit,
+    wherever the two cosines agree: n cosines per window outcome, where
+    readout_kernel costs about 2^(n+1). The windows are each other's
+    mirrors (m_plus = -m_minus mod 2^n, each window symmetric about its
+    bin), so K(-m) is read from the same pass.
     """
+    bins = expected_bins(QpeConfig(RunSettings(n), RotationSpec(Axis.Y, angle)))
+    windows = bins.windows()
     levels = []  # (span, phase step, reduced phase) from the top bit down
     for l in range(n - 1, -1, -1):
         c = math.ldexp(angle, l - 2)
         span = 1 << (n - l)
         levels.append((span, -math.pi / span, math.atan2(math.sin(c), math.cos(c))))
-    values = []
-    for m in bins:
+    kernel = {}
+    for m in windows[0] | windows[1]:
         k = 1.0
         for span, step, phi in levels:
             factor = math.cos(float(m % span) * step + phi)
             k = factor * factor * k
-        values.append(k)
-    return values
-
-
-@functools.lru_cache(maxsize=2)
-def _window_readout(n: int, angle: float) -> tuple:
-    """(bins, windows, triples) of an exact n-bit readout at `angle`: its
-    expected_bins, their windows(), and (m, K(m), K(-m mod 2^n)) from
-    kernel_at at every outcome of the two windows, ascending. At a dyadic
-    angle the windows are the two bins, where all but dust of the readout
-    lies. Cached, as readout_kernel is, for the last two (n, angle)."""
-    bins = expected_bins(QpeConfig(RunSettings(n), RotationSpec(Axis.Y, angle)))
-    windows = bins.windows()
-    outcomes = sorted(windows[0] | windows[1])
-    mirrors = [-m % (1 << n) for m in outcomes]
-    return bins, windows, tuple(zip(outcomes, kernel_at(n, angle, outcomes),
-                                    kernel_at(n, angle, mirrors)))
+        kernel[m] = k
+    return bins, windows, tuple((m, kernel[m], kernel[-m % (1 << n)]) for m in sorted(kernel))
 
 
 #: axis -> (<+axis|, <-axis|), each the conjugate amplitudes of its eigenvector

@@ -136,11 +136,11 @@ def test_qpe_reads_the_reference_engine_only_in_run_circuit():
 
 
 #: what `qpe` alone knows of how an exact readout is read: its dust
-#: floor, the target's eigen-overlaps, the kernel at a few outcomes, the
-#: cached window readout, the Python readout, the window-mass rule and
-#: the one window step; `extraction` reads an exact run through
+#: floor, the target's eigen-overlaps, the cached window readout (the
+#: kernel at the window outcomes), the Python readout, the window-mass
+#: rule and the one window step; `extraction` reads an exact run through
 #: `decode_exact`
-READOUT_MODEL = {"PROBABILITY_FLOOR", "_target_overlaps", "kernel_at", "_window_readout",
+READOUT_MODEL = {"PROBABILITY_FLOOR", "_target_overlaps", "_window_readout",
                  "_exact_readout", "window_mass", "_decode_windows"}
 
 

@@ -30,7 +30,6 @@ from spinqpe.qpe import (
     _target_overlaps,
     _window_readout,
     histogram_from_probabilities,
-    kernel_at,
     readout_kernel,
     run_circuit,
     sample_probabilities,
@@ -644,22 +643,6 @@ class TestSharedKernel:
         array, scalar = (QpeConfig(RunSettings(6), RotationSpec(Axis.Y, angle))
                          for angle in (np.array(0.3), 0.3))
         assert identical(run_qpe(array), run_qpe(scalar))
-
-
-class TestKernelAt:
-    """kernel_at is readout_kernel at a few outcomes, in pure Python."""
-
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(data=st.data(), n=st.integers(1, 16))
-    def test_values_are_the_kernel_bit_for_bit(self, data, n):
-        """Equal to readout_kernel at every outcome, bit for bit."""
-        aux = data.draw(kernel_angles(n))
-        values = kernel_at(n, aux, range(1 << n))
-        assert all(type(value) is float for value in values)
-        assert np.array(values).tobytes() == readout_kernel(n, aux).tobytes()
-
-    def test_lists_no_outcome(self):
-        assert kernel_at(10, PI / 4, []) == []
 
 
 class TestKeptOutcomes:

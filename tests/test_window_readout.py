@@ -27,7 +27,7 @@ from spinqpe.qpe import (ExpectedBins, _window_readout, decode, decode_exact, ex
                          sample_probabilities)
 
 from histograms import identical
-from test_qpe import reference_probabilities
+from test_qpe import kernel_angles, reference_probabilities
 
 PI = math.pi
 
@@ -146,24 +146,55 @@ def test_one_bin_angle_holds_its_bin_and_refuses_to_decode():
                 assert str(refused_exact.value) == str(refused.value)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def mirrors_itself(windows, n) -> bool:
+    """Whether the mirror -m mod 2^n of every outcome m of the two
+    windows is an outcome of the two windows, as the window readout,
+    which reads every K(-m) from the K it computed at them, needs."""
+    outcomes = windows[0] | windows[1]
+    return {-m % (1 << n) for m in outcomes} == outcomes
+
+
+def window_angles(n):
+    """An angle of every family a window readout is read at: dyadic, near
+    dyadic, leaky, huge or one-bin."""
+    return st.one_of(readout_angles(n), kernel_angles(n), st.sampled_from(ONE_BIN_ANGLES))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(data=st.data(), n=st.integers(1, 16))
 def test_short_list_is_the_kernel(data, n):
     """The window readout holds the bins, their windows and, at every
     window outcome m, ascending, K(m) and K(-m): the full kernel's own
-    values as Python numbers. At a dyadic angle the windows are the two
-    bins."""
-    aux = data.draw(readout_angles(n))
+    values as Python numbers, bit for bit, though it computes them with
+    math.cos and the kernel with np.cos. The window outcomes are their
+    own mirrors, and at a dyadic angle the windows are the two bins."""
+    aux = data.draw(window_angles(n))
     kernel = readout_kernel(n, aux).tolist()
     want = expected_bins(QpeConfig(RunSettings(n), RotationSpec(Axis.Y, aux)))
     bins, windows, triples = _window_readout(n, aux)
     assert repr(bins) == repr(want) and windows == want.windows()
     assert [m for m, _, _ in triples] == sorted(windows[0] | windows[1])
+    assert mirrors_itself(windows, n)
     if bins.dyadic_exact:
         assert windows == ({bins.m_plus}, {bins.m_minus})
     for m, value, mirror in triples:
         assert (type(m), type(value), type(mirror)) == (int, float, float)
         assert (value.hex(), mirror.hex()) == (kernel[m].hex(), kernel[-m % (1 << n)].hex())
+
+
+def test_overlapping_and_one_bin_windows_mirror_each_other():
+    """Closed under the mirror too where the two windows overlap: at a
+    one-bin angle, and at a leaky angle whose bins are close, as near 0
+    or 2 pi or at any angle on a narrow register."""
+    for n in range(1, 17):
+        step = 4 * PI / (1 << n)  # one bin
+        leaky = [0.3 * step, -1.7 * step, 2 * PI + 0.4 * step, -2 * PI - 1.2 * step]
+        for aux in ONE_BIN_ANGLES + leaky + ([1.234, -2.5] if n <= 2 else []):
+            bins = expected_bins(QpeConfig(RunSettings(n), RotationSpec(Axis.Y, aux)))
+            windows = bins.windows()
+            assert windows[0] & windows[1]
+            assert (aux in ONE_BIN_ANGLES) == (windows[0] == windows[1] == {bins.m_minus})
+            assert mirrors_itself(windows, n)
 
 
 def test_nan_reaches_the_histogram():
