@@ -28,7 +28,8 @@ from .angles import parse_angle
 from .errors import AngleParseError, ConfigurationError
 from .extraction import BRANCHES, full_pipeline, reconstruct_CS, reconstruct_absA, window_sweep
 from .gates import Axis, RotationSpec, rx, ry
-from .precession import PathParams, TotalPhase, amplitudes_AB, amplitudes_CS, total_phase
+from .precession import (PathParams, TotalPhase, amplitude_pair, amplitudes_AB, amplitudes_CS,
+                         total_phase)
 from .qpe import QpeConfig, RunSettings, decode, expected_bins, run_qpe
 from .records import (
     decode_payload,
@@ -58,17 +59,23 @@ def _echo(run: RunSettings) -> dict:
     return {"n": run.counting_qubits, "shots": run.shots, "seed": run.seed, "mode": run.mode}
 
 
+def _refuse_leakage(config: QpeConfig, allow_leakage: bool) -> None:
+    """ConfigurationError unless the auxiliary angle of `config` is
+    dyadic-exact or `allow_leakage` accepts the leak."""
+    if not allow_leakage and not expected_bins(config).dyadic_exact:
+        raise ConfigurationError(
+            f"auxiliary angle {config.aux.angle!r} is not an integer multiple of "
+            f"4*pi/{1 << config.run.counting_qubits}, so the readout leaks into "
+            "neighboring bins; rerun with --allow-leakage to accept that"
+        )
+
+
 def _readout(run: RunSettings, axis: Axis, aux: float, target_prep: tuple,
              allow_leakage: bool):
     """Run one estimation circuit, QpeConfig(run, RotationSpec(axis, aux),
     target_prep); (histogram, decode result)."""
     config = QpeConfig(run, RotationSpec(axis, aux), target_prep)
-    if not expected_bins(config).dyadic_exact and not allow_leakage:
-        raise ConfigurationError(
-            f"auxiliary angle {aux!r} is not an integer multiple of "
-            f"4*pi/{1 << run.counting_qubits}, so the readout leaks into "
-            "neighboring bins; rerun with --allow-leakage to accept that"
-        )
+    _refuse_leakage(config, allow_leakage)
     hist = run_qpe(config)
     return hist, decode(hist, config)
 
@@ -161,6 +168,8 @@ def cmd_pipeline(args) -> int:
     aux_v = parse_angle(args.aux_v)
     aux_h = parse_angle(args.aux_h)
     run = RunSettings(args.n, args.shots, args.seed)
+    for axis, aux in ((Axis.Y, aux_v), (Axis.X, aux_h)):
+        _refuse_leakage(QpeConfig(run, RotationSpec(axis, aux)), args.allow_leakage)
     result = full_pipeline(PathParams(eta, delta), run, aux_v, aux_h, args.branch)
     histograms, decoded = extraction_payloads(result)
     return _emit(
@@ -226,7 +235,7 @@ def cmd_sweep(args) -> int:
             "eta": params.eta,
             "delta": params.delta,
             "C2": c2[params.eta],
-            "half_absA2": abs(amplitudes_AB(params).A) ** 2 / 2.0,
+            "half_absA2": abs(amplitude_pair(params)[0]) ** 2 / 2.0,
             "theta_analytic": result["phase_analytic"].theta,
             "theta_est": result["theta_est"],
             "residual_theta": result["residual_theta"],
@@ -292,7 +301,7 @@ _COMMANDS = {
                DEFAULT_AUX),
         ("--branch", {"choices": BRANCHES, "default": "principal",
                       "help": "delta branch for asin(sin delta)"}),
-        *_RUN, *_OUTPUT), _MODE),
+        _ALLOW_LEAKAGE, *_RUN, *_OUTPUT), _MODE),
     "sweep": ("grid the exact pipeline, write CSV", cmd_sweep, (
         _angle("--eta-range", "segment-1 range, e.g. 0.2:1.3 or pi/12:pi/3", "-1:0.5",
                metavar="LO:HI"),

@@ -83,16 +83,19 @@ def require_gate(gate) -> Gate:
     """`gate`, a 2x2 array or nested sequence, as a Gate tuple; ValueError
     unless it is 2x2, finite and unitary within UNITARY_ATOL.
 
-    Numbers are read as complex() reads them; anything else, such as an
-    array whose rows are not numbers, is read as numpy's complex128
-    conversion reads it, and only then is numpy imported."""
+    Entries that are all exact complex numbers, as rx and ry build them,
+    are taken as they are, and other numbers as complex() reads them;
+    anything else, such as an array whose rows are not numbers, is read as
+    numpy's complex128 conversion reads it, and only then is numpy
+    imported."""
     try:
         (a, b), (c, d) = gate
         # complex() would also read a one-element array, which the numpy
         # conversion refuses as a third axis
-        if not all(isinstance(z, Number) for z in (a, b, c, d)):
-            raise TypeError("a gate entry is not a number")
-        a, b, c, d = complex(a), complex(b), complex(c), complex(d)
+        if not (type(a) is type(b) is type(c) is type(d) is complex):
+            if not all(isinstance(z, Number) for z in (a, b, c, d)):
+                raise TypeError("a gate entry is not a number")
+            a, b, c, d = complex(a), complex(b), complex(c), complex(d)
     except (TypeError, ValueError, OverflowError):
         import numpy as np
 

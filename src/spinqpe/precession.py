@@ -131,14 +131,20 @@ def amplitudes_CS(eta: float) -> AmplitudePair:
     return AmplitudePair(C=math.cos(half), S=math.sin(half))
 
 
-def amplitudes_AB(params: PathParams) -> ComplexPair:
-    """x-basis amplitudes A, B after both segments (closed form)."""
+def amplitude_pair(params: PathParams) -> tuple[complex, complex]:
+    """(A, B), the x-basis amplitudes after both segments (closed form),
+    without the arguments or the norm check of amplitudes_AB."""
     cs = amplitudes_CS(params.eta)
     half = math.pi / 4.0 - params.delta / 2.0
     plus = cs.C + cs.S
     minus = cs.C - cs.S
-    a = complex(plus * math.cos(half), minus * math.sin(half))
-    b = complex(plus * math.sin(half), -minus * math.cos(half))
+    return (complex(plus * math.cos(half), minus * math.sin(half)),
+            complex(plus * math.sin(half), -minus * math.cos(half)))
+
+
+def amplitudes_AB(params: PathParams) -> ComplexPair:
+    """x-basis amplitudes A, B after both segments (closed form)."""
+    a, b = amplitude_pair(params)
     return ComplexPair(
         A=a, B=b,
         gamma1=math.atan2(a.imag, a.real),

@@ -236,50 +236,49 @@ _NEXT_BIN = '\n        },\n        {\n          "m": '
 _LAST_BIN = "\n        }\n      ]"
 
 
-def _exact_heads(outcomes, num_bits: int):
-    """The head of each exact bin in `outcomes`: the text from its "m"
-    value to its "probability" key."""
+def _heads(outcomes, num_bits: int):
+    """The head of each bin in `outcomes`: the text from its "m" value up
+    to its next key, which is the same in exact and sampled bins."""
     spec = f"0{num_bits}b"
-    return (f'{m},\n          "bits": "0.{m:{spec}}",\n          "probability": '
-            for m in outcomes)
+    return (f'{m},\n          "bits": "0.{m:{spec}}",\n          ' for m in outcomes)
 
 
 @functools.lru_cache(maxsize=1)
 def _full_range_heads(num_bits: int) -> tuple:
-    """The heads of all 2**num_bits exact bins, m = 0 first, for the last
-    width asked: 0.51 MB at 12 bits, 8.5 MB at 16. A tuple of str, so no
-    caller can change a cached head."""
-    return tuple(_exact_heads(range(1 << num_bits), num_bits))
+    """The heads of all 2**num_bits bins, m = 0 first, for the last width
+    asked: 0.45 MB at 12 bits, 7.5 MB at 16. A tuple of str, so no caller
+    can change a cached head."""
+    return tuple(_heads(range(1 << num_bits), num_bits))
 
 
 def _entries_json(hist: Histogram) -> list:
     """The pieces whose join is the list of the bins `hist` holds, in its
     ascending outcome order, as `json.dumps(indent=2)` writes a list of bin
-    dicts at `_ENTRIES_PAD`. Each bin is three pieces: its head, from the
-    "m" value to the "probability" key; the probability's repr, which is
-    what json writes for a float; and the shared text that follows it.
+    dicts at `_ENTRIES_PAD`. Each bin is four pieces: its head, from the
+    "m" value up to the next key; its key text, `"probability": ` in an
+    exact bin and the count with both keys in a sampled one; the
+    probability's repr, which is what json writes for a float; and the
+    shared text that follows it.
 
-    An exact histogram that holds every outcome of its register, as a
-    leaky readout does, takes its heads from the cached `_full_range_heads`
-    table: its outcomes ascend strictly, so they are range(2**n). Any other
-    histogram formats the heads of the bins it holds."""
+    A histogram that holds every outcome of its register, as a leaky
+    readout does, exact or sampled, takes its heads from the cached
+    `_full_range_heads` table: its outcomes ascend strictly, so they are
+    range(2**n). Any other histogram formats the heads of the bins it
+    holds. A sampled histogram formats the key and value texts once per
+    distinct count."""
     size, num_bits = len(hist.outcomes), hist.num_bits
-    if hist.is_sampled:
-        spec = f"0{num_bits}b"
-        counts, total = hist.weights, hist.total_shots
-        heads = [f'{m},\n          "bits": "0.{m:{spec}}",\n          "count": {count},'
-                 f'\n          "probability": '
-                 for m, count in zip(hist.outcomes, counts)]
-        probabilities = [count / total for count in counts]
-    else:
-        heads = (_full_range_heads(num_bits) if size == 1 << num_bits
-                 else _exact_heads(hist.outcomes, num_bits))
-        probabilities = hist.weights
-    pieces = [_NEXT_BIN] * (3 * size + 1)
+    pieces = [_NEXT_BIN, None, '"probability": ', None] * size + [_LAST_BIN]
     pieces[0] = _FIRST_BIN
-    pieces[1::3] = heads
-    pieces[2::3] = map(repr, probabilities)
-    pieces[-1] = _LAST_BIN
+    pieces[1::4] = (_full_range_heads(num_bits) if size == 1 << num_bits
+                    else _heads(hist.outcomes, num_bits))
+    if hist.is_sampled:
+        counts, total = hist.weights, hist.total_shots
+        keys = {count: f'"count": {count},\n          "probability": ' for count in set(counts)}
+        values = {count: repr(count / total) for count in keys}
+        pieces[2::4] = map(keys.__getitem__, counts)
+        pieces[3::4] = map(values.__getitem__, counts)
+    else:
+        pieces[3::4] = map(repr, hist.weights)
     return pieces
 
 

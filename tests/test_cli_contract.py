@@ -127,7 +127,8 @@ def test_sweep_help_names_the_steps_bound():
        ends=st.lists(st.floats(-1.5, 1.5), min_size=4, max_size=4))
 def test_sweep_with_overlapping_windows_exits_3(n, steps, ends):
     """At n <= 3 the decode windows around pi/4's bins overlap: a sweep
-    exits 3 with the one line the pipeline at its first point writes."""
+    exits 3 with the one line the pipeline at its first point writes once
+    it accepts pi/4's leak at that width."""
     eta_lo, eta_hi, delta_lo, delta_hi = map(repr, ends)
     code, out, err = invoke(["sweep", f"--eta-range={eta_lo}:{eta_hi}",
                              f"--delta-range={delta_lo}:{delta_hi}",
@@ -136,7 +137,7 @@ def test_sweep_with_overlapping_windows_exits_3(n, steps, ends):
     assert code == 3
     assert "decode windows around bins" in json.loads(err)["error"]["message"]
     assert err == invoke(["pipeline", f"--eta={eta_lo}", f"--delta={delta_lo}",
-                          "--exact", "--n", str(n)])[2]
+                          "--exact", "--n", str(n), "--allow-leakage"])[2]
 
 
 def test_largest_shot_count_is_sampled():
@@ -215,7 +216,7 @@ def test_pipeline_runs_what_qpev_and_qpeh_run(eta, delta, aux_v, aux_h, n, mode)
     readouts equal those of `qpev` and `qpeh` given the same settings."""
     run = [f"--n={n}", *mode]
     code, out, _ = invoke(["pipeline", f"--eta={eta}", f"--delta={delta}",
-                           f"--aux-v={aux_v}", f"--aux-h={aux_h}", *run])
+                           f"--aux-v={aux_v}", f"--aux-h={aux_h}", "--allow-leakage", *run])
     assume(code == 0)
     pipeline = strict_json(out)
     for name, argv in (
@@ -227,6 +228,25 @@ def test_pipeline_runs_what_qpev_and_qpeh_run(eta, delta, aux_v, aux_h, n, mode)
         record = strict_json(out)
         assert pipeline["histograms"][name] == record["histograms"][name]
         assert pipeline["decoded"][name] == record["decoded"][name]
+
+
+@pytest.mark.parametrize("aux_v, aux_h, run", [
+    ("0.3", "0.3", ["--exact"]),
+    ("pi/4", "1.0", ["--shots", "1000", "--seed", "3"]),
+    ("-0.3", "pi/4", []),
+])
+def test_pipeline_refuses_leakage_as_qpev_and_qpeh_do(aux_v, aux_h, run):
+    """Without --allow-leakage, `pipeline` refuses a leaky auxiliary angle
+    with the exit code and error line that `qpev` or `qpeh` writes for it,
+    the vertical angle checked first."""
+    settings = ["--n=10", *run]
+    code, out, err = invoke(["pipeline", "--eta=pi/3", "--delta=pi/3", f"--aux-v={aux_v}",
+                             f"--aux-h={aux_h}", *settings])
+    assert code == 3
+    assert_one_error_line(code, out, err)
+    single = (["qpev", "--eta=pi/3", f"--aux={aux_v}"] if aux_v != "pi/4"
+              else ["qpeh", "--eta=pi/3", "--delta=pi/3", f"--aux={aux_h}"])
+    assert invoke([*single, *settings]) == (code, out, err)
 
 
 @pytest.mark.parametrize("argv", [
@@ -295,7 +315,7 @@ COMMANDS = st.one_of(
           _maybe("aux", ANGLES), _LEAK, _RUN),
     _argv(st.just(["pipeline"]), _set("eta", ANGLES), _set("delta", ANGLES),
           _maybe("aux-v", ANGLES), _maybe("aux-h", ANGLES),
-          _maybe("branch", st.sampled_from(["principal", "reflected"])), _RUN),
+          _maybe("branch", st.sampled_from(["principal", "reflected"])), _LEAK, _RUN),
     _argv(st.just(["sweep"]), _set("eta-range", _RANGE), _set("delta-range", _RANGE),
           _maybe("steps", st.integers(-1, 3)), _maybe("n", _N)),
 )
@@ -463,7 +483,7 @@ def test_separated_dash_led_angle_stays_a_usage_error():
 WINDOW_HOLDS_EVERY_SHOT = [
     ["qpev", "--eta", "pi/2", "--aux", "1.0", "--allow-leakage"],
     ["qpeh", "--eta", "0.4", "--delta", "pi/2", "--aux", "1.0", "--allow-leakage"],
-    ["pipeline", "--eta", "0", "--delta", "pi/2", "--aux-h", "1.0"],
+    ["pipeline", "--eta", "0", "--delta", "pi/2", "--aux-h", "1.0", "--allow-leakage"],
 ]
 
 
@@ -484,7 +504,7 @@ FEW_SHOT_LEAKY = st.one_of(
           _set("aux", _FEW_SHOT_ANGLES)),
     _argv(st.just(["qpeh", "--allow-leakage"]), _set("eta", _FEW_SHOT_ANGLES),
           _set("delta", _FEW_SHOT_ANGLES), _set("aux", _FEW_SHOT_ANGLES)),
-    _argv(st.just(["pipeline"]), _set("eta", _FEW_SHOT_ANGLES),
+    _argv(st.just(["pipeline", "--allow-leakage"]), _set("eta", _FEW_SHOT_ANGLES),
           _set("delta", _FEW_SHOT_ANGLES), _set("aux-v", _FEW_SHOT_ANGLES),
           _set("aux-h", _FEW_SHOT_ANGLES)),
 )
@@ -495,7 +515,8 @@ FEW_SHOT_LEAKY = st.one_of(
 @example(argv=WINDOW_HOLDS_EVERY_SHOT[0], n=5, shots=20, seed=24)
 @example(argv=WINDOW_HOLDS_EVERY_SHOT[1], n=5, shots=20, seed=24)
 @example(argv=WINDOW_HOLDS_EVERY_SHOT[2], n=5, shots=20, seed=24)
-@example(argv=["pipeline", "--eta", "0.4", "--delta", "pi/2", "--aux-h", "1.0"],
+@example(argv=["pipeline", "--eta", "0.4", "--delta", "pi/2", "--aux-h", "1.0",
+               "--allow-leakage"],
          n=5, shots=20, seed=24)
 def test_few_shot_leaky_masses_stay_in_the_unit_interval(argv, n, shots, seed):
     code, out, err = invoke([*argv, f"--n={n}", f"--shots={shots}", f"--seed={seed}"])

@@ -48,7 +48,7 @@ CASES = {
     "pipeline-reflected": ["pipeline", "--eta", "pi/4", "--delta", "2pi/3", "--n", "6",
                            "--branch", "reflected"],
     "pipeline-leaky": ["pipeline", "--eta", "0.5", "--delta", "0.8", "--aux-v", "11/32pi",
-                       "--aux-h", "1.0", "--n", "6"],
+                       "--aux-h", "1.0", "--n", "6", "--allow-leakage"],
     "pipeline-branch-note": ["pipeline", "--eta", "2", "--delta", "0.3", "--n", "6"],
     "pipeline-csv": ["pipeline", "--eta", "pi/3", "--delta", "pi/3", "--n", "6",
                      "--shots", "1000", "--seed", "5", "--format", "csv"],

@@ -81,8 +81,8 @@ def exact_histograms(draw):
 def sampled_histograms(draw):
     size = 1 << draw(st.integers(0, 12))
     seed = draw(st.integers(0, 2**63 - 1))
-    if draw(st.booleans()):  # every bin drawn
-        counts = np.random.default_rng(seed).integers(1, 2**50, size)
+    if draw(st.booleans()):  # every bin drawn, at times with many bins sharing a count
+        counts = np.random.default_rng(seed).integers(1, draw(st.sampled_from([4, 2**50])), size)
         return from_dense(counts, total_shots=int(counts.sum()), seed=seed)
     total = draw(st.one_of(st.just(2**63 - 1), st.integers(1, 2**63 - 1)))
     bins = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=min(size, 16),
@@ -155,6 +155,11 @@ def reference_record(record: dict) -> dict:
     "qpeh": histogram_payload(Histogram(MAX_HISTOGRAM_BITS, np.array([0, 2**63 - 1]),
                                         np.array([2**63 - 1, 2**63 - 2]),
                                         total_shots=2**64 - 3, seed=7)),
+}))
+@example(make_record(["qpev"], {}, histograms={  # many bins share a count
+    "qpev": histogram_payload(from_dense(np.array([2, 0, 2, 1, 2, 0, 1, 2]), total_shots=10,
+                                         seed=1)),
+    "qpeh": histogram_payload(from_dense(np.full(16, 5), total_shots=80, seed=2)),
 }))
 def test_writer_equals_reference(record):
     assert to_json(record) == json.dumps(reference_record(record), indent=2) + "\n"
@@ -261,19 +266,30 @@ def test_full_range_writer_equals_reference(data, widths):
 
 
 def test_other_histograms_build_no_table():
-    """Only an exact histogram that holds every outcome reads the table: a
-    dyadic exact readout (two bins), a sparse exact one and a sampled one
-    that drew every outcome never build it."""
+    """Only a histogram that holds every outcome reads the table: a dyadic
+    exact readout (two bins) and a sparse exact one never build it."""
     dyadic = run_qpe(QpeConfig(RunSettings(12), RotationSpec(Axis.Y, math.pi / 4),
                                (rx(-0.7),)))
     assert len(support(dyadic)[0]) == 2
     sparse = from_dense(np.array([0.25, 0.0, 0.5, 0.25]))
-    counts = np.arange(1, 17)
-    sampled = from_dense(counts, total_shots=int(counts.sum()), seed=3)
-    for hist in (dyadic, sparse, sampled):
+    for hist in (dyadic, sparse):
         record = make_record(["qpev"], {}, histograms={"qpev": histogram_payload(hist)})
         assert to_json(record) == json.dumps(reference_record(record), indent=2) + "\n"
     assert _full_range_heads.cache_info().misses == 0
+
+
+@pytest.mark.parametrize("counts", [np.arange(1, 17), np.array([3, 1, 3, 3, 1, 2, 3, 3])],
+                         ids=["distinct", "equal"])
+def test_sampled_histogram_that_drew_every_outcome_reads_the_table(counts):
+    """A sampled histogram that drew every outcome takes its heads from the
+    table, its counts distinct or many of them equal, and is still written
+    as json.dumps writes its bin dicts."""
+    sampled = from_dense(counts, total_shots=int(counts.sum()), seed=3)
+    record = make_record(["qpev"], {}, histograms={"qpev": histogram_payload(sampled)})
+    assert to_json(record) == json.dumps(reference_record(record), indent=2) + "\n"
+    info = _full_range_heads.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    assert len(_full_range_heads(len(counts).bit_length() - 1)) == len(counts)
 
 
 def _leaky_record(num_bits: int) -> dict:
