@@ -28,19 +28,13 @@ from .extraction import (
 )
 from .gates import Axis, RotationSpec, axis_eigenvectors, rx, ry
 from .precession import (
-    HBAR,
     AmplitudePair,
     ComplexPair,
     PathParams,
-    PhysicalParams,
     TotalPhase,
     amplitudes_AB,
     amplitudes_CS,
-    angles_from_physical,
     path1_phase,
-    psi1,
-    psi2,
-    time_for_angle,
     total_phase,
     wrap_angle,
 )
@@ -68,11 +62,9 @@ __all__ = [
     "DecodeResult",
     "ExpectedBins",
     "ExtractionResult",
-    "HBAR",
     "Histogram",
     "InconsistentAmplitudesError",
     "PathParams",
-    "PhysicalParams",
     "QpeConfig",
     "RotationSpec",
     "RUN_RECORD_SCHEMA",
@@ -83,7 +75,6 @@ __all__ = [
     "UndefinedPhaseError",
     "amplitudes_AB",
     "amplitudes_CS",
-    "angles_from_physical",
     "axis_eigenvectors",
     "decode",
     "expected_bins",
@@ -92,15 +83,12 @@ __all__ = [
     "infer_sin_delta",
     "parse_angle",
     "path1_phase",
-    "psi1",
-    "psi2",
     "reconstruct_absA",
     "reconstruct_CS",
     "run_qpe",
     "rx",
     "ry",
     "theta_from_estimates",
-    "time_for_angle",
     "total_phase",
     "wrap_angle",
 ]

@@ -70,10 +70,6 @@ def pauli_x() -> Gate:
     return _pairs(0.0, 1.0, 1.0, 0.0)
 
 
-def identity() -> Gate:
-    return _pairs(1.0, 0.0, 0.0, 1.0)
-
-
 def phase(lam: float) -> Gate:
     """diag(1, exp(i lam))"""
     return _pairs(1.0, 0.0, 0.0, cmath.exp(1j * lam))

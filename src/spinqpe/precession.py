@@ -19,20 +19,11 @@ Closed forms used throughout (C = cos(pi/4 - eta/2), S = sin(pi/4 - eta/2)):
 All functions here are pure.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 
 from .errors import UndefinedPhaseError
 from .gates import FrozenValue
-
-TYPE_CHECKING = False
-if TYPE_CHECKING:
-    import numpy as np
-
-#: reduced Planck constant, J s (2018 CODATA exact value)
-HBAR = 1.054571817e-34
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -58,49 +49,6 @@ class PathParams(FrozenValue):
         self._set(eta, delta)
         if not (math.isfinite(self.eta) and math.isfinite(self.delta)):
             raise ValueError(f"angles must be finite, got ({self.eta!r}, {self.delta!r})")
-
-
-class PhysicalParams(FrozenValue):
-    """Spin-orbit traversal parameters for one segment.
-
-    alpha: coupling constant (energy * length), k: carrier momentum
-    component (1/length), t: traversal time (s). The momentum factor also
-    absorbs any dimensionless band factor. omega = 2 alpha k / hbar is the
-    precession (Larmor) rate, so the precession angle per traversal is
-    omega * t.
-    """
-
-    __slots__ = ("alpha", "k", "t", "hbar")
-
-    def __init__(self, alpha: float, k: float, t: float, hbar: float = HBAR) -> None:
-        self._set(alpha, k, t, hbar)
-
-    @property
-    def omega(self) -> float:
-        return 2.0 * self.alpha * self.k / self.hbar
-
-
-def angles_from_physical(segment1: PhysicalParams, segment2: PhysicalParams) -> PathParams:
-    """Precession angles from physical parameters.
-
-    Segment 1 runs against its effective field (eta = -omega1 * t1) while
-    segment 2 runs with it (delta = +omega2 * t2); the sign asymmetry is
-    the x-versus-y path geometry and is preserved exactly.
-    """
-    return PathParams(
-        eta=-segment1.omega * segment1.t,
-        delta=+segment2.omega * segment2.t,
-    )
-
-
-def time_for_angle(angle: float, params: PhysicalParams) -> float:
-    """Traversal time that yields a given precession angle magnitude.
-
-    This is the tuning knob used to dial in auxiliary rotation angles.
-    """
-    if params.omega == 0.0:
-        raise ZeroDivisionError("omega is zero; no finite time reaches the angle")
-    return angle / params.omega
 
 
 class AmplitudePair(FrozenValue):
@@ -150,33 +98,6 @@ def amplitudes_AB(params: PathParams) -> ComplexPair:
         gamma1=math.atan2(a.imag, a.real),
         gamma2=math.atan2(b.imag, b.real),
     )
-
-
-def psi1(eta: float) -> np.ndarray:
-    """State after segment 1, rx(-eta)|0> exactly, as a complex128 pair;
-    ValueError unless eta is finite.
-
-    In the x eigenbasis this is (e^{+i eta/2} |+x> + e^{-i eta/2} |-x>)
-    / sqrt(2); in the computational basis (cos(eta/2), i sin(eta/2)).
-    """
-    import numpy as np
-
-    if not math.isfinite(eta):
-        raise ValueError(f"eta must be finite, got {eta!r}")
-    return np.array([math.cos(eta / 2.0), 1j * math.sin(eta / 2.0)], dtype=np.complex128)
-
-
-def psi2(params: PathParams) -> np.ndarray:
-    """State after both segments, ry(delta) rx(-eta) |0> exactly with no
-    global-phase slack, as a complex128 pair."""
-    import numpy as np
-
-    cs = amplitudes_CS(params.eta)
-    e_minus = np.exp(-0.5j * params.delta)
-    e_plus = np.exp(+0.5j * params.delta)
-    a0 = (cs.C * e_minus + cs.S * e_plus) / _SQRT2
-    a1 = 1j * (cs.C * e_minus - cs.S * e_plus) / _SQRT2
-    return np.array([a0, a1], dtype=np.complex128)
 
 
 class TotalPhase(namedtuple("TotalPhase", ("magnitude", "theta", "theta_arctan"))):

@@ -208,6 +208,18 @@ class TestSweep:
             record["estimates"]["theta"], abs=1e-12)
         assert float(rows[0]["C2"]) == pytest.approx(C2, abs=1e-12)
 
+    @pytest.mark.parametrize("eta_range, eta", [("0.5:0.5", "0.5"), ("-0.0:0", "-0.0")],
+                             ids=["equal", "signed-zeros"])
+    def test_equal_endpoints_give_one_point(self, capsys, eta_range, eta):
+        """An axis whose endpoints are equal is one point, its lower end,
+        whatever --steps is, while the other axis takes every step."""
+        code, out, _ = run(capsys, "sweep", f"--eta-range={eta_range}",
+                           "--delta-range", "0.2:1.3", "--steps", "3", "--n", "6")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [(row["eta"], row["delta"]) for row in rows] == [
+            (eta, "0.2"), (eta, "0.75"), (eta, "1.3")]
+
     @pytest.mark.parametrize("ranges", [
         ("--eta-range=-0.0:-0.6", "--delta-range=-0.3:0.3"),
         ("--eta-range=-0.6:0.6", "--delta-range=-0.0:-0.6"),

@@ -11,7 +11,6 @@ from spinqpe.gates import (
     RotationSpec,
     axis_eigenvectors,
     hadamard,
-    identity,
     pauli_x,
     phase,
     require_gate,
@@ -67,8 +66,9 @@ def test_phase_gate():
 
 
 def test_pauli_x_and_identity():
-    np.testing.assert_array_equal(pauli_x(), [[0, 1], [1, 0]])
-    np.testing.assert_array_equal(identity(), I2)
+    x = np.array(pauli_x())
+    np.testing.assert_array_equal(x, [[0, 1], [1, 0]])
+    np.testing.assert_array_equal(x @ x, I2)
 
 
 @pytest.mark.parametrize("builder", [rx, ry])

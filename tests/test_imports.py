@@ -10,10 +10,15 @@ loads it. Nor does any import a standard module that is slow to load and
 that the package can do without: its value classes need no dataclasses
 (which loads inspect), its annotations no typing, its one file write no
 pathlib. A canonical launch loads no argparse (nor its gettext), and one
-that writes no JSON record, a sweep among them, loads no json."""
+that writes no JSON record, a sweep among them, loads no json.
+
+Every import in src/, tests/ and perfbench/ is one that CI can satisfy:
+the standard library, a module of the repository, or a dependency or
+test extra that pyproject.toml declares."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -74,7 +79,7 @@ REFERENCE_GATES = {"hadamard", "rotation_power"}
 UNEXPORTED = [
     "StateVector", "new_state", "apply_single", "apply_controlled", "probabilities",
     "exact_histogram", "sample", "IqftPlan", "PlanStep", "build_iqft", "apply_iqft",
-    "dense_iqft_reference", "hadamard", "identity", "pauli_x", "phase", "rotation",
+    "dense_iqft_reference", "hadamard", "pauli_x", "phase", "rotation",
     "rotation_power",
 ]
 
@@ -158,7 +163,7 @@ def test_only_qpe_reads_the_readout_model(module):
 
 
 def test_package_does_not_export_the_reference_engine():
-    assert len(spinqpe.__all__) == 43
+    assert len(spinqpe.__all__) == 37
     exported = [name for name in UNEXPORTED
                 if name in spinqpe.__all__ or hasattr(spinqpe, name)]
     assert exported == []
@@ -282,3 +287,43 @@ def test_command_never_loads_numpy(argv, exit_code):
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=60, env={**os.environ, "PYTHONPATH": src}, check=True)
     assert done.stdout.split() == [str(exit_code), "False"], done.stderr
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def declared_dependencies() -> set:
+    """The names in pyproject.toml's `dependencies` and its `test` extra,
+    what `pip install .[test]` installs (read by regex: Python 3.10 has no
+    tomllib)."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    lists = re.findall(r"^(?:dependencies|test) = \[(.*?)\]", text, re.MULTILINE | re.DOTALL)
+    return {re.match(r"[A-Za-z0-9_.]+", spec).group()
+            for body in lists for spec in re.findall(r'"([^"]+)"', body)}
+
+
+def test_every_import_is_installed_by_ci():
+    """Every module that src/, tests/ or perfbench/ imports, at any depth,
+    is in the standard library, is one of their own modules, or is a
+    declared dependency: a test that imports a package installed here but
+    not by `.[test]` would pass here and fail in CI."""
+    paths = sorted(path for root in ("src", "tests", "perfbench")
+                   for path in (ROOT / root).rglob("*.py"))
+    local = {path.stem for path in paths} | {path.parent.name for path in paths
+                                             if path.name == "__init__.py"}
+    declared = declared_dependencies()
+    assert {"numpy", "pytest"} <= declared
+    undeclared = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if not (top in sys.stdlib_module_names or top in local or top in declared):
+                    undeclared.setdefault(top, path.relative_to(ROOT).as_posix())
+    assert undeclared == {}

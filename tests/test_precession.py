@@ -9,17 +9,12 @@ from spinqpe import (
     AmplitudePair,
     ComplexPair,
     PathParams,
-    PhysicalParams,
     UndefinedPhaseError,
     amplitudes_AB,
     amplitudes_CS,
-    angles_from_physical,
     path1_phase,
-    psi1,
-    psi2,
     rx,
     ry,
-    time_for_angle,
     total_phase,
     wrap_angle,
 )
@@ -65,59 +60,7 @@ class TestAmplitudesCS:
             AmplitudePair(1.0, 1.0)
 
 
-class TestPsi1:
-    def test_zero_angle(self):
-        np.testing.assert_array_equal(psi1(0.0), E0)
-
-    def test_pi_third_angle(self):
-        np.testing.assert_allclose(
-            psi1(PI / 3),
-            [math.cos(PI / 6), 1j * math.sin(PI / 6)],
-            atol=1e-15,
-        )
-
-    def test_half_turn(self):
-        np.testing.assert_allclose(psi1(PI), [0.0, 1j], atol=1e-15)
-
-    def test_plain_complex_pair(self):
-        for state in (psi1(0.3), psi2(PathParams(0.3, -0.7))):
-            assert type(state) is np.ndarray
-            assert (state.shape, state.dtype) == ((2,), np.complex128)
-
-    @pytest.mark.parametrize("eta", [math.inf, -math.inf, math.nan])
-    def test_non_finite_angle_refused(self, eta):
-        with pytest.raises(ValueError, match="finite"):
-            psi1(eta)
-
-    def test_matches_circuit_everywhere(self):
-        rng = np.random.default_rng(41)
-        for eta in rng.uniform(-PI, PI, 200):
-            np.testing.assert_allclose(
-                psi1(eta), np.array(rx(-eta)) @ E0, atol=1e-12)
-
-
 class TestPsi2:
-    def test_zero_angles(self):
-        # cos(pi/4) and sin(pi/4) differ by one ulp in doubles, so the
-        # excited amplitude carries ~1e-17 dust rather than an exact zero
-        np.testing.assert_allclose(psi2(PathParams(0.0, 0.0)), E0,
-                                   atol=1e-15)
-
-    def test_pi_third_angles(self):
-        np.testing.assert_allclose(
-            psi2(PathParams(PI / 3, PI / 3)),
-            [0.75 - 0.25j, 0.4330127018922193 + 0.4330127018922193j],
-            atol=1e-12,
-        )
-
-    def test_matches_circuit_no_global_phase_slack(self):
-        for eta, delta in random_params(1000, seed=43):
-            np.testing.assert_allclose(
-                psi2(PathParams(eta, delta)),
-                evolve(eta, delta),
-                atol=1e-12,
-            )
-
     def test_x_basis_expansion_agrees(self):
         inv_sqrt2 = 1 / math.sqrt(2)
         plus_x = np.array([inv_sqrt2, inv_sqrt2])
@@ -125,8 +68,7 @@ class TestPsi2:
         for eta, delta in random_params(100, seed=47):
             ab = amplitudes_AB(PathParams(eta, delta))
             rebuilt = (ab.A * plus_x + ab.B * minus_x) / math.sqrt(2)
-            np.testing.assert_allclose(
-                rebuilt, psi2(PathParams(eta, delta)), atol=1e-12)
+            np.testing.assert_allclose(rebuilt, evolve(eta, delta), atol=1e-12)
 
     def test_segments_do_not_commute(self):
         forward = evolve(PI / 3, PI / 3)
@@ -251,42 +193,6 @@ class TestPath1Phase:
 
     def test_branch_warning_beyond_pi(self):
         assert path1_phase(1.5 * PI) == pytest.approx(PI)
-
-
-class TestPhysicalConversion:
-    def test_zero_time(self):
-        p = PhysicalParams(alpha=1e-11, k=1e8, t=0.0, hbar=1.0)
-        assert angles_from_physical(p, p) == PathParams(0.0, 0.0)
-
-    def test_sign_asymmetry_and_magnitude(self):
-        # omega = 2 alpha k / hbar = 1, so a traversal of pi/3 seconds
-        # precesses by pi/3 on each segment
-        p = PhysicalParams(alpha=0.5, k=1.0, t=PI / 3, hbar=1.0)
-        params = angles_from_physical(p, p)
-        assert params.eta == pytest.approx(-PI / 3, abs=1e-15)
-        assert params.delta == pytest.approx(+PI / 3, abs=1e-15)
-
-    def test_linearity_in_time(self):
-        p1 = PhysicalParams(alpha=0.5, k=1.0, t=0.2, hbar=1.0)
-        p2 = PhysicalParams(alpha=0.5, k=1.0, t=0.4, hbar=1.0)
-        a = angles_from_physical(p1, p1)
-        b = angles_from_physical(p2, p2)
-        assert b.eta == pytest.approx(2 * a.eta, abs=1e-15)
-        assert b.delta == pytest.approx(2 * a.delta, abs=1e-15)
-
-    def test_omega_nonnegative(self):
-        p = PhysicalParams(alpha=1e-11, k=1e8, t=1e-12)
-        assert p.omega >= 0.0
-
-    def test_time_for_angle_round_trip(self):
-        p = PhysicalParams(alpha=0.5, k=1.0, t=0.0, hbar=1.0)
-        t = time_for_angle(PI / 4, p)
-        tuned = PhysicalParams(alpha=0.5, k=1.0, t=t, hbar=1.0)
-        assert tuned.omega * tuned.t == pytest.approx(PI / 4, abs=1e-15)
-
-    def test_time_for_angle_zero_omega(self):
-        with pytest.raises(ZeroDivisionError):
-            time_for_angle(PI / 4, PhysicalParams(alpha=0.0, k=1.0, t=0.0))
 
 
 class TestPathParams:

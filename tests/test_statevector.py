@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinqpe import ConfigurationError, Histogram, rx, ry
-from spinqpe.gates import hadamard, identity, pauli_x, phase
+from spinqpe.gates import hadamard, pauli_x, phase
 from spinqpe.qpe import (
     exact_histogram,
     histogram_from_probabilities,
@@ -86,7 +86,7 @@ class TestApplySingle:
     def test_identity_is_exact(self):
         rng = np.random.default_rng(5)
         s = random_state(rng, 3)
-        out = apply_single(s, identity(), 1)
+        out = apply_single(s, np.eye(2), 1)
         np.testing.assert_array_equal(out.amplitudes, s.amplitudes)
 
     def test_target_out_of_range(self):

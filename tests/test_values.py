@@ -11,7 +11,7 @@ import pytest
 from spinqpe.extraction import ExtractionResult, full_pipeline
 from spinqpe.gates import Axis, RotationSpec, rx
 from spinqpe.iqft import IqftPlan, PlanStep
-from spinqpe.precession import AmplitudePair, ComplexPair, PathParams, PhysicalParams
+from spinqpe.precession import AmplitudePair, ComplexPair, PathParams
 from spinqpe.qpe import (DecodeResult, ExpectedBins, Histogram, QpeConfig, RunSettings,
                          decode, run_qpe)
 from spinqpe.statevector import StateVector
@@ -36,7 +36,6 @@ CASES = [
      "value", True),
     (IqftPlan, lambda: {"ops": (PlanStep("hadamard", (0,)),)}, "value", True),
     (PathParams, lambda: {"eta": 0.3, "delta": -0.4}, "value", True),
-    (PhysicalParams, lambda: {"alpha": 0.5, "k": 1.0, "t": 0.2, "hbar": 1.0}, "value", True),
     (AmplitudePair, lambda: {"C": 0.6, "S": 0.8}, "value", True),
     (ComplexPair, lambda: {"A": 1 + 0j, "B": 1j, "gamma1": 0.0, "gamma2": math.pi / 2},
      "value", True),

@@ -22,8 +22,8 @@ import spinqpe.qpe as qpe
 from spinqpe import Axis, PathParams, QpeConfig, RotationSpec, RunSettings, full_pipeline, rx, ry
 from spinqpe.cli import main
 from spinqpe.errors import ConfigurationError
-from spinqpe.qpe import (ExpectedBins, _window_readout, decode, decode_exact, expected_bins,
-                         histogram_from_probabilities, readout_kernel, run_qpe,
+from spinqpe.qpe import (ExpectedBins, _target_overlaps, _window_readout, decode, decode_exact,
+                         expected_bins, histogram_from_probabilities, readout_kernel, run_qpe,
                          sample_probabilities)
 
 from histograms import identical
@@ -270,3 +270,31 @@ def test_warm_exact_request_makes_no_numpy_call(capsys, monkeypatch, argv):
         assert all(type(w) is float for w in hist.weights)
     with pytest.raises(ImportError):
         import numpy  # noqa: F401
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), n=st.integers(2, 12), axis=st.sampled_from(Axis),
+       eta=st.floats(-PI, PI), delta=st.floats(-PI, PI), gates=st.integers(1, 2))
+def test_window_masses_are_linear_in_the_overlaps(data, n, axis, eta, delta, gates):
+    """An exact run's two window masses are M (w_plus, w_minus), where row
+    i of M is (sum of K(-m), sum of K(m)) over the outcomes m of window i,
+    read from the window readout's triples, and w is the target's two
+    eigen-overlaps. M is well conditioned (cond_2 below 1.2), so the
+    overlaps can be solved from the masses at dyadic and leaky angles
+    alike. Configurations whose windows overlap are skipped."""
+    aux = data.draw(st.one_of(
+        st.floats(-30.0, 30.0),
+        st.integers(-(2 << n), 2 << n).map(lambda k: 4 * PI * k / (1 << n))))
+    prep = (rx(-eta), ry(delta))[:gates]
+    config = QpeConfig(RunSettings(n), RotationSpec(axis, aux), prep)
+    try:
+        got = decode(run_qpe(config), config)
+    except ConfigurationError as err:
+        assert "overlap" in str(err)
+        return
+    _, windows, triples = _window_readout(n, aux)
+    kernel = {m: (k_mirror, k) for m, k, k_mirror in triples}
+    M = np.array([np.sum([kernel[m] for m in window], axis=0) for window in windows])
+    np.testing.assert_allclose(M @ _target_overlaps(config), (got.p_plus, got.p_minus),
+                               rtol=0, atol=1e-12)
+    assert np.linalg.cond(M) < 1.2
